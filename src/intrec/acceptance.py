@@ -243,7 +243,13 @@ def case_squared_chebyshev_integral(seed=DEFAULT_SEED):
 
 
 def case_singular_weight_fallback(seed=DEFAULT_SEED):
-    """T_n^2 against 1/sqrt(1-x^2): verified description despite no exact oracle."""
+    """T_n^2 against 1/sqrt(1-x^2): a(n) = pi*q_n, checked exactly on the q_n.
+
+    The report must verify through the exact unroll check and carry its
+    initial terms as pi times rationals.  The q_n from the moment oracle and
+    the quadrature values must both give a(0) = pi and a(n) = pi/2 for
+    n = 1..6.
+    """
     start = time.perf_counter()
     doc = {
         "sequence": {"builtin": "chebyshev_T"},
@@ -253,21 +259,24 @@ def case_singular_weight_fallback(seed=DEFAULT_SEED):
         "task": "recurrence",
     }
     report = pipeline.run(pipeline.build_job(doc))
-    checks = [("pipeline report verifies", report.ok)]
+    exact_init = report.results.get("recurrence", {}).get("exact_initial_terms") or {}
+    checks = [
+        ("pipeline report verifies", report.ok),
+        ("recurrence checked exactly against the oracle",
+         any(v["name"] == "unroll_matches_oracle" for v in report.verifications)),
+        ("initial terms reported as pi times rationals", exact_init.get("factor") == "pi"),
+    ]
 
     seq = cf.power(cf.BUILTINS["chebyshev_T"], 2)
     prob = oracle.IntegralProblem(seq, chebyshev_weight(), -1, 1)
-    with mp.workdps(30):
-        tol = mp.mpf(10) ** -8
-        v0 = oracle.numeric_term(prob, 0, 12)
-        checks.append(("integral at n=0 is pi", abs(v0 - mp.pi) < tol))
-        ok = True
-        for n in range(1, 7):
-            vn = oracle.numeric_term(prob, n, 12)
-            if abs(vn - mp.pi / 2) > tol:
-                ok = False
-                break
-        checks.append(("integrals at n=1..6 are pi/2", ok))
+    checks.append(("q_0 = 1 and q_n = 1/2 for n=1..6",
+                   oracle.pi_parts(prob, 7) == [1] + [Fraction(1, 2)] * 6))
+    with mp.workdps(40):
+        tol = mp.mpf(10) ** -25
+        v0 = oracle.numeric_term(prob, 0, 30)
+        checks.append(("quadrature at n=0 is pi", abs(v0 - mp.pi) < tol))
+        ok = all(abs(oracle.numeric_term(prob, n, 30) - mp.pi / 2) < tol for n in range(1, 7))
+        checks.append(("quadrature at n=1..6 is pi/2", ok))
     return _finish("singular_weight_fallback", start, checks)
 
 

@@ -3,8 +3,10 @@
 The grammar is tiny and LL(1): integers, named variables, + - * / ^ with the
 usual precedence (^ binds tightest, then unary minus, then * and /, then
 + and -), parentheses, and nonnegative integer exponents only.  Implicit
-multiplication is rejected rather than guessed.  Printing is the inverse
-contract: every printed polynomial or rational function re-parses to an
+multiplication is rejected rather than guessed.  Lowering refuses, with a
+ParseError, any exponent and any intermediate degree above MAX_DEGREE, before
+the arithmetic runs.  Printing is the inverse contract: every printed
+polynomial or rational function of degree at most MAX_DEGREE re-parses to an
 equal value, and output is byte-stable across runs.
 
 Display convention: polynomials in t print lowest power first (series
@@ -15,6 +17,12 @@ from .errors import DivisionByZeroExpr, ParseError, UnknownVariable, ZeroDenomin
 from . import poly as P
 from .poly import Poly
 from .ratfunc import RatFunc
+
+# Largest exponent (a right-associative tower such as x^2^3 evaluated) and
+# largest degree of any numerator or denominator built while lowering, where a
+# Q[x][t] polynomial counts its degree in t plus its degree in x.  The exponent
+# limit also keeps constant powers small.  (1+x)^1000 lowers in about 0.3 s.
+MAX_DEGREE = 1000
 
 # -- tokenizer ---------------------------------------------------------------
 
@@ -74,17 +82,17 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
+            op, _, pos = self.take()
             rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
+            node = ("add" if op == "+" else "sub", node, rhs, pos)
         return node
 
     def term(self):
         node = self.unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
+            op, _, pos = self.take()
             rhs = self.unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
+            node = ("mul" if op == "*" else "div", node, rhs, pos)
         return node
 
     def unary(self):
@@ -97,15 +105,23 @@ class _Parser:
         base = self.atom()
         if self.peek()[0] != "^":
             return base
-        self.take()
+        op_pos = self.take()[2]
+        pos = self.peek()[2]
         exps = [self._exponent()]
         while self.peek()[0] == "^":
             self.take()
             exps.append(self._exponent())
+        too_large = ParseError("exponent exceeds the limit %d" % MAX_DEGREE, pos)
         k = exps[-1]
         for e in reversed(exps[:-1]):
+            # e >= 2 and k >= bit_length(MAX_DEGREE) give e**k > MAX_DEGREE:
+            # refuse a huge tower before computing it
+            if e > 1 and k >= MAX_DEGREE.bit_length():
+                raise too_large
             k = e**k
-        return ("pow", base, k)
+        if k > MAX_DEGREE:
+            raise too_large
+        return ("pow", base, k, op_pos)
 
     def _exponent(self):
         kind, val, pos = self.peek()
@@ -139,8 +155,37 @@ def parse(text, allowed_vars):
     return node
 
 
+def _poly_size(p):
+    """Degree in the main variable, plus the degree in x of a Q[x][t]
+    polynomial: additive under products, at most the maximum under sums."""
+    d = max(p.degree(), 0)
+    return d + max(P.x_degree(p), 0) if p.var == "t" else d
+
+
+def _sizes(v):
+    if not isinstance(v, RatFunc):
+        return 0, 0
+    return _poly_size(v.num), _poly_size(v.den)
+
+
+def _result_size(tag, a, b):
+    """Upper bound on the sizes of the numerator and denominator of `a op b`."""
+    (an, ad), (bn, bd) = _sizes(a), _sizes(b)
+    if tag == "pow":
+        return b * max(an, ad)
+    if tag == "mul":
+        return max(an + bn, ad + bd)
+    if tag == "div":
+        return max(an + bd, ad + bn)
+    return max(an + bd, bn + ad, ad + bd)
+
+
 def lower(node, default_var="x"):
-    """Evaluate an AST in exact rational-function arithmetic."""
+    """Evaluate an AST in exact rational-function arithmetic.
+
+    Each power, product, quotient and sum is refused with a ParseError at its
+    operator when its result could exceed degree MAX_DEGREE.
+    """
 
     def walk(nd):
         tag = nd[0]
@@ -150,9 +195,12 @@ def lower(node, default_var="x"):
             return RatFunc(Poly.variable(nd[1]))
         if tag == "neg":
             return -walk(nd[1])
+        a = walk(nd[1])
+        b = nd[2] if tag == "pow" else walk(nd[2])
+        if _result_size(tag, a, b) > MAX_DEGREE:
+            raise ParseError("degree exceeds the limit %d" % MAX_DEGREE, nd[3])
         if tag == "pow":
-            return walk(nd[1]) ** nd[2]
-        a, b = walk(nd[1]), walk(nd[2])
+            return a**b
         if tag == "add":
             return a + b
         if tag == "sub":

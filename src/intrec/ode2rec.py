@@ -11,7 +11,6 @@ onward.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt
 
 from .errors import RecurrenceRefuted, SingularLeadingCoefficient, ZeroOperator
 from .linalg import canonical_vector
@@ -94,8 +93,22 @@ def convert_raw(opcoeffs, rhs):
     return coeffs, threshold, tuple(exceptional)
 
 
+def _horner(cs, v):
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * v + c
+    return acc
+
+
 def _integer_roots(p):
-    """All integer roots of a polynomial in n, without factorization."""
+    """All integer roots of a polynomial in n, without factorization.
+
+    A Sturm sequence of the squarefree part counts the distinct real roots in
+    any interval (lo, hi].  Bisecting the integer range inside the Cauchy
+    bound, and dropping every piece that holds no root, takes about
+    log2(bound) steps per real root: the cost grows with the bit size of the
+    coefficients, not with their magnitude.
+    """
     cs = p.coeffs
     roots = set()
     k = 0
@@ -106,17 +119,32 @@ def _integer_roots(p):
         cs = cs[k:]
     if len(cs) <= 1:
         return roots
-    ints, _ = P.int_coeffs(Poly("n", cs))
-    c0 = abs(ints[0])
-    divs = set()
-    for i in range(1, isqrt(c0) + 1):
-        if c0 % i == 0:
-            divs.update((i, c0 // i))
-    q = Poly("n", ints)
-    for dv in divs:
-        for cand in (dv, -dv):
-            if q.eval(cand) == 0:
-                roots.add(cand)
+    q = Poly("n", cs)
+    q = P.exact_div(q, P.gcd(q, q.deriv()))
+    chain = [q, q.deriv()]
+    while chain[-1].degree() > 0:
+        chain.append(-P.divmod_poly(chain[-2], chain[-1])[1])
+    # positive rescaling to integer coefficients keeps every sign
+    chain = [P.int_coeffs(c)[0] for c in chain]
+
+    def variations(v):
+        signs = [val > 0 for val in (_horner(c, v) for c in chain) if val]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    top = chain[0]
+    bound = max(abs(c) for c in top[:-1]) // abs(top[-1]) + 2
+    stack = [(-bound, variations(-bound), bound, variations(bound))]
+    while stack:
+        lo, vlo, hi, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if not _horner(top, hi):
+                roots.add(hi)
+            continue
+        mid = (lo + hi) // 2
+        vmid = variations(mid)
+        stack += [(lo, vlo, mid, vmid), (mid, vmid, hi, vhi)]
     return roots
 
 

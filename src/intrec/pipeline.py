@@ -40,10 +40,12 @@ _TASKS = ("genfun", "terms", "telescope", "recurrence", "guess", "verify")
 _ANNIHILATION_TERMS = 31
 _MUTUAL_TERMS = 51
 
-# numeric fallback: consistency tolerance, and the quadrature digits
-# actually reachable under the subdivision cap
+# numeric fallback: consistency tolerance
 _NUMERIC_TOL = Fraction(1, 10**8)
-_NUMERIC_DIGITS_CAP = 12
+
+# largest options.precision accepted: tanh-sinh of the substituted Chebyshev
+# weight costs about 0.02 s per term at 30 digits and 0.07 s at 100
+MAX_PRECISION = 100
 
 
 @dataclass(frozen=True)
@@ -285,6 +287,8 @@ def build_job(doc, defaults=None):
         if not isinstance(v, int) or v < low:
             raise InvalidJob("options.%s: expected an integer >= %d" % (key, low))
         merged[key] = v
+    if merged["precision"] > MAX_PRECISION:
+        raise InvalidJob("options.precision: at most %d digits" % MAX_PRECISION)
     options = Options(**merged)
 
     echo = {"task": task, "sequence": seq_echo, "transforms": tr_echo}
@@ -390,20 +394,59 @@ def _equations_hold(rec, terms):
     return True
 
 
-def _exact_oracle_available(kernel):
-    return kernel.is_rational() and kernel.prefactor.is_polynomial()
+def _exact_factor(prob):
+    """The symbolic factor f with a(n) = f·(exact oracle value), or None.
+
+    "1" for polynomial kernels; "pi" for the Chebyshev weight on [-1, 1],
+    whose oracle values are the rational parts q_n of a(n) = pi·q_n.  Linear
+    recurrences and their checks carry over unchanged from a(n) to q_n
+    whenever the right-hand sides vanish.
+    """
+    kernel = prob.kernel
+    if kernel.is_rational() and kernel.prefactor.is_polynomial():
+        return "1"
+    if oracle.has_pi_parts(prob):
+        return "pi"
+    return None
 
 
 def _guess_term_count(opts):
     return opts.max_order + opts.margin + (opts.max_order + 1) * (opts.max_degree + 1) + 2
 
 
-def _oracle_terms(prob, count):
+_PI_NOTE = (
+    "a(n) = pi*q_n with q_n rational: checks run exactly on the q_n, listed in"
+    " exact_initial_terms; approx_initial_terms are their numeric values pi*q_n"
+)
+
+
+def _oracle_terms(prob, count, factor):
+    if factor == "pi":
+        return _stage("oracle", oracle.pi_parts, prob, count)
     return _stage("oracle", lambda: [oracle.exact_term(prob, n) for n in range(count)])
 
 
+def _set_recurrence(rep, key, rec, factor):
+    """Report a recurrence; pi-factored initial terms go to exact_initial_terms."""
+    payload = _recurrence_payload(rec)
+    if factor == "pi" and rec.initial_terms is not None:
+        payload["initial_terms"] = None
+        payload["exact_initial_terms"] = {
+            "factor": factor,
+            "values": [_fmt_value(v) for v in rec.initial_terms],
+        }
+        with mp.workdps(30):
+            payload["approx_initial_terms"] = [
+                _approx_str(mp.pi * oracle.as_mpf(v)) for v in rec.initial_terms
+            ]
+        if _PI_NOTE not in rep.notes:
+            rep.notes.append(_PI_NOTE)
+    rep.results[key] = payload
+
+
 def _run_guess(rep, prob, opts, count, note=None):
-    terms = _oracle_terms(prob, count)
+    factor = _exact_factor(prob)
+    terms = _oracle_terms(prob, count, factor)
     grec = _stage(
         "guess", guess_precursive, terms, opts.max_order, opts.max_degree, opts.margin
     )
@@ -417,7 +460,7 @@ def _run_guess(rep, prob, opts, count, note=None):
         )
     if note:
         rep.notes.append(note)
-    rep.results["guess"] = _recurrence_payload(grec)
+    _set_recurrence(rep, "guess", grec, factor)
     rep.check(
         "guess_window_equations",
         _equations_hold(grec, terms),
@@ -428,7 +471,7 @@ def _run_guess(rep, prob, opts, count, note=None):
 
 def _numeric_consistency(rep, job, rec, prob):
     """Seed the recurrence with quadrature values and compare further terms."""
-    digits = min(job.options.precision, _NUMERIC_DIGITS_CAP)
+    digits = oracle.quadrature_digits(prob, job.options.precision)
     if digits < job.options.precision:
         rep.notes.append(
             "numeric checks run at %d digits (quadrature subdivision cap)" % digits
@@ -457,6 +500,24 @@ def _numeric_consistency(rep, job, rec, prob):
     )
 
 
+def _quadrature_spot_check(rep, job, prob, parts):
+    """Compare pi·q_n with quadrature at the job's precision, n < len(parts)."""
+    digits = job.options.precision
+    vals = _stage(
+        "oracle",
+        lambda: [oracle.numeric_term(prob, n, digits) for n in range(len(parts))],
+    )
+    with mp.workdps(digits + 10):
+        maxerr = max(abs(mp.pi * oracle.as_mpf(q) - v) for q, v in zip(parts, vals))
+        ok = maxerr < mp.mpf(10) ** (1 - digits)
+    rep.check(
+        "quadrature_spot_check",
+        ok,
+        "pi*q_n matches quadrature for n <= %d at 1e-%d" % (len(parts) - 1, digits - 1),
+        approx_max_error=_approx_str(maxerr),
+    )
+
+
 def _telescoper_stage(rep, job):
     gf = _stage("genfun", generating_function, job.sequence)
     rep.results["genfun"] = exprs.fmt_ratfunc(gf.value)
@@ -473,13 +534,15 @@ def _telescoper_stage(rep, job):
 def _recurrence_stage(rep, job, gf, tel, want_terms):
     """Boundary evaluation, conversion, and initial terms; falls back to
     guessing (exact oracle) or numeric seeding when the boundary has no
-    evaluable limit.  Returns (recurrence or None, exact terms or None)."""
+    evaluable limit.  Returns (recurrence or None, exact terms or None); for
+    the Chebyshev weight on [-1, 1] the exact terms are the q_n of
+    a(n) = pi·q_n."""
     prob = oracle.IntegralProblem(job.sequence, job.kernel, job.alpha, job.beta)
-    exact_ok = _exact_oracle_available(job.kernel)
+    factor = _exact_factor(prob)
     try:
         rhs = boundary_rhs(gf, job.kernel, tel, job.alpha, job.beta)
     except BoundaryNotEvaluable as e:
-        if exact_ok:
+        if factor is not None:
             grec, terms = _run_guess(
                 rep,
                 prob,
@@ -504,9 +567,10 @@ def _recurrence_stage(rep, job, gf, tel, want_terms):
     rep.results["boundary"] = _boundary_payload(BoundaryData(job.alpha, job.beta, rhs))
     rec = _stage("ode_to_recurrence", o2r.ode_to_recurrence, tel.opcoeffs, rhs)
     need = o2r.required_initials(rec)
-    if exact_ok:
+    # pi·q_n satisfies a homogeneous recurrence exactly when q_n does
+    if factor == "1" or (factor == "pi" and rhs.is_zero()):
         count = max(need, want_terms)
-        terms = _oracle_terms(prob, count)
+        terms = _oracle_terms(prob, count, factor)
         try:
             rec = o2r.attach_initials(rec, terms[:need])
             rep.check(
@@ -524,7 +588,9 @@ def _recurrence_stage(rep, job, gf, tel, want_terms):
             unrolled == list(terms),
             "unrolled terms equal exact oracle terms for n <= %d" % (count - 1),
         )
-        rep.results["recurrence"] = _recurrence_payload(rec)
+        _set_recurrence(rep, "recurrence", rec, factor)
+        if factor == "pi":
+            _quadrature_spot_check(rep, job, prob, terms[: max(need, 2)])
         return rec, terms
     rep.results["recurrence"] = _recurrence_payload(rec)
     if oracle.recognized_form(job.kernel) is not None:
@@ -649,13 +715,17 @@ def emit(report, fmt):
                             val["order"], val["threshold"]))
             for i, s in enumerate(val["coeffs"]):
                 lines.append("  c[%d] = %s" % (i, s))
+            shown = val["order"] + val["threshold"] + 2
             if val.get("initial_terms"):
-                shown = val["initial_terms"][: val["order"] + val["threshold"] + 2]
-                lines.append("  initial terms: %s" % ", ".join(shown))
+                lines.append("  initial terms: %s" % ", ".join(val["initial_terms"][:shown]))
+            exact = val.get("exact_initial_terms")
+            if exact:
+                lines.append("  initial terms / %s: %s"
+                             % (exact["factor"], ", ".join(exact["values"][:shown])))
             if val.get("approx_initial_terms"):
                 lines.append(
                     "  approx initial terms: %s"
-                    % ", ".join(val["approx_initial_terms"])
+                    % ", ".join(val["approx_initial_terms"][:shown])
                 )
             for ex in val["exceptional"]:
                 eq = " + ".join("%s*a(%d)" % (w, idx) for idx, w in ex["pairs"])

@@ -251,10 +251,13 @@ def _div_linear(p, e):
     return p.map_coeffs(div)
 
 
-def _vanish_order(p, e, cap=64):
-    """Multiplicity of (x - e) in a bivariate polynomial (0 if p(e,·) ≠ 0)."""
+def _vanish_order(p, e):
+    """Multiplicity of (x - e) in a bivariate polynomial (0 if p(e,·) ≠ 0).
+
+    For nonzero p it cannot exceed the x-degree, so the loop needs no cap.
+    """
     k = 0
-    while not p.is_zero() and _subs_zero(p, e) and k < cap:
+    while not p.is_zero() and _subs_zero(p, e):
         p = _div_linear(p, e)
         k += 1
     return k

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -44,6 +45,14 @@ def test_invalid_job_exits_2(tmp_path, capsys):
     doc = dict(CHEB_JOB, wat=1)
     assert cli.main(["run", "--job", write_job(tmp_path, doc)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_exponent_tower_exits_2_at_once(tmp_path, capsys):
+    doc = dict(CHEB_JOB, kernel={"polynomial": "x^9^9^9"})
+    start = time.perf_counter()
+    assert cli.main(["run", "--job", write_job(tmp_path, doc)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exponent exceeds" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -43,6 +43,36 @@ def test_precedence_and_associativity():
     assert rf("x-t*t", XT, "t") == rf("x - t^2", XT, "t")
 
 
+def test_exponent_limit():
+    top = exprs.MAX_DEGREE
+    assert rf("x^%d" % top) == RatFunc(Poly.monomial("x", top))
+    assert rf("x^3^2^2") == rf("x^81")
+    for text in ("x^%d" % (top + 1), "x^2^10", "x^9^9^9", "2^9^9^9^9", "1^9^9^9",
+                 "x^1" + "0" * 400, "x^2^1" + "0" * 400):
+        with pytest.raises(ParseError) as exc:
+            rf(text)
+        assert "exponent" in str(exc.value)
+
+
+def test_degree_limit():
+    top = exprs.MAX_DEGREE
+    half = top // 2
+    assert rf("(x^%d)^2" % half) == rf("x^%d" % top)
+    assert rf("x^%d*x^%d+1" % (half, half)) == rf("x^%d+1" % top)
+    assert rf("x^%d+x^%d" % (top, top)) == rf("2*x^%d" % top)
+    assert rf("x^%d/(1+x)" % top).den == Poly("x", [1, 1])
+    assert rf("(x*t)^%d" % half, XT, "t").num.degree() == half
+    for text, pos in (("((1+x)^100)^30", 11),
+                      ("x^%d*x^%d" % (half, half + 1), len(str(half)) + 2),
+                      ("1/x^%d+1/x" % top, len(str(top)) + 4),
+                      ("(1+x)/x^%d-x" % top, len(str(top)) + 8),
+                      ("(x*t)^%d" % top, 5)):
+        with pytest.raises(ParseError) as exc:
+            rf(text, XT, "t")
+        assert "degree exceeds" in str(exc.value)
+        assert exc.value.position == pos, text
+
+
 def test_normalization_through_lowering():
     assert rf("(x^2-1)/(x-1)") == RatFunc(Poly("x", [1, 1]))
 

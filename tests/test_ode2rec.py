@@ -1,6 +1,7 @@
 """Differential operator to recurrence conversion and exact unrolling."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,26 @@ def test_required_initials_and_singular_unroll():
     short = o2r.Recurrence(rec.coeffs, 0, tuple(terms[:2]))
     with pytest.raises(SingularLeadingCoefficient):
         o2r.unroll(short, 9)
+
+
+def test_integer_roots_far_out():
+    n = Poly.variable("n")
+    p = (n * n - 10**20) * (2 * n + 1) * (n - 3) ** 2 * n
+    start = time.perf_counter()
+    assert o2r._integer_roots(p) == {-(10**10), 0, 3, 10**10}
+    assert time.perf_counter() - start < 0.5
+
+
+def test_integer_roots_match_brute_force():
+    rng = random.Random(4242)
+    n = Poly.variable("n")
+    for _ in range(100):
+        p = Poly("n", [rng.choice((1, -2, 3))])
+        for _ in range(rng.randint(0, 4)):
+            p = p * (n - rng.randint(-20, 20))
+        p = p * Poly("n", [rng.randint(-5, 5), rng.randint(-3, 3), rng.randint(1, 3)])
+        # integer roots: the linear factors' in [-20, 20], the quadratic's in [-5, 5]
+        assert o2r._integer_roots(p) == {v for v in range(-30, 31) if p.eval(v) == 0}
 
 
 def test_attach_requires_enough_terms():

@@ -2,13 +2,19 @@
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
+from intrec import cfinite as cf
 from intrec import exprs
+from intrec import oracle
 from intrec import pipeline
-from intrec.errors import InvalidJob
+from intrec.errors import BoundaryNotEvaluable, InvalidJob
 from intrec.poly import Poly
+from intrec.ratfunc import RatFunc
+from intrec.telescope import Kernel, chebyshev_weight
 
 CHEB_RECURRENCE_JOB = {
     "sequence": {"builtin": "chebyshev_T"},
@@ -70,6 +76,16 @@ def test_invalid_jobs_rejected(needle, doc):
     with pytest.raises(InvalidJob) as exc:
         pipeline.build_job(doc)
     assert needle in str(exc.value)
+
+
+def test_precision_limit():
+    doc = {"task": "terms", "count": 2, "sequence": {"builtin": "chebyshev_T"},
+           "options": {"precision": pipeline.MAX_PRECISION}}
+    assert pipeline.build_job(doc).options.precision == pipeline.MAX_PRECISION
+    doc["options"]["precision"] = pipeline.MAX_PRECISION + 1
+    with pytest.raises(InvalidJob) as exc:
+        pipeline.build_job(doc)
+    assert "options.precision: at most" in str(exc.value)
 
 
 def test_reverse_transform_failure_is_invalid_job():
@@ -221,6 +237,102 @@ def test_numeric_fallback_isolates_floats():
             assert not FLOATISH.search(text), (path, text)
     assert seen_approx
     assert any("numeric" in note for note in doc["notes"])
+
+
+CHEB_WEIGHT = {"logderiv": "x/(1-x^2)", "form": "chebyshev_weight"}
+
+
+def test_chebyshev_weight_verify_runs_both_paths_exactly():
+    job = pipeline.build_job({
+        "task": "verify",
+        "sequence": {"builtin": "chebyshev_T"},
+        "transforms": [{"power": 2}],
+        "kernel": CHEB_WEIGHT,
+        "interval": ["-1", "1"],
+    })
+    rep = pipeline.run(job)
+    assert rep.ok
+    names = [v["name"] for v in rep.verifications]
+    for name in ("certificate_identity", "initial_window_equations", "unroll_matches_oracle",
+                 "quadrature_spot_check", "guess_window_equations",
+                 "telescoper_annihilates_guess_unroll", "guess_annihilates_telescoper_unroll"):
+        assert name in names
+    rec = rep.results["recurrence"]
+    assert rec["initial_terms"] is None
+    assert rec["exact_initial_terms"] == {"factor": "pi", "values": ["1", "1/2"]}
+    assert rec["approx_initial_terms"] == ["3.141592653589793e+00", "1.570796326794897e+00"]
+    assert rep.results["guess"]["exact_initial_terms"]["factor"] == "pi"
+    assert not any("skipped" in note or "12 digits" in note for note in rep.notes)
+
+
+def test_chebyshev_weight_guess_task_uses_rational_parts():
+    job = pipeline.build_job({
+        "task": "guess",
+        "sequence": {"builtin": "chebyshev_U"},
+        "kernel": CHEB_WEIGHT,
+        "interval": ["-1", "1"],
+    })
+    rep = pipeline.run(job)
+    assert rep.ok
+    # int U_n/sqrt(1-x^2) dx = pi for even n and 0 for odd n
+    values = rep.results["guess"]["exact_initial_terms"]["values"]
+    assert values[:4] == ["1", "0", "1", "0"]
+
+
+def test_chebyshev_weight_unevaluable_boundary_falls_back_to_guessing(monkeypatch):
+    def refuse(*args):
+        raise BoundaryNotEvaluable("forced for the test")
+
+    monkeypatch.setattr(pipeline, "boundary_rhs", refuse)
+    job = pipeline.build_job({
+        "task": "recurrence",
+        "sequence": {"builtin": "chebyshev_T"},
+        "kernel": CHEB_WEIGHT,
+        "interval": ["-1", "1"],
+    })
+    rep = pipeline.run(job)
+    assert rep.ok
+    assert "recurrence" not in rep.results
+    assert rep.results["guess"]["exact_initial_terms"]["values"][:3] == ["1", "0", "0"]
+    assert any("guessing path" in note for note in rep.notes)
+    assert not any("vanishing-boundary" in note for note in rep.notes)
+
+
+def test_chebyshev_weight_with_rational_prefactor_stays_numeric():
+    # x^n/((2-x)*sqrt(1-x^2)): no exact oracle, so the recurrence is seeded by
+    # quadrature, which now runs at the full requested precision
+    x_power = cf.CFiniteSeq((Poly("x", [0, 1]),), (Poly("x", [1]),))
+    kern = Kernel(RatFunc(Poly("x", [1]), Poly("x", [2, -1])), chebyshev_weight().logderiv)
+    job = pipeline.Job(x_power, kern, Fraction(-1), Fraction(1), "recurrence", None,
+                       pipeline.Options(), {})
+    rep = pipeline.run(job)
+    assert rep.ok
+    assert [v["name"] for v in rep.verifications] == [
+        "certificate_identity", "numeric_unroll_consistency"]
+    assert rep.results["recurrence"]["initial_terms"] is None
+    assert "exact_initial_terms" not in rep.results["recurrence"]
+    assert not any("digits" in note for note in rep.notes)
+
+
+@pytest.mark.xfail(strict=True, reason="linear_power kernels fall back to a vanishing-"
+                   "boundary hypothesis that is false at the regular endpoint -1")
+def test_linear_power_low_index_equations_hold():
+    job = pipeline.build_job({
+        "task": "recurrence",
+        "sequence": {"builtin": "chebyshev_T"},
+        "kernel": {"logderiv": "(1/2)/(x-1)", "form": "linear_power"},
+        "interval": ["-1", "1"],
+    })
+    rep = pipeline.run(job)
+    assert rep.ok
+    prob = oracle.IntegralProblem(job.sequence, job.kernel, job.alpha, job.beta)
+    with mp.workdps(25):
+        a = [oracle.numeric_term(prob, n, 12) for n in range(4)]
+        # int_{-1}^{1} sqrt(1-x) dx = 4*sqrt(2)/3
+        assert abs(a[0] - 4 * mp.sqrt(2) / 3) < mp.mpf(10) ** -10
+        for eq in rep.results["recurrence"]["exceptional"]:
+            lhs = sum(oracle.as_mpf(Fraction(w)) * a[idx] for idx, w in eq["pairs"])
+            assert abs(lhs - oracle.as_mpf(Fraction(eq["rhs"]))) < mp.mpf(10) ** -8
 
 
 def test_load_job_errors(tmp_path):

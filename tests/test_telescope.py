@@ -16,6 +16,8 @@ from intrec.ratfunc import RatFunc
 from intrec.telescope import (
     Kernel,
     Telescoper,
+    _endpoint_contribution,
+    _vanish_order,
     boundary_rhs,
     chebyshev_weight,
     telescope,
@@ -116,6 +118,21 @@ def test_constructed_pole_raises():
     )
     with pytest.raises(BoundaryNotEvaluable):
         boundary_rhs(gf, trivial_kernel(), tel, Fraction(0), Fraction(1))
+
+
+def test_vanish_order_past_64():
+    x = Poly.variable("x")
+    wd = Poly("t", [(x - 1) ** 70 * (x + 2), (x - 1) ** 71])
+    assert _vanish_order(wd, 1) == 70
+    # |x-1|^(131/2) against a certificate with a pole of order 70 at x = 1:
+    # the limit is infinite, so the boundary must not be reported as zero
+    kern = Kernel(
+        RatFunc(Poly("x", [1])),
+        RatFunc(Poly("x", [Fraction(131, 2)]), Poly("x", [-1, 1])),
+    )
+    w = RatFunc(Poly("x", [1]), (x - 1) ** 70)
+    with pytest.raises(BoundaryNotEvaluable):
+        _endpoint_contribution(w, kern, Fraction(1))
 
 
 def test_order_minimality_rerun():
