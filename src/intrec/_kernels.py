@@ -1,42 +1,40 @@
-# cython: boundscheck=False, wraparound=False
-"""Compiled coefficient kernels.
+"""Coefficient kernels: the hot loops under `poly` and `linalg`.
 
-Twin of `pure.py`: identical API, identical results.  Coefficients stay
-Python objects (arbitrary-precision ints, Fractions, or Poly instances for
-nested bivariate work), so the win here is loop and indexing overhead, not
-machine arithmetic.  Any divergence from the pure backend is a bug; the
-test suite runs the same property checks against both.
+Dense univariate polynomial arithmetic on plain lists, lowest degree first.
+Coefficients are arbitrary ring elements (int, Fraction, or Poly objects for
+nested bivariate work); `gcd_int` and friends are specialised to int lists,
+which is where almost all gcd time goes after denominators are cleared.
+
+`BACKEND_NAME` names this implementation in benchmark output.
 """
 
 from fractions import Fraction
 from math import gcd as _igcd
 
-BACKEND_NAME = "compiled"
+BACKEND_NAME = "pure"
 
 
-def strip(list cs):
+def strip(cs):
     """Drop trailing zero coefficients (canonical dense form)."""
-    cdef Py_ssize_t n = len(cs)
+    n = len(cs)
     while n and not cs[n - 1]:
         n -= 1
     return cs[:n] if n != len(cs) else cs
 
 
-def padd(list a, list b):
-    cdef Py_ssize_t i
+def padd(a, b):
     if len(a) < len(b):
         a, b = b, a
-    cdef list out = list(a)
+    out = list(a)
     for i in range(len(b)):
         out[i] = out[i] + b[i]
     return strip(out)
 
 
-def psub(list a, list b):
-    cdef Py_ssize_t la = len(a), lb = len(b)
-    cdef Py_ssize_t n = la if la > lb else lb
-    cdef Py_ssize_t i
-    cdef list out = []
+def psub(a, b):
+    la, lb = len(a), len(b)
+    n = la if la > lb else lb
+    out = []
     for i in range(n):
         if i < la and i < lb:
             out.append(a[i] - b[i])
@@ -47,92 +45,84 @@ def psub(list a, list b):
     return strip(out)
 
 
-def pneg(list a):
+def pneg(a):
     return [-c for c in a]
 
 
-def pscale(list a, c):
+def pscale(a, c):
     if not c:
         return []
     return strip([ci * c for ci in a])
 
 
-def pmul(list a, list b):
-    cdef Py_ssize_t la = len(a), lb = len(b)
-    if la == 0 or lb == 0:
+def pmul(a, b):
+    if not a or not b:
         return []
-    cdef list out = [0] * (la + lb - 1)
-    cdef Py_ssize_t i, j
-    for i in range(la):
-        ai = a[i]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
         if not ai:
             continue
-        for j in range(lb):
-            bj = b[j]
+        for j, bj in enumerate(b):
             if bj:
                 out[i + j] = out[i + j] + ai * bj
     return strip(out)
 
 
-def peval(list cs, v):
+def peval(cs, v):
     """Horner evaluation; returns the coefficient ring's zero (int 0) if empty."""
     acc = 0
-    cdef Py_ssize_t i
-    for i in range(len(cs) - 1, -1, -1):
-        acc = acc * v + cs[i]
+    for c in reversed(cs):
+        acc = acc * v + c
     return acc
 
 
-def pdivmod_q(list a, list b):
+def pdivmod_q(a, b):
     """Quotient and remainder over the rationals (coefficients int/Fraction)."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    cdef list r = list(a)
-    cdef Py_ssize_t db = len(b) - 1
-    lb = b[db]
-    cdef list q = [0] * (len(a) - db) if len(a) > db else []
-    cdef Py_ssize_t s, i
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    q = [0] * (len(a) - db) if len(a) > db else []
     while len(r) > db:
         r = strip(r)
         if len(r) <= db:
             break
-        lead = Fraction(r[len(r) - 1], 1) / Fraction(lb, 1)
+        lead = Fraction(r[-1], 1) / Fraction(lb, 1)
         s = len(r) - 1 - db
         q[s] = lead
         for i in range(db + 1):
             r[s + i] = r[s + i] - lead * b[i]
-        del r[len(r) - 1]
+        del r[-1]
     return strip(q), strip(r)
 
 
-cdef list _prem(list a, list b):
-    # pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, over int lists
-    cdef Py_ssize_t da = len(a) - 1, db = len(b) - 1
-    lb = b[db]
-    cdef list r = list(a)
-    cdef Py_ssize_t steps = 0
-    cdef Py_ssize_t s, i
-    while r and len(r) - 1 >= db:
-        lead = r[len(r) - 1]
+def _prem(a, b):
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, over int lists."""
+    da, db = len(a) - 1, len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    steps = 0
+    while len(r) - 1 >= db and r:
+        lead = r[-1]
         s = len(r) - 1 - db
         for i in range(len(r)):
             r[i] = r[i] * lb
         for i in range(db + 1):
             r[s + i] = r[s + i] - lead * b[i]
-        del r[len(r) - 1]
+        del r[-1]
         r = strip(r)
         steps += 1
-    if steps < da - db + 1:
-        f = lb ** (da - db + 1 - steps)
+    want = da - db + 1
+    if steps < want:
+        f = lb ** (want - steps)
         r = [c * f for c in r]
     return r
 
 
-def content_int(list a):
-    cdef Py_ssize_t i
+def content_int(a):
     g = 0
-    for i in range(len(a)):
-        c = a[i]
+    for c in a:
         if c:
             g = _igcd(g, c if c >= 0 else -c)
             if g == 1:
@@ -140,49 +130,48 @@ def content_int(list a):
     return g
 
 
-def primitive_int(list a):
+def primitive_int(a):
     """Integer-primitive form with positive leading coefficient."""
     a = strip(a)
     if not a:
         return []
     g = content_int(a)
-    if a[len(a) - 1] < 0:
+    if a[-1] < 0:
         g = -g
     if g == 1:
         return a
     return [c // g for c in a]
 
 
-def exactdiv_int(list a, list b):
+def exactdiv_int(a, b):
     """Exact division of int polynomials; raises if not divisible."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = strip(a)
     if not a:
         return []
-    cdef list r = list(a)
-    cdef Py_ssize_t db = len(b) - 1
-    lb = b[db]
-    cdef list q = [0] * (len(a) - db)
-    cdef Py_ssize_t s, i
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    q = [0] * (len(a) - db)
     while len(r) > db:
         r = strip(r)
         if len(r) <= db:
             break
-        lead, rem = divmod(r[len(r) - 1], lb)
+        lead, rem = divmod(r[-1], lb)
         if rem:
             raise ArithmeticError("inexact polynomial division")
         s = len(r) - 1 - db
         q[s] = lead
         for i in range(db + 1):
             r[s + i] = r[s + i] - lead * b[i]
-        del r[len(r) - 1]
+        del r[-1]
     if strip(r):
         raise ArithmeticError("inexact polynomial division")
     return strip(q)
 
 
-def gcd_int(list a, list b):
+def gcd_int(a, b):
     """Primitive gcd of int polynomials via the subresultant PRS.
 
     Returns the integer-primitive gcd with positive leading coefficient
@@ -198,8 +187,6 @@ def gcd_int(list a, list b):
         a, b = b, a
     g = 1
     h = 1
-    cdef Py_ssize_t delta
-    cdef list r
     while True:
         delta = len(a) - len(b)
         r = _prem(a, b)
@@ -207,15 +194,15 @@ def gcd_int(list a, list b):
             break
         if len(r) == 1:
             return [1]
-        div = g * h ** delta
+        div = g * h**delta
         a, b = b, [c // div for c in r]
-        g = a[len(a) - 1]
+        g = a[-1]
         if delta == 0:
             pass  # h unchanged
         elif delta == 1:
             h = g if g >= 0 else -g
         else:
-            h = (g ** delta) // (h ** (delta - 1))
+            h = (g**delta) // (h ** (delta - 1))
             if h < 0:
                 h = -h
     return primitive_int(b)

@@ -14,6 +14,7 @@ import random
 import sys
 import time
 
+from . import _kernels as kernels
 from . import acceptance
 from . import pipeline
 from .errors import (
@@ -62,7 +63,7 @@ def _build_parser():
     self_p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                         help="seed for the randomized case")
 
-    bench_p = sub.add_parser("bench", help="compare kernel backends")
+    bench_p = sub.add_parser("bench", help="time the kernel workloads")
     bench_p.add_argument("--seed", type=int, default=0)
     bench_p.add_argument("--repeat", type=int, default=3,
                          help="best-of repetitions per workload (default 3)")
@@ -111,7 +112,6 @@ def _cmd_selftest(args):
 
 def _workloads(seed):
     from . import cfinite as cf
-    from . import _kernels as kernels
     from .genfun import generating_function, taylor_coeffs
     from .telescope import telescope, trivial_kernel
 
@@ -140,46 +140,10 @@ def _workloads(seed):
 
 
 def _cmd_bench(args):
-    from . import _kernels as kernels
-    from ._kernels import pure
-
-    impls = [("pure", pure)]
-    try:
-        from ._kernels import fast
-
-        impls.append(("compiled", fast))
-    except ImportError:
-        print("compiled backend not built; timing the pure backend only")
-
-    current = kernels.BACKEND_NAME
-    timings = {}
-    try:
-        for label, impl in impls:
-            kernels.use(impl)
-            for wname, fn in _workloads(args.seed):
-                best = min(
-                    _timeit(fn) for _ in range(max(1, args.repeat))
-                )
-                timings[(label, wname)] = best
-    finally:
-        kernels.use(pure if current == "pure" else impls[-1][1])
-
-    names = []
-    for (_, wname) in timings:
-        if wname not in names:
-            names.append(wname)
-    head = "%-26s" % "workload" + "".join("%12s" % lbl for lbl, _ in impls)
-    if len(impls) == 2:
-        head += "%10s" % "speedup"
-    print(head)
-    for wname in names:
-        row = "%-26s" % wname
-        for lbl, _ in impls:
-            row += "%11.4fs" % timings[(lbl, wname)]
-        if len(impls) == 2:
-            ratio = timings[("pure", wname)] / timings[("compiled", wname)]
-            row += "%9.2fx" % ratio
-        print(row)
+    print("%-26s%12s" % ("workload", kernels.BACKEND_NAME))
+    for wname, fn in _workloads(args.seed):
+        best = min(_timeit(fn) for _ in range(max(1, args.repeat)))
+        print("%-26s%11.4fs" % (wname, best))
     return 0
 
 

@@ -4,14 +4,18 @@ The grammar is tiny and LL(1): integers, named variables, + - * / ^ with the
 usual precedence (^ binds tightest, then unary minus, then * and /, then
 + and -), parentheses, and nonnegative integer exponents only.  Implicit
 multiplication is rejected rather than guessed.  Lowering refuses, with a
-ParseError, any exponent and any intermediate degree above MAX_DEGREE, before
-the arithmetic runs.  Printing is the inverse contract: every printed
-polynomial or rational function of degree at most MAX_DEGREE re-parses to an
-equal value, and output is byte-stable across runs.
+ParseError, any exponent and any intermediate degree above MAX_DEGREE, and
+any intermediate coefficient size above MAX_BITS, before the arithmetic runs.
+Printing is the inverse contract: every printed polynomial or rational
+function re-parses to an equal value as long as its re-parsing stays within
+those limits, and output is byte-stable across runs.
 
 Display convention: polynomials in t print lowest power first (series
 style), polynomials in x or n print highest power first.
 """
+
+from fractions import Fraction
+from math import lcm, log2
 
 from .errors import DivisionByZeroExpr, ParseError, UnknownVariable, ZeroDenominator
 from . import poly as P
@@ -20,9 +24,19 @@ from .ratfunc import RatFunc
 
 # Largest exponent (a right-associative tower such as x^2^3 evaluated) and
 # largest degree of any numerator or denominator built while lowering, where a
-# Q[x][t] polynomial counts its degree in t plus its degree in x.  The exponent
-# limit also keeps constant powers small.  (1+x)^1000 lowers in about 0.3 s.
+# Q[x][t] polynomial counts its degree in t plus its degree in x.
+# (1+x)^1000 lowers in about 0.3 s.
 MAX_DEGREE = 1000
+
+# Largest coefficient size, in bits, of an integer literal and of any value
+# built while lowering: the log2 of the 1-norm (sum of absolute coefficients)
+# of its integer numerator and denominator once every denominator is cleared,
+# which bounds the bit size of every coefficient.  (1+x)^1000 has 1000 bits;
+# (3+x)^1000 has 2000 and lowers in 0.7 s, (x/3+1/5)^500 has 1950 and takes
+# 1.8 s (rational coefficients are slower).
+MAX_BITS = 2048
+# longest integer literal, in decimal digits, that can stay within MAX_BITS
+_MAX_DIGITS = len(str(2**MAX_BITS))
 
 # -- tokenizer ---------------------------------------------------------------
 
@@ -48,7 +62,10 @@ def _tokens(text):
             j = i
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            out.append(("int", int(text[i:j]), i))
+            digits = text[i:j].lstrip("0") or "0"
+            if len(digits) > _MAX_DIGITS or int(digits).bit_length() > MAX_BITS:
+                raise ParseError("integer literal exceeds the limit of %d bits" % MAX_BITS, i)
+            out.append(("int", int(digits), i))
             i = j
             continue
         if ch in _LETTERS:
@@ -180,11 +197,45 @@ def _result_size(tag, a, b):
     return max(an + bd, bn + ad, ad + bd)
 
 
+def _int_norm(p):
+    """(||L·p||_1, L) with L the least common denominator of p's coefficients."""
+    leaves = []
+    P._rational_leaves(p, leaves)
+    den = lcm(*(c.denominator for c in leaves))
+    return sum(abs(c.numerator) * (den // c.denominator) for c in leaves), den
+
+
+def _norms(v):
+    """1-norms of integer polynomials A and B with v = A/B."""
+    if not isinstance(v, RatFunc):
+        f = Fraction(v)
+        return abs(f.numerator), f.denominator
+    (a, la), (b, lb) = _int_norm(v.num), _int_norm(v.den)
+    return a * lb, b * la
+
+
+def _result_bits(tag, a, b):
+    """Upper bound on the coefficient bits of `a op b` (see MAX_BITS), before
+    common factors cancel."""
+    an, ad = _norms(a)
+    if tag == "pow":
+        return b * log2(max(an, ad))
+    bn, bd = _norms(b)
+    if tag == "mul":
+        num, den = an * bn, ad * bd
+    elif tag == "div":
+        num, den = an * bd, ad * bn
+    else:
+        num, den = an * bd + bn * ad, ad * bd
+    return log2(max(num, den, 1))
+
+
 def lower(node, default_var="x"):
     """Evaluate an AST in exact rational-function arithmetic.
 
     Each power, product, quotient and sum is refused with a ParseError at its
-    operator when its result could exceed degree MAX_DEGREE.
+    operator when its result could exceed degree MAX_DEGREE or coefficient
+    size MAX_BITS.
     """
 
     def walk(nd):
@@ -199,6 +250,8 @@ def lower(node, default_var="x"):
         b = nd[2] if tag == "pow" else walk(nd[2])
         if _result_size(tag, a, b) > MAX_DEGREE:
             raise ParseError("degree exceeds the limit %d" % MAX_DEGREE, nd[3])
+        if _result_bits(tag, a, b) > MAX_BITS:
+            raise ParseError("coefficients exceed the limit of %d bits" % MAX_BITS, nd[3])
         if tag == "pow":
             return a**b
         if tag == "add":

@@ -11,22 +11,11 @@ tolerance to tune and near-fits cannot slip through.
 from fractions import Fraction
 
 from .linalg import canonical_vector, nullspace
-from .ode2rec import Recurrence
+from .ode2rec import Recurrence, first_failure
 from . import poly as P
 from .poly import Poly
 
 MARGIN = 8
-
-
-def _annihilates(coeffs, terms):
-    r = len(coeffs) - 1
-    for n in range(len(terms) - r):
-        acc = Fraction(0)
-        for i, c in enumerate(coeffs):
-            acc += Fraction(c.eval(n)) * terms[n + i]
-        if acc:
-            return False
-    return True
 
 
 def _cell(terms, r, d, train):
@@ -48,7 +37,7 @@ def _cell(terms, r, d, train):
             coeffs.append(Poly("n", block))
         if coeffs[-1].is_zero():
             continue
-        if _annihilates(coeffs, terms):
+        if first_failure(Recurrence(tuple(coeffs), 0), terms) is None:
             return coeffs
     return None
 

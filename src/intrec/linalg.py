@@ -5,7 +5,7 @@ entries, eliminates with the gcd cross-multiplication trick, strips row
 contents as it goes, then back-substitutes over the fraction field.  Basis
 vectors come back canonical: jointly integer-primitive with the first nonzero
 entry positive, one vector per free column, in column order.  That makes
-solver output reproducible across runs and backends.
+solver output reproducible across runs.
 """
 
 from fractions import Fraction

@@ -37,9 +37,6 @@ class Recurrence:
     def order(self):
         return len(self.coeffs) - 1
 
-    def coeff_at(self, i, n):
-        return self.coeffs[i].eval(n)
-
 
 def falling_factorial(top, b):
     """(top)(top-1)...(top-b+1) as a polynomial in n; top itself a Poly in n."""
@@ -184,29 +181,34 @@ def required_initials(rec):
     return need
 
 
-def attach_initials(rec, terms):
-    """Attach initial terms, exactly re-checking every equation they touch."""
-    terms = tuple(P.as_num(Fraction(v)) for v in terms)
-    if len(terms) < required_initials(rec):
-        raise ValueError(
-            "need at least %d initial terms, got %d"
-            % (required_initials(rec), len(terms))
-        )
+def first_failure(rec, terms):
+    """None when every equation the terms cover holds exactly, else why not.
+
+    Covered are the windows n ≥ threshold that fit inside the terms and the
+    exceptional equations whose indices all lie below len(terms).  This is
+    the one exact check of a recurrence against terms.
+    """
     r = rec.order
     for n in range(rec.threshold, len(terms) - r):
-        acc = Fraction(0)
-        for i, c in enumerate(rec.coeffs):
-            acc += Fraction(c.eval(n)) * terms[n + i]
-        if acc:
-            raise RecurrenceRefuted("window at n = %d fails exactly" % n)
+        if sum(c.eval(n) * terms[n + i] for i, c in enumerate(rec.coeffs)):
+            return "window at n = %d fails exactly" % n
     for pairs, rhs_u in rec.exceptional:
         if any(idx >= len(terms) for idx, _ in pairs):
             continue
-        acc = Fraction(0)
-        for idx, w in pairs:
-            acc += Fraction(w) * terms[idx]
-        if acc != rhs_u:
-            raise RecurrenceRefuted("low-index equation fails exactly")
+        if sum(w * terms[idx] for idx, w in pairs) != rhs_u:
+            return "low-index equation fails exactly"
+    return None
+
+
+def attach_initials(rec, terms):
+    """Attach initial terms, exactly re-checking every equation they touch."""
+    terms = tuple(P.as_num(Fraction(v)) for v in terms)
+    need = required_initials(rec)
+    if len(terms) < need:
+        raise ValueError("need at least %d initial terms, got %d" % (need, len(terms)))
+    why = first_failure(rec, terms)
+    if why is not None:
+        raise RecurrenceRefuted(why)
     return replace(rec, initial_terms=terms)
 
 

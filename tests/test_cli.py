@@ -55,6 +55,37 @@ def test_exponent_tower_exits_2_at_once(tmp_path, capsys):
     assert "exponent exceeds" in capsys.readouterr().err
 
 
+T = {"builtin": "chebyshev_T"}
+ORDER_5 = {"coeffs": ["1", "0", "0", "0", "1"], "init": ["1", "1", "1", "1", "1"]}
+SIZE_LIMITS = [
+    ("bits", dict(CHEB_JOB, kernel={"polynomial": "((9^100)^100)^100"}),
+     "coefficients exceed"),
+    ("bits_power", dict(CHEB_JOB, kernel={"polynomial": "(9^1000*x+1)^300"}),
+     "coefficients exceed"),
+    ("literal", dict(CHEB_JOB, kernel={"polynomial": "7" * 5000}), "integer literal exceeds"),
+    ("power_order", {"task": "terms", "count": 2, "sequence": T,
+                     "transforms": [{"power": 6}]}, "order 64"),
+    ("power_exponent", {"task": "terms", "count": 2, "sequence": {"coeffs": ["x"], "init": ["1"]},
+                        "transforms": [{"power": 10**9}]}, "power at most"),
+    ("product_order", {"task": "terms", "count": 2, "sequence": T,
+                       "transforms": [{"power": 3}, {"product_with": ORDER_5}]}, "order 40"),
+    ("count", {"task": "terms", "count": pipeline.MAX_COUNT + 1, "sequence": T},
+     "count: at most"),
+] + [
+    (key, dict(CHEB_JOB, options={key: limit + 1}), "options.%s: at most" % key)
+    for key, limit in pipeline.MAX_OPTIONS.items()
+]
+
+
+@pytest.mark.parametrize("doc,needle", [c[1:] for c in SIZE_LIMITS],
+                         ids=[c[0] for c in SIZE_LIMITS])
+def test_size_limits_exit_2_at_once(tmp_path, capsys, doc, needle):
+    start = time.perf_counter()
+    assert cli.main(["run", "--job", write_job(tmp_path, doc)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert needle in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--job", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()
@@ -119,4 +150,3 @@ def test_bench_smoke(capsys):
     assert cli.main(["bench", "--repeat", "1"]) == 0
     out = capsys.readouterr().out
     assert "workload" in out and "pure" in out
-    assert "speedup" in out or "not built" in out

@@ -1,5 +1,6 @@
 """Expression grammar: parsing, precedence, printing, and fuzz totality."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -80,6 +81,27 @@ def test_normalization_through_lowering():
 def test_chebyshev_weight_log_derivative():
     from intrec.telescope import chebyshev_weight
     assert rf("x/(1-x^2)") == chebyshev_weight().logderiv
+
+
+def test_coefficient_bits_limit():
+    top = exprs.MAX_BITS
+    k = int(top / math.log2(9))
+    assert rf("9^%d" % k) == RatFunc(Poly.const("x", 9**k))
+    assert rf("(1+x)^1000").num.coeff(500) == math.comb(1000, 500)
+    assert rf(str(2**top - 1)) == RatFunc(Poly.const("x", 2**top - 1))
+    for text, pos in (("9^%d" % (k + 1), 1),
+                      ("9^%d+9^%d" % (k, k), len(str(k)) + 2),
+                      ("((9^100)^100)^100", 8),
+                      ("(9^1000*x+1)^300", 2),
+                      ("(9^600*x+1)^300", 11)):
+        with pytest.raises(ParseError) as exc:
+            rf(text)
+        assert "coefficients exceed" in str(exc.value)
+        assert exc.value.position == pos, text
+    for text in (str(2**top), "x+" + "7" * 5000):
+        with pytest.raises(ParseError) as exc:
+            rf(text)
+        assert "integer literal exceeds" in str(exc.value)
 
 
 def test_division_by_zero_expression():

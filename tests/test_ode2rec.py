@@ -52,6 +52,37 @@ def test_low_index_equation_refutes_wrong_start():
         o2r.attach_initials(rec, [Fraction(2), Fraction(1)])
 
 
+def constant_recurrence(threshold=0, exceptional=()):
+    # a(n+1) - a(n) = 0 for n >= threshold
+    return o2r.Recurrence((Poly("n", [-1]), Poly("n", [1])), threshold, None, exceptional)
+
+
+def test_first_failure_ignores_windows_below_threshold():
+    terms = [5, 7, 1, 1, 1]
+    assert o2r.first_failure(constant_recurrence(threshold=2), terms) is None
+    assert o2r.first_failure(constant_recurrence(threshold=1), terms) == (
+        "window at n = 1 fails exactly")
+
+
+def test_first_failure_skips_equations_past_the_terms():
+    rec = constant_recurrence(exceptional=((((0, 1), (3, 1)), 99),))
+    assert o2r.first_failure(rec, [1, 1, 1]) is None
+    assert o2r.first_failure(rec, [1, 1, 1, 1]) == "low-index equation fails exactly"
+
+
+def test_first_failure_names_the_failing_window():
+    assert o2r.first_failure(constant_recurrence(), [2, 2, 2, 3, 3]) == (
+        "window at n = 2 fails exactly")
+
+
+def test_first_failure_reports_a_low_index_equation():
+    # 2*a(0) = 4 below the threshold; the window at n = 0 is not checked
+    rec = constant_recurrence(threshold=1, exceptional=((((0, 2),), 4),))
+    assert o2r.first_failure(rec, [Fraction(2), Fraction(5)]) is None
+    assert o2r.first_failure(rec, [Fraction(1), Fraction(5)]) == (
+        "low-index equation fails exactly")
+
+
 def test_exponential_operator():
     rec = o2r.ode_to_recurrence([Poly("t", [-1]), Poly("t", [1])], ZERO)
     assert list(rec.coeffs) == [Poly("n", [-1]), Poly("n", [1, 1])]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from intrec import _kernels as K
 from intrec import poly as P
 from intrec.poly import Poly
 
@@ -94,6 +95,14 @@ def test_exact_div_inverts_product():
     for _ in range(40):
         a, b = rand_bivar(rng), nonzero_bivar(rng)
         assert P.exact_div(a * b, b) == a
+
+
+def test_kernel_api_surface():
+    # the benchmark's meta line reports the kernels by this name
+    assert K.BACKEND_NAME == "pure"
+    assert K.exactdiv_int([2, 3, 1], [1, 1]) == [2, 1]
+    with pytest.raises(ArithmeticError):
+        K.exactdiv_int([1, 1, 1], [2])
 
 
 def test_gcd_worked_examples():
