@@ -50,7 +50,7 @@ class QuadratureFailed(IntrecError):
 
 
 class UnsupportedKernel(IntrecError):
-    """Kernel form not recognized and no numeric evaluator supplied."""
+    """Kernel form not recognized, so it cannot be evaluated numerically."""
 
 
 class ParseError(IntrecError):

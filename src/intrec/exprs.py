@@ -3,7 +3,8 @@
 The grammar is tiny and LL(1): integers, named variables, + - * / ^ with the
 usual precedence (^ binds tightest, then unary minus, then * and /, then
 + and -), parentheses, and nonnegative integer exponents only.  Implicit
-multiplication is rejected rather than guessed.  Lowering refuses, with a
+multiplication is rejected rather than guessed.  The parser refuses input
+nested deeper than MAX_NESTING with a ParseError.  Lowering refuses, with a
 ParseError, any exponent and any intermediate degree above MAX_DEGREE, and
 any intermediate coefficient size above MAX_BITS, before the arithmetic runs.
 Printing is the inverse contract: every printed polynomial or rational
@@ -16,6 +17,7 @@ style), polynomials in x or n print highest power first.
 
 from fractions import Fraction
 from math import lcm, log2
+import operator
 
 from .errors import DivisionByZeroExpr, ParseError, UnknownVariable, ZeroDenominator
 from . import poly as P
@@ -37,6 +39,12 @@ MAX_DEGREE = 1000
 MAX_BITS = 2048
 # longest integer literal, in decimal digits, that can stay within MAX_BITS
 _MAX_DIGITS = len(str(2**MAX_BITS))
+
+# Deepest nesting the parser accepts, counting each open parenthesis and each
+# unary minus around a point of the input.  Parsing and lowering take a few
+# stack frames per level (flat chains such as x+x+...+x do not nest, however
+# long), so this keeps both far inside Python's recursion limit.
+MAX_NESTING = 100
 
 # -- tokenizer ---------------------------------------------------------------
 
@@ -85,6 +93,16 @@ class _Parser:
         self.toks = _tokens(text)
         self.pos = 0
         self.allowed = allowed
+        self.depth = 0
+
+    def nested(self, parse, pos):
+        """parse() one level deeper; see MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("nesting exceeds the limit %d" % MAX_NESTING, pos)
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.toks[self.pos]
@@ -114,8 +132,7 @@ class _Parser:
 
     def unary(self):
         if self.peek()[0] == "-":
-            self.take()
-            return ("neg", self.unary())
+            return ("neg", self.nested(self.unary, self.take()[2]))
         return self.power()
 
     def power(self):
@@ -156,7 +173,7 @@ class _Parser:
                 raise UnknownVariable(val, pos)
             return ("var", val)
         if kind == "(":
-            node = self.expr()
+            node = self.nested(self.expr, pos)
             self.take(")")
             return node
         raise ParseError("unexpected %s" % ("end of input" if kind == "end" else repr(val)), pos)
@@ -230,6 +247,9 @@ def _result_bits(tag, a, b):
     return log2(max(num, den, 1))
 
 
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "pow": operator.pow}
+
+
 def lower(node, default_var="x"):
     """Evaluate an AST in exact rational-function arithmetic.
 
@@ -238,34 +258,39 @@ def lower(node, default_var="x"):
     size MAX_BITS.
     """
 
-    def walk(nd):
-        tag = nd[0]
-        if tag == "int":
-            return nd[1]
-        if tag == "var":
-            return RatFunc(Poly.variable(nd[1]))
-        if tag == "neg":
-            return -walk(nd[1])
-        a = walk(nd[1])
-        b = nd[2] if tag == "pow" else walk(nd[2])
+    def apply(tag, a, b, pos):
         if _result_size(tag, a, b) > MAX_DEGREE:
-            raise ParseError("degree exceeds the limit %d" % MAX_DEGREE, nd[3])
+            raise ParseError("degree exceeds the limit %d" % MAX_DEGREE, pos)
         if _result_bits(tag, a, b) > MAX_BITS:
-            raise ParseError("coefficients exceed the limit of %d bits" % MAX_BITS, nd[3])
-        if tag == "pow":
-            return a**b
-        if tag == "add":
-            return a + b
-        if tag == "sub":
-            return a - b
-        if tag == "mul":
-            return a * b
+            raise ParseError("coefficients exceed the limit of %d bits" % MAX_BITS, pos)
+        if tag != "div":
+            return _ARITH[tag](a, b)
         try:
             if isinstance(a, P.NUM_TYPES) and isinstance(b, P.NUM_TYPES):
                 return P.num_div(a, b)
             return a / b
         except (ZeroDenominator, ZeroDivisionError):
             raise DivisionByZeroExpr("division by an expression that is identically zero")
+
+    def walk(nd):
+        # iterate down the left operands of binary operators, so a flat
+        # chain such as x+x+...+x costs no recursion depth
+        chain = []
+        while nd[0] in ("add", "sub", "mul", "div"):
+            chain.append(nd)
+            nd = nd[1]
+        tag = nd[0]
+        if tag == "int":
+            v = nd[1]
+        elif tag == "var":
+            v = RatFunc(Poly.variable(nd[1]))
+        elif tag == "neg":
+            v = -walk(nd[1])
+        else:
+            v = apply("pow", walk(nd[1]), nd[2], nd[3])
+        for tag, _, rhs, pos in reversed(chain):
+            v = apply(tag, v, walk(rhs), pos)
+        return v
 
     v = walk(node)
     if not isinstance(v, RatFunc):

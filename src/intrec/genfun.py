@@ -21,8 +21,8 @@ class BivariateGF:
     value: RatFunc
 
     def expandable(self):
-        d0 = self.value.den.coeff(0)
-        return bool(d0) if not isinstance(d0, Poly) else not d0.is_zero()
+        # a Poly coefficient is never zero: canonical form demotes constants
+        return bool(self.value.den.coeff(0))
 
 
 def generating_function(seq):
@@ -45,22 +45,21 @@ def _to_xpoly(v):
 
 def taylor_coeffs(gf, count):
     """First `count` series coefficients at t = 0, as polynomials in x."""
+    if not gf.expandable():
+        raise NotExpandable("denominator vanishes at t = 0")
     num, den = gf.value.num, gf.value.den
     d0 = den.coeff(0)
-    if not (bool(d0) if not isinstance(d0, Poly) else not d0.is_zero()):
-        raise NotExpandable("denominator vanishes at t = 0")
     out = []
     for n in range(count):
         acc = _to_xpoly(num.coeff(n))
         for k in range(1, min(n, den.degree()) + 1):
             acc = acc - _to_xpoly(den.coeff(k)) * out[n - k]
-        if isinstance(d0, Poly) and not d0.is_constant():
+        if isinstance(d0, Poly):
             try:
                 acc = P.exact_div(acc, d0)
             except ArithmeticError:
                 raise NotExpandable("series coefficients are not polynomial in x")
         else:
-            d = d0.constant() if isinstance(d0, Poly) else d0
-            acc = acc * P.num_div(1, d)
+            acc = acc * P.num_div(1, d0)
         out.append(acc)
     return out

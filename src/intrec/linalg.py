@@ -2,10 +2,10 @@
 
 The nullspace solver clears every row to integer (or integer-polynomial)
 entries, eliminates with the gcd cross-multiplication trick, strips row
-contents as it goes, then back-substitutes over the fraction field.  Basis
-vectors come back canonical: jointly integer-primitive with the first nonzero
-entry positive, one vector per free column, in column order.  That makes
-solver output reproducible across runs.
+contents as it goes, then back-substitutes (for polynomial entries without
+leaving Z[t]).  Basis vectors come back canonical: jointly integer-primitive
+with the first nonzero entry positive, one vector per free column, in column
+order.  That makes solver output reproducible across runs.
 """
 
 from fractions import Fraction
@@ -16,8 +16,8 @@ from . import poly as P
 from .poly import Poly
 
 
-def canonical_vector(entries):
-    """Scale a rational/poly vector to joint primitive form, first nonzero positive."""
+def canonical_scale(entries):
+    """The rational f that canonical_vector scales by; None for a zero vector."""
     content = Fraction(0)
     sign = 0
     for e in entries:
@@ -29,16 +29,16 @@ def canonical_vector(entries):
         g = _igcd(content.numerator, c.numerator)
         l = _ilcm(content.denominator, c.denominator)
         content = Fraction(g, l)
-    if sign == 0:
+    return Fraction(1, 1) / (content * sign) if sign else None
+
+
+def canonical_vector(entries):
+    """Scale a rational/poly vector to joint primitive form, first nonzero positive."""
+    f = canonical_scale(entries)
+    if f is None:
         return list(entries)
-    f = Fraction(1, 1) / (content * sign)
-    out = []
-    for e in entries:
-        if isinstance(e, Poly):
-            out.append(P.scale_poly(e, f))
-        else:
-            out.append(P.as_num(Fraction(e) * f))
-    return out
+    return [P.scale_poly(e, f) if isinstance(e, Poly) else P.as_num(Fraction(e) * f)
+            for e in entries]
 
 
 def _nullspace_frac(rows, ncols):
@@ -147,26 +147,27 @@ def _nullspace_poly(rows, ncols, var):
                 new = [[v // c for v in cs] for cs in new]
             mat[j] = new
     pivot_of = dict((c, i) for i, c in pivots)
-    from .ratfunc import RatFunc
-
     basis = []
     zero = Poly(var, [])
     for f in range(ncols):
         if f in pivot_of:
             continue
-        vals = {f: RatFunc(Poly(var, [1]))}
-        for i, c in pivots:
-            vals[c] = RatFunc(-Poly(var, mat[i][f]), Poly(var, mat[i][c]))
-        den = Poly(var, [1])
-        for v in vals.values():
-            den = P.lcm(den, v.den)
-        vec = []
-        for col in range(ncols):
-            if col in vals:
-                v = vals[col]
-                vec.append(v.num * P.exact_div(den, v.den))
-            else:
-                vec.append(zero)
+        # row i is clean outside its pivot and the free columns: scale e_f by
+        # the lcm L of the pivots m_ic of the rows touching column f, so that
+        # v[c] = -m_if·L/m_ic is exact over Z[t]
+        touching = [(mat[i][f], mat[i][c], c) for i, c in pivots if mat[i][f]]
+        L = [1]
+        for _, piv, _ in touching:
+            L = piv if L == [1] else K.pmul(L, K.exactdiv_int(piv, K.gcd_int(L, piv)))
+        vals = {f: L}
+        for m_if, m_ic, c in touching:
+            vals[c] = K.pneg(K.pmul(m_if, K.exactdiv_int(L, m_ic)))
+        g = []
+        for cs in vals.values():
+            g = K.gcd_int(g, cs)
+            if g == [1]:
+                break
+        vec = [Poly(var, K.exactdiv_int(vals[k], g)) if k in vals else zero for k in range(ncols)]
         basis.append(canonical_vector(vec))
     return basis
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import RecurrenceRefuted, SingularLeadingCoefficient, ZeroOperator
+from . import _kernels as K
 from .linalg import canonical_vector
 from . import poly as P
 from .poly import Poly
@@ -90,13 +91,6 @@ def convert_raw(opcoeffs, rhs):
     return coeffs, threshold, tuple(exceptional)
 
 
-def _horner(cs, v):
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * v + c
-    return acc
-
-
 def _integer_roots(p):
     """All integer roots of a polynomial in n, without factorization.
 
@@ -125,7 +119,7 @@ def _integer_roots(p):
     chain = [P.int_coeffs(c)[0] for c in chain]
 
     def variations(v):
-        signs = [val > 0 for val in (_horner(c, v) for c in chain) if val]
+        signs = [val > 0 for val in (K.peval(c, v) for c in chain) if val]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     top = chain[0]
@@ -136,7 +130,7 @@ def _integer_roots(p):
         if vlo == vhi:
             continue
         if hi - lo == 1:
-            if not _horner(top, hi):
+            if not K.peval(top, hi):
                 roots.add(hi)
             continue
         mid = (lo + hi) // 2

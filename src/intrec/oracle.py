@@ -11,8 +11,7 @@ which leaves a smooth integrand, so only intervals within [-1, 1] are
 supported.  Other kernels are integrated in x as they stand; there a strong
 endpoint singularity of |x-a|^c can exhaust the subdivision cap, so
 quadrature_digits caps their precision.  Only these two non-rational kernel
-shapes are recognized numerically; anything else needs a caller-supplied
-evaluator.
+shapes are recognized numerically; anything else raises UnsupportedKernel.
 """
 
 from dataclasses import dataclass
@@ -126,8 +125,8 @@ def recognized_form(kern):
     """Closed-form tag implied by the kernel's log-derivative, or None.
 
     "rational" means no exponential part at all; "chebyshev_weight" is
-    1/sqrt(1-x^2); "linear_power" is |x-a|^c.  None means only a
-    caller-supplied evaluator can produce numeric values.
+    1/sqrt(1-x^2); "linear_power" is |x-a|^c.  None means no numeric
+    values can be produced.
     """
     rho = kern.logderiv
     if rho.is_zero():
@@ -151,31 +150,29 @@ def _kernel_evaluator(kern, form):
         c = Fraction(rho.num.constant()) / q1
         am, cm = as_mpf(a), as_mpf(c)
         return lambda x: pn(x) / pd(x) * abs(x - am) ** cm
-    raise UnsupportedKernel(
-        "no closed form known for this kernel log-derivative; supply an evaluator"
-    )
+    raise UnsupportedKernel("no closed form known for this kernel log-derivative")
 
 
-def quadrature_digits(prob, precision, evaluator=None):
+def quadrature_digits(prob, precision):
     """Decimal digits numeric_term is run at for a requested precision.
 
     Kernels integrated in x are capped at _X_DIGITS_CAP digits; the
     substituted Chebyshev weight gets the full precision.
     """
-    if evaluator is None and recognized_form(prob.kernel) == "chebyshev_weight":
+    if recognized_form(prob.kernel) == "chebyshev_weight":
         return precision
     return min(precision, _X_DIGITS_CAP)
 
 
-def numeric_term(prob, n, precision, evaluator=None):
+def numeric_term(prob, n, precision):
     """Tanh-sinh quadrature of P_n·K to `precision` decimal digits.
 
-    Without an evaluator, the Chebyshev weight on [alpha, beta] within
-    [-1, 1] is integrated as P_n(cos θ)·prefactor(cos θ) over
-    [acos beta, acos alpha]; outside [-1, 1] it raises UnsupportedKernel.
+    The Chebyshev weight on [alpha, beta] within [-1, 1] is integrated as
+    P_n(cos θ)·prefactor(cos θ) over [acos beta, acos alpha]; outside
+    [-1, 1] it raises UnsupportedKernel.
     """
     kern = prob.kernel
-    form = None if evaluator is not None else recognized_form(kern)
+    form = recognized_form(kern)
     with mp.workdps(precision + 10):
         pf = _poly_mpf(term(prob.seq, n))
         a, b = as_mpf(prob.alpha), as_mpf(prob.beta)
@@ -192,7 +189,7 @@ def numeric_term(prob, n, precision, evaluator=None):
 
             a, b = mp.acos(b), mp.acos(a)
         else:
-            kf = evaluator or _kernel_evaluator(kern, form)
+            kf = _kernel_evaluator(kern, form)
             f = lambda x: pf(x) * kf(x)
         val, err = mp.quad(
             f, [a, b], method="tanh-sinh", maxdegree=_MAXDEGREE, error=True

@@ -446,7 +446,8 @@ def _gcd_bivariate(a, b):
 def gcd(a, b):
     """Canonical gcd: monic for univariate over Q, unit-normalized for Q[x][t].
 
-    gcd(a, 0) is the normalized form of a; gcd(0, 0) = 0.
+    gcd(a, 0) is the normalized form of a; gcd(0, 0) = 0; a nonzero rational
+    constant has gcd 1 with anything, returned without running a PRS.
     """
     if a.is_zero() and b.is_zero():
         return Poly(a.var, [])
@@ -454,6 +455,8 @@ def gcd(a, b):
         a, b = b, a
     if b.is_zero():
         return canonical_unit(a) if a.is_bivariate() else a.monic()
+    if any(p.is_constant() and not isinstance(p.constant(), Poly) for p in (a, b)):
+        return Poly(a.var if not a.is_constant() else b.var, [1])
     if a.var != b.var:
         if a.is_constant() or b.is_constant():
             return Poly(a.var if not a.is_constant() else b.var, [1])

@@ -181,9 +181,3 @@ class RatFunc:
         if d.is_zero():
             raise ZeroDenominator("inner substitution vanishes on the denominator")
         return RatFunc(P.subs_inner(self.num, v), d)
-
-
-def as_ratfunc(v, var):
-    if isinstance(v, RatFunc):
-        return v
-    return RatFunc(v, 1, var=var)

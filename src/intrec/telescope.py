@@ -5,24 +5,20 @@ y(x,t) such that P applied to the integrand equals d/dx of y·(integrand).
 Everything stays rational: with F = R·K, each (d/dt)^i F / F is rational
 because K is x-only, and (d/dx of y F)/F = y' + y·Lx where Lx is the
 rational x-log-derivative of F.  Clearing denominators turns the search
-into a nullspace problem over Q[t], solved exactly.  Every returned
-operator is re-verified against the defining identity before it leaves
-this module, so a too-small ansatz can cause a miss but never a wrong
-answer.
+into a nullspace problem over Q[t], solved exactly.  Each order tries one
+ansatz for the certificate (see telescope).  Every returned operator is
+re-verified against the defining identity before it leaves this module, so
+a too-small ansatz can cause a miss but never a wrong answer.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundaryNotEvaluable, NoTelescoperFound
-from .linalg import canonical_vector, nullspace
+from .linalg import canonical_scale, nullspace
 from . import poly as P
 from .poly import Poly
 from .ratfunc import RatFunc
-
-_DEG_STEP = 4  # x-degree bound escalation increment
-# ansatz ladder per order: (certificate denominator exponent, degree bumps)
-_LADDER = ((1, 0), (1, 1), (2, 1), (3, 2))
 
 
 @dataclass(frozen=True)
@@ -119,15 +115,15 @@ def _pre_logderiv(kernel):
     )
 
 
-def _solve_order(num, den, ws, lx, ell, e, bumps):
-    """Try the ansatz at telescoper order ell, one rung of the ladder."""
+def _solve_order(num, den, ws, lx, ell):
+    """Try the ansatz at telescoper order ell; (operator, certificate) or None."""
     den_l = _bivar_part(lx.den)
-    den_y = den_l**e * num * den**ell
+    den_y = den_l * num * den**ell
     h = lx - RatFunc(P.deriv_inner(den_y), den_y)
     den_h, num_h = _bivar_part(h.den), _bivar_part(h.num)
 
-    rhs = [ws[i] * den_l**e * den ** (ell - i) * den_h for i in range(ell + 1)]
-    m = max(P.x_degree(q) for q in rhs) + 2 + bumps * _DEG_STEP
+    rhs = [ws[i] * den_l * den ** (ell - i) * den_h for i in range(ell + 1)]
+    m = max(P.x_degree(q) for q in rhs) + 2
     mults = []
     for j in range(m + 1):
         mj = _xshift(num_h, j)
@@ -135,30 +131,28 @@ def _solve_order(num, den, ws, lx, ell, e, bumps):
             mj = mj + j * _xshift(den_h, j - 1)
         mults.append(mj)
     cols = [P.x_coefficients(q) for q in mults] + [P.x_coefficients(-q) for q in rhs]
-    depth = max((len(c) for c in cols), default=0)
-    ncols = len(cols)
-    rows = []
     zero_t = Poly("t", [])
-    for k in range(depth):
-        rows.append([c[k] if k < len(c) else zero_t for c in cols])
-    for vec in nullspace(rows, ncols):
+    depth = max((len(c) for c in cols), default=0)
+    rows = [[c[k] if k < len(c) else zero_t for c in cols] for k in range(depth)]
+    for vec in nullspace(rows, len(cols)):
         avec = vec[m + 1 :]
         if all(not a for a in avec):
             continue
-        while avec and not avec[-1]:
+        while not avec[-1]:
             avec = avec[:-1]
-        ycols = vec[: m + 1]
-        ybi = P.from_x_coefficients(ycols, "t")
-        y = RatFunc(ybi, den_y)
-        return list(avec), y
+        return list(avec), RatFunc(P.from_x_coefficients(vec[: m + 1], "t"), den_y)
     return None
 
 
 def telescope(gf, kernel, max_order):
     """Smallest-order telescoper for the integrand, searching orders 0..max_order.
 
-    Raises NoTelescoperFound if every ansatz up to max_order (with the
-    documented denominator and degree escalations) only has trivial solutions.
+    Each order ell tries one ansatz, with one nullspace solve: the
+    certificate is Y/(den_l·N·D^ell), where N/D is the generating function,
+    den_l the denominator of the integrand's x-log-derivative, and Y a
+    polynomial whose x-degree is at most two above that of the cleared
+    right-hand sides.  Raises NoTelescoperFound if that ansatz has only
+    trivial solutions at every order up to max_order.
     """
     num, den = gf.value.num, gf.value.den
     if num.is_zero():
@@ -166,16 +160,15 @@ def telescope(gf, kernel, max_order):
     lx = _log_deriv_x(gf, kernel)
     ws = _w_sequence(num, den, max_order)
     for ell in range(max_order + 1):
-        for e, bumps in _LADDER:
-            got = _solve_order(num, den, ws, lx, ell, e, bumps)
-            if got is None:
-                continue
-            avec, y = got
-            avec, y = _reduce_content(avec, y)
-            tel = Telescoper(tuple(avec), y)
-            if not verify_certificate(gf, kernel, tel):
-                raise AssertionError("telescoper failed its own certificate check")
-            return tel
+        got = _solve_order(num, den, ws, lx, ell)
+        if got is None:
+            continue
+        avec, y = got
+        avec, y = _reduce_content(avec, y)
+        tel = Telescoper(tuple(avec), y)
+        if not verify_certificate(gf, kernel, tel):
+            raise AssertionError("telescoper failed its own certificate check")
+        return tel
     raise NoTelescoperFound(max_order)
 
 
@@ -191,18 +184,10 @@ def _reduce_content(avec, y):
     if g is not None and not g.is_constant():
         avec = [P.exact_div(a, g) if a else a for a in avec]
         y = y / g
-    newvec = canonical_vector(avec)
-    # canonical_vector scales by a rational f; recover it to keep y in step
-    f = None
-    for old, new in zip(avec, newvec):
-        if old:
-            onz = next(c for c in old.coeffs if c)
-            nnz = next(c for c in new.coeffs if c)
-            f = Fraction(nnz) / Fraction(onz)
-            break
-    if f is not None and f != 1:
+    f = canonical_scale(avec)
+    if f != 1:
         y = y * f
-    return newvec, y
+    return [P.scale_poly(a, f) for a in avec], y
 
 
 def verify_certificate(gf, kernel, tel):

@@ -63,6 +63,10 @@ SIZE_LIMITS = [
     ("bits_power", dict(CHEB_JOB, kernel={"polynomial": "(9^1000*x+1)^300"}),
      "coefficients exceed"),
     ("literal", dict(CHEB_JOB, kernel={"polynomial": "7" * 5000}), "integer literal exceeds"),
+    ("nesting_parens", dict(CHEB_JOB, kernel={"polynomial": "(" * 600 + "x" + ")" * 600}),
+     "nesting exceeds"),
+    ("nesting_minus", dict(CHEB_JOB, kernel={"polynomial": "-" * 2000 + "x"}),
+     "nesting exceeds"),
     ("power_order", {"task": "terms", "count": 2, "sequence": T,
                      "transforms": [{"power": 6}]}, "order 64"),
     ("power_exponent", {"task": "terms", "count": 2, "sequence": {"coeffs": ["x"], "init": ["1"]},

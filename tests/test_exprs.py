@@ -74,6 +74,29 @@ def test_degree_limit():
         assert exc.value.position == pos, text
 
 
+def test_nesting_limit():
+    top = exprs.MAX_NESTING
+    # the deepest accepted input of each shape parses without RecursionError,
+    # also in a shape that costs the most frames per level
+    assert rf("(" * top + "x" + ")" * top) == rf("x")
+    assert rf("-" * top + "x") == rf("x")
+    assert rf("(1+2*" * top + "x" + ")^1" * top) == rf("2^%d*x+2^%d-1" % (top, top))
+    assert rf("-(" * (top // 2) + "x" + ")" * (top // 2)) == rf("x")
+    for text in ("(" * (top + 1) + "x" + ")" * (top + 1), "-" * (top + 1) + "x",
+                 "-(" * (top // 2) + "-x" + ")" * (top // 2)):
+        with pytest.raises(ParseError) as exc:
+            rf(text)
+        assert "nesting exceeds" in str(exc.value)
+        assert exc.value.position == top
+
+
+def test_flat_chains_lower_without_recursion():
+    assert rf("+".join(["x"] * 1000)) == rf("1000*x")
+    assert rf("-".join(["x"] * 1000)) == rf("-998*x")
+    assert rf("*".join(["x"] * 1000)) == rf("x^1000")
+    assert rf("/".join(["x"] * 1000)) == rf("1/x^998")
+
+
 def test_normalization_through_lowering():
     assert rf("(x^2-1)/(x-1)") == RatFunc(Poly("x", [1, 1]))
 

@@ -113,7 +113,6 @@ def test_chebyshev_weight_quadrature_reaches_40_digits():
 def test_quadrature_digits_cap_only_kernels_integrated_in_x():
     cheb = IntegralProblem(T, chebyshev_weight(), Fraction(0), Fraction(1))
     assert oracle.quadrature_digits(cheb, 40) == 40
-    assert oracle.quadrature_digits(cheb, 40, evaluator=lambda x: 1) == 12
     assert oracle.quadrature_digits(plain_problem(), 40) == 12
     assert oracle.quadrature_digits(plain_problem(), 8) == 8
 

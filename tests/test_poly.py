@@ -115,6 +115,25 @@ def test_gcd_worked_examples():
     assert P.gcd(zero, zero).is_zero()
 
 
+def test_gcd_with_a_rational_constant_is_one(monkeypatch):
+    # a nonzero rational constant shares no factor with anything: no PRS runs
+    def no_prs(*args):
+        raise AssertionError("PRS ran for a constant argument")
+
+    monkeypatch.setattr(K, "gcd_int", no_prs)
+    monkeypatch.setattr(P, "_gcd_bivariate", no_prs)
+    x = Poly.variable("x")
+    biv = Poly("t", [x + 1, x * x, 3])
+    t_const_biv = Poly("t", [x + 2])  # t-free, but not a rational constant
+    for c in (Poly.const("x", 3), Poly.const("t", Fraction(-2, 5)), Poly.const("n", 7)):
+        for p, var in ((x * x + 1, "x"), (Poly("t", [1, 2]), "t"), (biv, "t")):
+            for g in (P.gcd(p, c), P.gcd(c, p)):
+                assert g.coeffs == [1] and g.var == var
+        assert P.gcd(c, Poly.const("x", Fraction(1, 2))).var == "x"
+        assert P.gcd(t_const_biv, c).coeffs == [1]
+        assert P.gcd(c, Poly(c.var, [])) == Poly(c.var, [1])
+
+
 def test_gcd_divides_both_inputs():
     rng = random.Random(606)
     for _ in range(200):

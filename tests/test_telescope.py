@@ -9,6 +9,7 @@ from intrec import cfinite as cf
 from intrec import exprs
 from intrec import ode2rec as o2r
 from intrec import oracle
+from intrec import telescope as telescope_module
 from intrec.errors import BoundaryNotEvaluable, NoTelescoperFound
 from intrec.genfun import generating_function
 from intrec.poly import Poly
@@ -194,3 +195,51 @@ def test_fuzz_certificate_and_boundary_series():
         assert lhs == series_of_ratfunc(rhs, 16)
     assert telescoped >= 10
     assert boundary_checked >= 5
+
+
+def kernel(prefactor="1", logderiv="0"):
+    return Kernel(exprs.parse_ratfunc(prefactor, ("x",)), exprs.parse_ratfunc(logderiv, ("x",)))
+
+
+U = cf.BUILTINS["chebyshev_U"]
+EXP, GAUSS = kernel(logderiv="1"), kernel(logderiv="-x")
+JACOBI = kernel(logderiv="(1/2)/(x-1)+(3/2)/(x+1)")
+# P_n = (1+x) P_{n-1} - P_{n-2} from 1, 2x; and P_n = 3x P_{n-1} + 2 P_{n-2} from 1, 1+x
+CUSTOM_1 = cf.CFiniteSeq((Poly("x", [1, 1]), Poly("x", [-1])), (Poly("x", [1]), Poly("x", [0, 2])))
+CUSTOM_2 = cf.CFiniteSeq((Poly("x", [0, 3]), Poly("x", [2])), (Poly("x", [1]), Poly("x", [1, 1])))
+# smallest telescoper orders, as found before the search tried one ansatz per order
+MINIMAL_ORDERS = [
+    ("T-inverse_linear", T, kernel("1/(2-x)"), 2),
+    ("U-exp", U, EXP, 1),
+    ("power-gauss", power_sequence(), GAUSS, 2),
+    ("U2-jacobi", cf.power(U, 2), JACOBI, 3),
+    ("reverseT-rational", cf.reverse(T), kernel("(x^2+1)/(x-3)"), 3),
+    ("TU-chebyshev_weight", cf.product(T, U), chebyshev_weight(), 1),
+    ("T-inverse_quadratic", T, kernel("1/(x^2+2)"), 2),
+    ("T-jacobi", T, JACOBI, 2),
+    ("U-gauss", U, GAUSS, 2),
+    ("U-rational", U, kernel("(x^2+1)/(x-3)"), 2),
+    ("T-sqrt", T, kernel(logderiv="(1/2)/(x-1)"), 1),
+    ("U-cube_root", U, kernel(logderiv="(-1/3)/(x+1)"), 1),
+    ("power-jacobi", power_sequence(), JACOBI, 2),
+    ("custom1-quadratic", CUSTOM_1, kernel("x^2-3*x+1"), 1),
+    ("custom2-one", CUSTOM_2, trivial_kernel(), 1),
+]
+
+
+@pytest.mark.parametrize("seq,kern,order", [c[1:] for c in MINIMAL_ORDERS],
+                         ids=[c[0] for c in MINIMAL_ORDERS])
+def test_minimal_order_one_solve_per_order(monkeypatch, seq, kern, order):
+    calls = []
+    solve = telescope_module.nullspace
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(telescope_module, "nullspace", counted)
+    gf = generating_function(seq)
+    tel = telescope(gf, kern, 3)
+    assert tel.order == order
+    assert len(calls) == order + 1
+    assert verify_certificate(gf, kern, tel)
