@@ -111,9 +111,15 @@ def _cmd_selftest(args):
 
 
 def _workloads(seed):
+    from fractions import Fraction
+
     from . import cfinite as cf
     from .genfun import generating_function, taylor_coeffs
-    from .telescope import telescope, trivial_kernel
+    from .guess import guess_precursive
+    from .oracle import IntegralProblem, exact_term
+    from .poly import Poly
+    from .ratfunc import RatFunc
+    from .telescope import Kernel, telescope, trivial_kernel
 
     rng = random.Random(seed)
     g = [rng.randint(-999, 999) for _ in range(31)]
@@ -132,10 +138,19 @@ def _workloads(seed):
     def gcd_deg60():
         kernels.gcd_int(a, b)
 
+    # ∫ T_n^2 (x^2+1) dx over [-1/3, 2/5]: the first fit is at order 6, degree 3
+    weight = Kernel(RatFunc(Poly("x", [1, 0, 1])), RatFunc(Poly("x", [])))
+    prob = IntegralProblem(cf.power(seq, 2), weight, Fraction(-1, 3), Fraction(2, 5))
+    guess_terms = [exact_term(prob, n) for n in range(51)]
+
+    def guess_51():
+        guess_precursive(guess_terms, 6, 4)
+
     return [
         ("telescope chebyshev_T", telescope_chebyshev),
         ("series to 300 terms", series_300),
         ("integer-poly gcd deg 60", gcd_deg60),
+        ("guess T^2 from 51 terms", guess_51),
     ]
 
 

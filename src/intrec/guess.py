@@ -6,6 +6,16 @@ system on a training prefix only.  A candidate is returned solely when it
 annihilates every full window of the input, including a suffix of terms the
 solver never saw.  Everything is exact rational arithmetic; there is no
 tolerance to tune and near-fits cannot slip through.
+
+Most cells hold no recurrence, so each cell is first screened modulo the
+word-size prime PRIME (after Kauers' Guessing Handbook, RISC report 09-07):
+the terms are reduced once, and a plain Gaussian elimination mod p runs on
+the rows the exact solver would build.  If those rows have full column rank
+mod p, some maximal minor is nonzero mod p, hence nonzero over Q, so the
+exact nullspace is trivial and the cell is skipped.  The screen gives no
+verdict when PRIME divides a term's denominator or when the rank mod p falls
+short of the column count; such cells take the exact path unchanged, so the
+screen only ever skips cells the exact path would have rejected.
 """
 
 from fractions import Fraction
@@ -16,6 +26,7 @@ from . import poly as P
 from .poly import Poly
 
 MARGIN = 8
+PRIME = 1073741789  # the largest prime below 2**30
 
 
 def _cell(terms, r, d, train):
@@ -42,19 +53,70 @@ def _cell(terms, r, d, train):
     return None
 
 
+def _residues(values):
+    """The values modulo PRIME, or None when PRIME divides a denominator."""
+    out = []
+    for v in values:
+        f = Fraction(v)
+        if f.denominator % PRIME == 0:
+            return None
+        out.append(f.numerator * pow(f.denominator, -1, PRIME) % PRIME)
+    return out
+
+
+def _full_rank_mod_p(rows, ncols):
+    """True when the residue rows (an iterable) have rank ncols modulo PRIME.
+
+    Rows are reduced one at a time against an echelon basis, so the scan
+    stops as soon as ncols pivots are found.
+    """
+    basis = {}
+    for row in rows:
+        row = list(row)
+        for c in range(ncols):
+            v = row[c]
+            if not v:
+                continue
+            b = basis.get(c)
+            if b is None:
+                inv = pow(v, -1, PRIME)
+                basis[c] = [x * inv % PRIME for x in row]
+                if len(basis) == ncols:
+                    return True
+                break
+            row[c:] = [(x - v * y) % PRIME for x, y in zip(row[c:], b[c:])]
+    return False
+
+
+def _cell_rows_mod_p(res, r, d, train):
+    """The rows `_cell` builds for (r, d), reduced modulo PRIME."""
+    for n in range(train):
+        row = []
+        for i in range(r + 1):
+            v = res[n + i]
+            for _ in range(d + 1):
+                row.append(v)
+                v = v * n % PRIME
+        yield row
+
+
 def guess_precursive(terms, max_order, max_degree, margin=MARGIN):
     """Lexicographically minimal (order, degree) recurrence fitting the terms.
 
     Returns None when no cell within the bounds admits a recurrence that
     survives full verification.  Cells whose training window would be empty
-    are skipped.
+    are skipped, and so are cells whose system has full rank modulo PRIME.
     """
     terms = [P.as_num(Fraction(v)) for v in terms]
+    res = _residues(terms)
     for r in range(max_order + 1):
         train = len(terms) - r - margin
         if train < 1:
             continue
         for d in range(max_degree + 1):
+            ncols = (r + 1) * (d + 1)
+            if res is not None and _full_rank_mod_p(_cell_rows_mod_p(res, r, d, train), ncols):
+                continue
             coeffs = _cell(terms, r, d, train)
             if coeffs is None:
                 continue

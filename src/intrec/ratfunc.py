@@ -22,33 +22,50 @@ def _as_poly(v, var):
     raise TypeError("cannot build a rational function from %r" % (v,))
 
 
+def _pair(num, den, var):
+    """Coerce to same-shaped polynomials; raises on a zero denominator."""
+    if var is None:
+        var = num.var if isinstance(num, Poly) else (den.var if isinstance(den, Poly) else "x")
+    num = _as_poly(num, var)
+    den = _as_poly(den, var)
+    pair = P._xt_promote(num, den)
+    if pair is not None:
+        num, den = pair
+    if num.var == "t" and den.var == "t" and num.is_constant() and den.is_constant():
+        nc, dc = num.constant(), den.constant()
+        # t-free bivariate pair: drop the wrapper so equality stays structural
+        if isinstance(nc, Poly) or isinstance(dc, Poly):
+            num, den = _as_poly(nc, "x"), _as_poly(dc, "x")
+    if den.is_zero():
+        raise ZeroDenominator("zero denominator")
+    return num, den
+
+
 class RatFunc:
     """Immutable normalized quotient of two polynomials in the same variable."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1, var=None):
-        if var is None:
-            var = num.var if isinstance(num, Poly) else (den.var if isinstance(den, Poly) else "x")
-        num = _as_poly(num, var)
-        den = _as_poly(den, var)
-        pair = P._xt_promote(num, den)
-        if pair is not None:
-            num, den = pair
-        if num.var == "t" and den.var == "t" and num.is_constant() and den.is_constant():
-            nc, dc = num.constant(), den.constant()
-            # t-free bivariate pair: drop the wrapper so equality stays structural
-            if isinstance(nc, Poly) or isinstance(dc, Poly):
-                num, den = _as_poly(nc, "x"), _as_poly(dc, "x")
-        if den.is_zero():
-            raise ZeroDenominator("zero denominator")
-        if num.is_zero():
-            den = Poly.const(den.var, 1)
-        else:
+        num, den = _pair(num, den, var)
+        if not num.is_zero():
             g = P.gcd(num, den)
             if not (g.is_constant() and g.constant() == 1):
                 num = P.exact_div(num, g)
                 den = P.exact_div(den, g)
+        self._finish(num, den)
+
+    @classmethod
+    def _coprime(cls, num, den):
+        """The quotient of a pair already known to be coprime; runs no gcd."""
+        self = object.__new__(cls)
+        self._finish(*_pair(num, den, None))
+        return self
+
+    def _finish(self, num, den):
+        """Store a coprime pair with the denominator made primitive and positive."""
+        if num.is_zero():
+            den = Poly.const(den.var, 1)
         u = P.rational_content(den) * P.leading_sign(den)
         if u != 1:
             inv = Fraction(1, 1) / u
@@ -108,6 +125,8 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __mul__(self, other):
+        if isinstance(other, P.NUM_TYPES):
+            return RatFunc._coprime(P.scale_poly(self.num, other), self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

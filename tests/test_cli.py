@@ -154,3 +154,4 @@ def test_bench_smoke(capsys):
     assert cli.main(["bench", "--repeat", "1"]) == 0
     out = capsys.readouterr().out
     assert "workload" in out and "pure" in out
+    assert "guess T^2 from 51 terms" in out

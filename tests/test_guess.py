@@ -3,8 +3,14 @@
 import math
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from intrec import cfinite as cf
+from intrec import guess as G
+from intrec import linalg
 from intrec.guess import guess_cfinite, guess_precursive
+from intrec.pipeline import Options, _guess_term_count
 from intrec.poly import Poly
 
 T = cf.BUILTINS["chebyshev_T"]
@@ -84,3 +90,100 @@ def test_held_out_corruption_blocks_candidates():
 
 def test_too_few_terms_is_absence_not_error():
     assert guess_precursive([Fraction(1), Fraction(2), Fraction(3)], 2, 2) is None
+
+
+# -- the modular screen ------------------------------------------------------
+
+rationals = (st.fractions(min_value=-50, max_value=50, max_denominator=12)
+             | st.integers(-2**40, 2**40).map(Fraction))
+
+
+@st.composite
+def matrices(draw):
+    """Random rational matrices, some with a column planted as a combination of others."""
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(max(1, ncols - 1), ncols + 3))
+    rows = [[draw(rationals) for _ in range(ncols)] for _ in range(nrows)]
+    planted = ncols > 1 and draw(st.booleans())
+    if planted:
+        j = draw(st.integers(0, ncols - 1))
+        mix = [draw(rationals) for _ in range(ncols)]
+        for row in rows:
+            row[j] = sum((m * v for k, (m, v) in enumerate(zip(mix, row)) if k != j), Fraction(0))
+    return rows, ncols, planted
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_screen_full_rank_means_trivial_nullspace(case):
+    rows, ncols, planted = case
+    res = [G._residues(row) for row in rows]
+    assert all(r is not None for r in res)
+    screened = G._full_rank_mod_p(res, ncols)
+    if screened:
+        assert linalg.nullspace(rows, ncols) == []
+    if planted:
+        assert not screened
+
+
+def guess_without_screen(terms, max_order, max_degree, margin=G.MARGIN):
+    """guess_precursive with every cell sent to the exact path."""
+    terms = [Fraction(v) for v in terms]
+    for r in range(max_order + 1):
+        train = len(terms) - r - margin
+        if train < 1:
+            continue
+        for d in range(max_degree + 1):
+            coeffs = G._cell(terms, r, d, train)
+            if coeffs is not None:
+                coeffs = linalg.canonical_vector(coeffs)
+                if coeffs[-1].lc() < 0:
+                    coeffs = [-c for c in coeffs]
+                return tuple(coeffs)
+    return None
+
+
+def count_nullspace_calls(monkeypatch):
+    calls = []
+    exact = G.nullspace
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return exact(rows, ncols)
+
+    monkeypatch.setattr(G, "nullspace", counted)
+    return calls
+
+
+def test_prime_in_a_denominator_takes_the_exact_path(monkeypatch):
+    # a(n) = 1/(n + p): only a(0) has p in its denominator; (n+p+1) a(n+1) = (n+p) a(n)
+    terms = [Fraction(1, n + G.PRIME) for n in range(20)]
+    assert G._residues(terms) is None
+    calls = count_nullspace_calls(monkeypatch)
+    rec = guess_precursive(terms, 3, 4)
+    # every cell up to the hit at (1, 1) was solved exactly: five at order 0, two at order 1
+    assert len(calls) == 7
+    assert rec.coeffs == (Poly("n", [-G.PRIME, -1]), Poly("n", [G.PRIME + 1, 1]))
+    assert rec.coeffs == guess_without_screen(terms, 3, 4)
+
+
+def test_screen_keeps_every_guess():
+    cases = [
+        integral_terms(40),
+        [Fraction(v) for v in (0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89)],
+        [Fraction(math.factorial(n)) for n in range(20)],
+        [Fraction(2) ** n + n for n in range(20)],
+    ]
+    for terms in cases:
+        rec = guess_precursive(terms, 3, 2)
+        assert (rec.coeffs if rec else None) == guess_without_screen(terms, 3, 2)
+
+
+def test_chebyshev_integral_needs_one_exact_solve(monkeypatch):
+    opts = Options()
+    terms = integral_terms(_guess_term_count(opts))
+    calls = count_nullspace_calls(monkeypatch)
+    rec = guess_precursive(terms, opts.max_order, opts.max_degree, opts.margin)
+    assert list(rec.coeffs) == [Poly("n", [1, -1]), Poly("n", []), Poly("n", [3, 1])]
+    # only the hit at (order 2, degree 1) reaches the exact solver
+    assert calls == [6]

@@ -7,8 +7,10 @@ import pytest
 
 from intrec import cfinite as cf
 from intrec import exprs
+from intrec import linalg
 from intrec import ode2rec as o2r
 from intrec import oracle
+from intrec import poly as P
 from intrec import telescope as telescope_module
 from intrec.errors import BoundaryNotEvaluable, NoTelescoperFound
 from intrec.genfun import generating_function
@@ -243,3 +245,31 @@ def test_minimal_order_one_solve_per_order(monkeypatch, seq, kern, order):
     assert tel.order == order
     assert len(calls) == order + 1
     assert verify_certificate(gf, kern, tel)
+
+
+def test_reduce_content_runs_no_bivariate_gcd(monkeypatch):
+    seen = []
+    reduce = telescope_module._reduce_content
+
+    def recorded(avec, y):
+        seen.append((avec, y))
+        return reduce(avec, y)
+
+    monkeypatch.setattr(telescope_module, "_reduce_content", recorded)
+    telescope(generating_function(cf.reverse(T)), kernel("(x^2+1)/(x-3)"), 3)
+    (avec, y), = seen
+    g = avec[0]
+    for a in avec[1:]:
+        g = P.gcd(g, a)
+    assert not g.is_constant()
+    # the slow way: one full RatFunc normalisation of the rescaled pair
+    f = linalg.canonical_scale([P.exact_div(a, g) for a in avec])
+    expected = RatFunc(P.scale_poly(y.num, f), y.den * g)
+
+    def refuse(a, b):
+        raise AssertionError("bivariate gcd in _reduce_content")
+
+    monkeypatch.setattr(P, "_gcd_bivariate", refuse)
+    got = reduce(avec, y)[1]
+    assert (got.num.var, got.num.coeffs) == (expected.num.var, expected.num.coeffs)
+    assert (got.den.var, got.den.coeffs) == (expected.den.var, expected.den.coeffs)
