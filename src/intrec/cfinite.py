@@ -5,9 +5,16 @@ P_n = p_1(x) P_{n-1} + ... + p_L(x) P_{n-L} together with the first L
 polynomials.  Products and powers stay C-finite; the witness recurrence is
 read off the characteristic polynomial of the Kronecker product of companion
 matrices, which carries its own order bound (minimality is not attempted).
+
+Each sequence keeps one prefix [P_0, ..., P_m] of its terms, grown on demand
+by the recurrence: `term` indexes it and `terms` slices it, so asking for
+P_0, ..., P_{N-1} in any order costs (N - L)·L polynomial products in all,
+and asking again costs none.  The prefix lives as long as the sequence
+object, so a long-lived sequence should be copied per use (the pipeline
+copies BUILTINS for each job).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ReverseUnsupportedDegreeProfile
 from .linalg import bareiss_det
@@ -29,6 +36,7 @@ class CFiniteSeq:
 
     coeffs: tuple
     init: tuple
+    _prefix: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(_as_xpoly(c) for c in self.coeffs)
@@ -41,33 +49,16 @@ class CFiniteSeq:
             raise ValueError("p_L must be nonzero (true order)")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "init", init)
+        object.__setattr__(self, "_prefix", list(init))
 
     @property
     def order(self):
         return len(self.coeffs)
 
 
-def term(seq, n):
-    """P_n(x) by iterating the recurrence from the initial polynomials."""
-    if n < 0:
-        raise ValueError("term index must be nonnegative")
-    L = seq.order
-    if n < L:
-        return seq.init[n]
-    window = list(seq.init)
-    for _ in range(L, n + 1):
-        nxt = Poly("x", [])
-        for i, p in enumerate(seq.coeffs):
-            nxt = nxt + p * window[-1 - i]
-        window.append(nxt)
-        del window[0]
-    return window[-1]
-
-
-def terms(seq, count):
-    """The list [P_0, ..., P_{count-1}]."""
-    L = seq.order
-    out = list(seq.init[:count])
+def _extend(seq, count):
+    """The cached prefix of seq, extended to at least `count` terms."""
+    out = seq._prefix
     while len(out) < count:
         n = len(out)
         nxt = Poly("x", [])
@@ -75,6 +66,18 @@ def terms(seq, count):
             nxt = nxt + p * out[n - 1 - i]
         out.append(nxt)
     return out
+
+
+def term(seq, n):
+    """P_n(x), from the sequence's cached prefix."""
+    if n < 0:
+        raise ValueError("term index must be nonnegative")
+    return _extend(seq, n + 1)[n]
+
+
+def terms(seq, count):
+    """The list [P_0, ..., P_{count-1}]."""
+    return _extend(seq, count)[:count]
 
 
 def _companion(seq):

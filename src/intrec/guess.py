@@ -125,8 +125,3 @@ def guess_precursive(terms, max_order, max_degree, margin=MARGIN):
                 coeffs = [-c for c in coeffs]
             return Recurrence(tuple(coeffs), 0, tuple(terms))
     return None
-
-
-def guess_cfinite(terms, max_order, margin=MARGIN):
-    """Constant-coefficient special case."""
-    return guess_precursive(terms, max_order, 0, margin=margin)

@@ -1,9 +1,15 @@
 """Ground-truth values of a(n) = ∫ P_n(x) K(x) dx, independent of telescoping.
 
-Polynomial kernels integrate exactly by the power rule.  The Chebyshev weight
-1/sqrt(1-x^2) with a polynomial prefactor on [-1, 1] integrates exactly too,
-up to one symbolic factor: a(n) = pi·q_n with q_n rational, from the moments
-∫ x^(2m)/sqrt(1-x^2) dx = pi·C(2m, m)/4^m (odd moments vanish).
+Two kernel classes have exact values, both as a moment sum: with
+m_k = ∫_α^β x^k w(x) dx and P_n·prefactor = Σ c_k x^k, the integral is
+Σ c_k m_k.  Polynomial kernels take w = 1 and the power rule,
+m_k = (β^(k+1) - α^(k+1))/(k+1).  The Chebyshev weight 1/sqrt(1-x^2) with
+a polynomial prefactor on [-1, 1] integrates exactly up to one symbolic
+factor: a(n) = pi·q_n with q_n rational, from m_k = C(k, k/2)/2^k for even k
+and 0 for odd k (times pi).  Each IntegralProblem computes its moment vector
+once and extends it on demand, and P_n comes from the sequence's cached
+prefix, so each further value costs one recurrence step and one dot product:
+the first N values cost time linear in N, not quadratic.
 
 Everything else goes through adaptive tanh-sinh quadrature at a requested
 decimal precision.  The Chebyshev weight is integrated after x = cos(theta),
@@ -14,9 +20,9 @@ quadrature_digits caps their precision.  Only these two non-rational kernel
 shapes are recognized numerically; anything else raises UnsupportedKernel.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from mpmath import mp
 
@@ -33,26 +39,68 @@ _MAXDEGREE = 12
 _X_DIGITS_CAP = 12
 
 
+class _Moments:
+    """Moments m_k = nums[k]/den over one common denominator."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self):
+        self.nums, self.den = [], 1
+
+
 @dataclass(frozen=True)
 class IntegralProblem:
     seq: object
     kernel: object
     alpha: object
     beta: object
+    _moments: _Moments = field(
+        default_factory=_Moments, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not Fraction(self.alpha) < Fraction(self.beta):
             raise ValueError("interval endpoints must satisfy alpha < beta")
 
 
-def _antiderivative_eval(p, point):
-    acc = Fraction(0)
-    xp = Fraction(point)
-    power = xp
-    for k, c in enumerate(p.coeffs):
-        acc += Fraction(c, k + 1) * power
-        power *= xp
-    return acc
+def _moments(prob, count):
+    """(nums, den) with m_k = nums[k]/den for every k < count.
+
+    Power-rule moments for a polynomial kernel (no log-derivative), the
+    rational parts of the Chebyshev-weight moments otherwise.  The vector
+    at least doubles whenever it grows, so bringing it to a new common
+    denominator costs O(1) per moment overall.
+    """
+    mv = prob._moments
+    k = len(mv.nums)
+    if k < count:
+        top = max(count, 2 * k)
+        if prob.kernel.logderiv.is_zero():
+            a, b = Fraction(prob.alpha), Fraction(prob.beta)
+            apow, bpow = a ** (k + 1), b ** (k + 1)
+            new = []
+            for j in range(k, top):
+                new.append((bpow - apow) / (j + 1))
+                apow *= a
+                bpow *= b
+        else:
+            new = [Fraction(comb(j, j // 2) if j % 2 == 0 else 0, 2**j)
+                   for j in range(k, top)]
+        den = lcm(mv.den, *(m.denominator for m in new))
+        mv.nums = [v * (den // mv.den) for v in mv.nums] + [
+            m.numerator * (den // m.denominator) for m in new
+        ]
+        mv.den = den
+    return mv.nums, mv.den
+
+
+def _moment_sum(prob, p):
+    """Σ c_k m_k over the coefficients c_k of p·prefactor."""
+    kern = prob.kernel
+    pre = kern.prefactor.num * P.num_div(1, kern.prefactor.den.constant())
+    cs, e = P.int_coeffs(p * pre)
+    nums, den = _moments(prob, len(cs))
+    return P.as_num(Fraction(sum(c * m for c, m in zip(cs, nums) if c), den * e))
 
 
 def exact_term(prob, n):
@@ -60,13 +108,7 @@ def exact_term(prob, n):
     kern = prob.kernel
     if not kern.logderiv.is_zero() or not kern.prefactor.is_polynomial():
         raise ExactOracleUnavailable("kernel is not a polynomial")
-    pre = kern.prefactor.num * P.num_div(1, kern.prefactor.den.constant())
-    integrand = term(prob.seq, n) * pre
-    if isinstance(integrand, P.NUM_TYPES):
-        integrand = Poly.const("x", integrand)
-    hi = _antiderivative_eval(integrand, prob.beta)
-    lo = _antiderivative_eval(integrand, prob.alpha)
-    return P.as_num(hi - lo)
+    return _moment_sum(prob, term(prob.seq, n))
 
 
 def has_pi_parts(prob):
@@ -84,23 +126,14 @@ def has_pi_parts(prob):
 def pi_parts(prob, count):
     """[q_0, ..., q_{count-1}] with a(n) = pi·q_n exactly, q_n rational.
 
-    Only for problems where has_pi_parts holds; each P_n·prefactor is
-    integrated by the moments pi·C(k, k/2)/2^k of even powers x^k.
+    Only for problems where has_pi_parts holds.
     """
     if not has_pi_parts(prob):
         raise ExactOracleUnavailable(
             "pi-factored values need the Chebyshev weight with a polynomial"
             " prefactor on [-1, 1]"
         )
-    kern = prob.kernel
-    pre = kern.prefactor.num * P.num_div(1, kern.prefactor.den.constant())
-    polys = [p * pre for p in cf.terms(prob.seq, count)]
-    top = max((p.degree() for p in polys), default=-1) + 1
-    moments = [Fraction(comb(k, k // 2), 2**k) if k % 2 == 0 else 0 for k in range(top)]
-    return [
-        P.as_num(sum((c * m for c, m in zip(p.coeffs, moments) if m), Fraction(0)))
-        for p in polys
-    ]
+    return [_moment_sum(prob, p) for p in cf.terms(prob.seq, count)]
 
 
 def as_mpf(v):

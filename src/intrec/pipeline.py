@@ -152,7 +152,9 @@ def _build_sequence(doc, what="sequence"):
                 "%s: unknown builtin %r (available: %s)"
                 % (what, name, ", ".join(sorted(cf.BUILTINS)))
             )
-        return cf.BUILTINS[name], {"builtin": name}
+        # a copy per job, so the term prefix it caches is freed with the job
+        builtin = cf.BUILTINS[name]
+        return cf.CFiniteSeq(builtin.coeffs, builtin.init), {"builtin": name}
     _check_keys(doc, ("order", "coeffs", "init"), what)
     for key in ("coeffs", "init"):
         if key not in doc or not isinstance(doc[key], (list, tuple)):

@@ -55,6 +55,40 @@ def test_terms_prefix():
     assert cf.terms(T, 3) == [cf.term(T, n) for n in range(3)]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_terms_cost_one_recurrence_step_each(monkeypatch, seed):
+    rng = random.Random(seed)
+    seq = rand_seq(rng, max_order=3)
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    N, L = 30, seq.order
+    first = [cf.term(seq, n) for n in range(N)]
+    assert len(calls) == (N - L) * L
+    calls.clear()
+    assert [cf.term(seq, n) for n in range(N)] == first
+    assert cf.terms(seq, N) == first
+    assert calls == []
+    monkeypatch.undo()
+    assert first == reference_terms(seq, N)
+
+
+def reference_terms(seq, count):
+    """P_0, ..., P_{count-1} by a plain sliding-window recurrence."""
+    window = list(seq.init)
+    out = []
+    for _ in range(count):
+        out.append(window[0])
+        nxt = sum((p * window[-1 - i] for i, p in enumerate(seq.coeffs)), Poly("x", []))
+        window = window[1:] + [nxt]
+    return out
+
+
 def test_invalid_sequences_rejected():
     with pytest.raises(ValueError):
         cf.CFiniteSeq((), ())

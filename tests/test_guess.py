@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from intrec import cfinite as cf
 from intrec import guess as G
 from intrec import linalg
-from intrec.guess import guess_cfinite, guess_precursive
+from intrec.guess import guess_precursive
 from intrec.pipeline import Options, _guess_term_count
 from intrec.poly import Poly
 
@@ -67,25 +67,25 @@ def test_factorial_has_no_low_order_fit():
 
 
 def test_constant_coefficient_examples():
-    assert guess_cfinite([Fraction(1)] * 7, 3, margin=4).coeffs == (
+    assert guess_precursive([Fraction(1)] * 7, 3, 0, margin=4).coeffs == (
         Poly("n", [-1]), Poly("n", [1]),
     )
     doubling = [Fraction(2) ** n for n in range(7)]
-    assert guess_cfinite(doubling, 3, margin=4).coeffs == (
+    assert guess_precursive(doubling, 3, 0, margin=4).coeffs == (
         Poly("n", [-2]), Poly("n", [1]),
     )
     # seven terms cannot clear the default eight-term held-out margin
-    assert guess_cfinite([Fraction(1)] * 7, 3) is None
+    assert guess_precursive([Fraction(1)] * 7, 3, 0, margin=G.MARGIN) is None
 
 
 def test_precursive_sequence_is_not_cfinite():
-    assert guess_cfinite(integral_terms(20), 3) is None
+    assert guess_precursive(integral_terms(20), 3, 0, margin=G.MARGIN) is None
 
 
 def test_held_out_corruption_blocks_candidates():
     terms = [Fraction(2) ** n for n in range(20)]
     terms[-1] += 1
-    assert guess_cfinite(terms, 2) is None
+    assert guess_precursive(terms, 2, 0, margin=G.MARGIN) is None
 
 
 def test_too_few_terms_is_absence_not_error():

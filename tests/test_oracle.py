@@ -1,5 +1,6 @@
 """Ground-truth integral values: exact power rule and tanh-sinh quadrature."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -166,6 +167,57 @@ def test_pi_parts_match_quadrature(seq, pre, n):
     with mp.workdps(40):
         got = oracle.numeric_term(prob, n, 30)
         assert abs(mp.pi * float_free(Fraction(q)) - got) < mp.mpf(10) ** -29
+
+
+def reference_term(seq, n):
+    """P_n by a sliding window over the recurrence, independent of cfinite."""
+    window = list(seq.init)
+    for _ in range(n):
+        nxt = Poly("x", [])
+        for i, p in enumerate(seq.coeffs):
+            nxt = nxt + p * window[-1 - i]
+        window = window[1:] + [nxt]
+    return window[0]
+
+
+def antiderivative_at(p, point):
+    return sum((Fraction(c) * point ** (k + 1) / (k + 1) for k, c in enumerate(p.coeffs)),
+               Fraction(0))
+
+
+endpoints = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+rational_prefactors = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                               min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequences(), rational_prefactors, endpoints,
+       st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+       st.lists(st.integers(0, 39), min_size=1, max_size=6))
+def test_exact_term_matches_power_rule(seq, pre, alpha, width, ns):
+    kern = Kernel(RatFunc(Poly("x", pre)), RatFunc(Poly("x", [])))
+    beta = alpha + width
+    prob = IntegralProblem(seq, kern, alpha, beta)
+    # one problem, indices in any order: the cached moments only ever grow
+    for n in ns:
+        integrand = reference_term(seq, n) * Poly("x", pre)
+        want = antiderivative_at(integrand, beta) - antiderivative_at(integrand, alpha)
+        assert oracle.exact_term(prob, n) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(sequences(), st.lists(small, min_size=1, max_size=3), st.integers(1, 30))
+def test_pi_parts_match_moment_sum(seq, pre, count):
+    prefactor = Poly("x", pre) if any(pre) else Poly("x", [1])
+    prob = IntegralProblem(seq, Kernel(RatFunc(prefactor), chebyshev_weight().logderiv),
+                           Fraction(-1), Fraction(1))
+    want = []
+    for n in range(count):
+        p = reference_term(seq, n) * prefactor
+        # int x^k/sqrt(1-x^2) over [-1, 1] = pi*C(k, k/2)/2^k for even k, 0 for odd k
+        want.append(sum((Fraction(c) * math.comb(k, k // 2) / 2**k
+                         for k, c in enumerate(p.coeffs) if k % 2 == 0), Fraction(0)))
+    assert oracle.pi_parts(prob, count) == want
 
 
 def test_numeric_unroll_harmonic():

@@ -126,6 +126,23 @@ def test_transforms_compose():
     )
 
 
+@pytest.mark.parametrize("task", ["terms", "verify"])
+def test_builtin_prefix_is_freed_with_the_job(monkeypatch, task):
+    fresh = {name: cf.CFiniteSeq(s.coeffs, s.init) for name, s in cf.BUILTINS.items()}
+    monkeypatch.setattr(cf, "BUILTINS", fresh)
+    doc = {"task": task, "sequence": {"builtin": "chebyshev_T"}}
+    if task == "terms":
+        doc["count"] = 40
+    else:
+        doc.update(kernel={"polynomial": "x^2+1"}, interval=["-1/2", "1"],
+                   transforms=[{"product_with": {"builtin": "chebyshev_U"}}])
+    job = pipeline.build_job(doc)
+    assert pipeline.run(job).ok
+    assert len(job.sequence._prefix) > 2 * job.sequence.order
+    for seq in cf.BUILTINS.values():
+        assert seq._prefix == list(seq.init)
+
+
 def test_report_exit_codes():
     rep = pipeline.Report(task="terms", job={})
     rep.check("a", True)
