@@ -2,7 +2,6 @@
 
     intrec run --job job.json [--format text|json] [--out FILE] [options]
     intrec selftest [--seed S]
-    intrec bench [--seed S] [--repeat R]
 
 Exit codes: 0 all verifications passed; 1 a verification failed; 2 invalid
 input (job file, schema, or expressions); 3 search exhausted (no telescoper,
@@ -10,11 +9,8 @@ no guess, or boundary not evaluable with no fallback).
 """
 
 import argparse
-import random
 import sys
-import time
 
-from . import _kernels as kernels
 from . import acceptance
 from . import pipeline
 from .errors import (
@@ -62,11 +58,6 @@ def _build_parser():
     self_p = sub.add_parser("selftest", help="run the built-in acceptance cases")
     self_p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                         help="seed for the randomized case")
-
-    bench_p = sub.add_parser("bench", help="time the kernel workloads")
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument("--repeat", type=int, default=3,
-                         help="best-of repetitions per workload (default 3)")
     return parser
 
 
@@ -107,74 +98,11 @@ def _cmd_selftest(args):
     return 0 if passed == len(results) else 1
 
 
-# -- benchmarks --------------------------------------------------------------
-
-
-def _workloads(seed):
-    from fractions import Fraction
-
-    from . import cfinite as cf
-    from .genfun import generating_function, taylor_coeffs
-    from .guess import guess_precursive
-    from .oracle import IntegralProblem, exact_term
-    from .poly import Poly
-    from .ratfunc import RatFunc
-    from .telescope import Kernel, telescope, trivial_kernel
-
-    rng = random.Random(seed)
-    g = [rng.randint(-999, 999) for _ in range(31)]
-    g[-1] = g[-1] or 1
-    a = kernels.pmul(g, [rng.randint(-999, 999) for _ in range(31)])
-    b = kernels.pmul(g, [rng.randint(-999, 999) for _ in range(32)])
-
-    seq = cf.BUILTINS["chebyshev_T"]
-
-    def telescope_chebyshev():
-        telescope(generating_function(seq), trivial_kernel(), 6)
-
-    def series_300():
-        taylor_coeffs(generating_function(seq), 300)
-
-    def gcd_deg60():
-        kernels.gcd_int(a, b)
-
-    # ∫ T_n^2 (x^2+1) dx over [-1/3, 2/5]: the first fit is at order 6, degree 3
-    weight = Kernel(RatFunc(Poly("x", [1, 0, 1])), RatFunc(Poly("x", [])))
-    prob = IntegralProblem(cf.power(seq, 2), weight, Fraction(-1, 3), Fraction(2, 5))
-    guess_terms = [exact_term(prob, n) for n in range(51)]
-
-    def guess_51():
-        guess_precursive(guess_terms, 6, 4)
-
-    return [
-        ("telescope chebyshev_T", telescope_chebyshev),
-        ("series to 300 terms", series_300),
-        ("integer-poly gcd deg 60", gcd_deg60),
-        ("guess T^2 from 51 terms", guess_51),
-    ]
-
-
-def _cmd_bench(args):
-    print("%-26s%12s" % ("workload", kernels.BACKEND_NAME))
-    for wname, fn in _workloads(args.seed):
-        best = min(_timeit(fn) for _ in range(max(1, args.repeat)))
-        print("%-26s%11.4fs" % (wname, best))
-    return 0
-
-
-def _timeit(fn):
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "selftest":
-        return _cmd_selftest(args)
-    return _cmd_bench(args)
+    return _cmd_selftest(args)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,12 @@ no trailing zeros, integral rationals demoted to int, constant inner
 polynomials demoted to plain numbers.  Values are never mutated after
 construction, so they can be shared freely.
 
-Polynomial gcds run on the subresultant PRS: integer-cleared for univariate
-input (the hot path, see `_kernels`), generic over Q[x] for bivariate input.
-No factorization is used anywhere.
+Every polynomial gcd, univariate or in Q[x][t], clears denominators and runs
+the one heuristic gcd `_kernels.gcd_int` (GCDHEU: evaluate, take the integer
+or Z[x] gcd of the images, rebuild by balanced digits), which accepts a
+candidate only after it divides both inputs exactly; its docstring says why
+that gate makes the result the gcd and why the loop ends.  No factorization
+is used anywhere.
 """
 
 from fractions import Fraction
@@ -35,15 +38,6 @@ def num_div(a, b):
     if not b:
         raise ZeroDivisionError("rational division by zero")
     return as_num(Fraction(a) / Fraction(b))
-
-
-def fmt_num(v):
-    """Exact decimal-free rendering: "a" or "a/b"."""
-    return str(v)
-
-
-def num_from_str(s):
-    return as_num(Fraction(s))
 
 
 def _canon_coeff(c):
@@ -382,72 +376,17 @@ def _int_rows(p):
     return out
 
 
-def _rows_content(rows):
-    """Primitive gcd over Z[x] of the nonzero rows."""
-    g = []
-    for c in rows:
-        if not c:
-            continue
-        g = K.gcd_int(g, c)
-        if len(g) == 1:
-            return [1]
-    return g
-
-
-def _rows_primitive(rows, cont):
-    if cont == [1]:
-        return rows
-    return [K.exactdiv_int(c, cont) if c else [] for c in rows]
-
-
-def _prem_rows(a, b):
-    """Pseudo-remainder of t-lists with Z[x]-list coefficients.
-
-    The deficient-degree compensation factor is skipped; callers take
-    primitive parts immediately, so content-only factors never matter.
-    """
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    while r and len(r) - 1 >= db:
-        lead = r[-1]
-        s = len(r) - 1 - db
-        r = [K.pmul(c, lb) for c in r]
-        for i in range(db + 1):
-            r[s + i] = K.psub(r[s + i], K.pmul(lead, b[i]))
-        del r[-1]
-        while r and not r[-1]:
-            del r[-1]
-    return r
-
-
 def _gcd_bivariate(a, b):
-    """Primitive PRS over Z[x][t] after clearing all rational denominators."""
-    ra, rb = _int_rows(a), _int_rows(b)
-    ca, cb = _rows_content(ra), _rows_content(rb)
-    ra, rb = _rows_primitive(ra, ca), _rows_primitive(rb, cb)
-    cont = K.gcd_int(ca, cb)
-    if len(ra) < len(rb):
-        ra, rb = rb, ra
-    while True:
-        r = _prem_rows(ra, rb)
-        if not r:
-            break
-        if len(r) == 1:
-            rb = [[1]]
-            break
-        ra, rb = rb, _rows_primitive(r, _rows_content(r))
-    if cont != [1]:
-        rb = [K.pmul(c, cont) if c else [] for c in rb]
-    res = Poly(a.var, [Poly("x", c) for c in rb])
-    return canonical_unit(res)
+    """Canonical gcd in Q[x][t]: `K.gcd_int` on the denominator-cleared rows."""
+    rows = K.gcd_int(_int_rows(a), _int_rows(b))
+    return Poly(a.var, [Poly("x", r) for r in rows])
 
 
 def gcd(a, b):
     """Canonical gcd: monic for univariate over Q, unit-normalized for Q[x][t].
 
     gcd(a, 0) is the normalized form of a; gcd(0, 0) = 0; a nonzero rational
-    constant has gcd 1 with anything, returned without running a PRS.
+    constant has gcd 1 with anything, returned without running `K.gcd_int`.
     """
     if a.is_zero() and b.is_zero():
         return Poly(a.var, [])
@@ -533,12 +472,3 @@ def deriv_inner(p):
     if p.var == "x":
         return p.deriv()
     return p.map_coeffs(lambda c: c.deriv() if isinstance(c, Poly) else 0)
-
-
-def eval_bivariate(p, xv, tv):
-    """Evaluate a Q[x][t] polynomial at rational (x, t)."""
-    acc = 0
-    for c in reversed(p.coeffs):
-        cv = c.eval(xv) if isinstance(c, Poly) else c
-        acc = acc * tv + cv
-    return as_num(Fraction(acc))

@@ -173,12 +173,7 @@ def telescope(gf, kernel, max_order):
 
 
 def _reduce_content(avec, y):
-    """Divide the operator by the gcd of its coefficients, rescaling y to match.
-
-    y/g stays in lowest terms without a bivariate gcd: num and den are
-    coprime, so gcd(num, den·g) = gcd(num, g), and as g is x-free that is
-    the univariate gcd of g with the x-coefficients of num.
-    """
+    """Divide the operator by the gcd of its coefficients, rescaling y to match."""
     g = None
     for a in avec:
         if not a:
@@ -188,15 +183,7 @@ def _reduce_content(avec, y):
             break
     if g is not None and not g.is_constant():
         avec = [P.exact_div(a, g) if a else a for a in avec]
-        num, den = y.num, y.den * g
-        h = g
-        for c in P.x_coefficients(num):
-            if h.is_constant():
-                break
-            h = P.gcd(h, c)
-        if not h.is_constant():
-            num, den = P.exact_div(num, h), P.exact_div(den, h)
-        y = RatFunc._coprime(num, den)
+        y = RatFunc(y.num, y.den * g)
     f = canonical_scale(avec)
     if f != 1:
         y = y * f

@@ -148,10 +148,3 @@ def test_option_flags_reach_the_pipeline(tmp_path, capsys):
     assert cli.main(["run", "--job", write_job(tmp_path, doc),
                      "--max-order", "0"]) == 0
     capsys.readouterr()
-
-
-def test_bench_smoke(capsys):
-    assert cli.main(["bench", "--repeat", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "workload" in out and "pure" in out
-    assert "guess T^2 from 51 terms" in out

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,16 @@ def test_degree_limit():
             rf(text, XT, "t")
         assert "degree exceeds" in str(exc.value)
         assert exc.value.position == pos, text
+
+
+def test_high_power_quotient_parses_quickly():
+    # normalising the quotient takes one gcd of two degree-200 polynomials
+    start = time.perf_counter()
+    r = rf("(1+x)^200/(2+x)^200")
+    assert time.perf_counter() - start < 3.0
+    assert r.num == Poly("x", [1, 1]) ** 200 and r.den == Poly("x", [2, 1]) ** 200
+    assert rf("(1+x)^200/((2+x)^100*(1+x)^100)") == RatFunc(Poly("x", [1, 1]) ** 100,
+                                                              Poly("x", [2, 1]) ** 100)
 
 
 def test_nesting_limit():

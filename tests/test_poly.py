@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intrec import _kernels as K
 from intrec import poly as P
@@ -48,8 +50,7 @@ def test_rational_field_axioms():
         assert a + (-a) == 0
         if b:
             assert P.num_div(a, b) * b == a
-    assert P.fmt_num(P.as_num(Fraction(4, 2))) == "2"
-    assert P.num_from_str("7/3") == Fraction(7, 3)
+    assert P.as_num(Fraction(4, 2)) == 2 and type(P.as_num(Fraction(4, 2))) is int
     with pytest.raises(ZeroDivisionError):
         P.num_div(Fraction(1), Fraction(0))
 
@@ -116,12 +117,12 @@ def test_gcd_worked_examples():
 
 
 def test_gcd_with_a_rational_constant_is_one(monkeypatch):
-    # a nonzero rational constant shares no factor with anything: no PRS runs
-    def no_prs(*args):
-        raise AssertionError("PRS ran for a constant argument")
+    # a nonzero rational constant shares no factor with anything: no gcd runs
+    def no_gcd(*args):
+        raise AssertionError("gcd ran for a constant argument")
 
-    monkeypatch.setattr(K, "gcd_int", no_prs)
-    monkeypatch.setattr(P, "_gcd_bivariate", no_prs)
+    monkeypatch.setattr(K, "gcd_int", no_gcd)
+    monkeypatch.setattr(P, "_gcd_bivariate", no_gcd)
     x = Poly.variable("x")
     biv = Poly("t", [x + 1, x * x, 3])
     t_const_biv = Poly("t", [x + 2])  # t-free, but not a rational constant
@@ -152,6 +153,109 @@ def test_gcd_recovers_planted_factor():
         d = P.gcd(g * u, g * v)
         _, r = P.divmod_poly(d, g.monic())
         assert r.is_zero()
+
+
+ROOTS = sorted({Fraction(k, p) for k in range(-30, 31) for p in (1, 2, 3, 5)})
+
+
+def _coprime_factors(rng, count, make):
+    """`count` linear factors with distinct roots, split in two lists."""
+    keys = rng.sample(ROOTS, count)
+    factors = [make(rng, k) for k in keys]
+    cut = rng.randint(0, count)
+    return factors[:cut], factors[cut:]
+
+
+def _product(factors, one):
+    out = one
+    for f in factors:
+        out = out * f
+    return out
+
+
+def test_gcd_is_the_planted_factor_univariate():
+    # u and v are products of linear factors with distinct roots, so gcd(u, v)
+    # is an integer and gcd(g·u, g·v) is exactly g up to its content
+    rng = random.Random(1717)
+    one = Poly("x", [1])
+    for _ in range(150):
+        g = Poly("x", [rng.randint(-10**rng.randint(0, 12), 10**rng.randint(0, 12))
+                       for _ in range(rng.randint(1, 6))])
+        if g.is_zero():
+            continue
+        us, vs = _coprime_factors(rng, rng.randint(0, 6),
+                                  lambda r, k: Poly("x", [-k.numerator, k.denominator]))
+        u = _product(us, one) * rng.randint(1, 6)
+        v = _product(vs, one) * rng.randint(1, 6)
+        a, b = (g * u).coeffs, (g * v).coeffs
+        assert K.gcd_int(a, b) == K.primitive_int(g.coeffs)
+        assert P.gcd(g * u, g * v) == g.monic()
+
+
+def test_gcd_is_the_planted_factor_bivariate():
+    # u and v are products of distinct irreducibles t - c·x - k and x - k,
+    # so they are coprime in Q[x][t] and gcd(g·u, g·v) is exactly g
+    rng = random.Random(1818)
+    x = Poly.variable("x")
+    one = Poly("t", [1])
+
+    def t_factor(r, k):
+        return Poly("t", [-(r.choice([0, 1, -2]) * x) - k, 1])
+
+    for _ in range(60):
+        g = rand_bivar(rng, maxdeg_t=2, maxdeg_x=2, span=rng.choice([3, 1000]))
+        if g.is_zero():
+            continue
+        ut, vt = _coprime_factors(rng, rng.randint(0, 4), t_factor)
+        ux, vx = _coprime_factors(rng, rng.randint(0, 3), lambda r, k: Poly("t", [x - k]))
+        u = _product(ut + ux, one) * Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        v = _product(vt + vx, one) * rng.randint(1, 6)
+        assert P.gcd(g * u, g * v) == P.canonical_unit(g)
+        rows = K.gcd_int(P._int_rows(g * u), P._int_rows(g * v))
+        assert Poly("t", [Poly("x", r) for r in rows]) == P.canonical_unit(g)
+
+
+def _euclid_over_q(a, b):
+    """Monic gcd of two int lists by the Euclidean algorithm over Q."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            s = len(a) - len(b)
+            a = [c - q * b[i - s] if i >= s else c for i, c in enumerate(a)][:-1]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return [c / a[-1] for c in a] if a else []
+
+
+int_lists = st.lists(st.integers(-60, 60), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_lists, int_lists, int_lists)
+def test_gcd_int_matches_euclid_over_q(g, u, v):
+    a, b = K.pmul(g, u), K.pmul(g, v)
+    if not (a or b):
+        return
+    h = K.gcd_int(a, b)
+    assert [Fraction(c, h[-1]) for c in h] == _euclid_over_q(a, b)
+    assert h[-1] > 0 and K.content_int(h) == 1
+
+
+def test_gcd_int_retries_after_an_unlucky_point(monkeypatch):
+    # at the first point xi = 2·1 + 29 = 31 the image gcd is 961 = 31^2, whose
+    # digits spell x^2, which does not divide 13x^3 + 16x^2 + 31x
+    passes = []
+    interpolate = K._interpolate
+
+    def counted(g, xi, nested):
+        passes.append(xi)
+        return interpolate(g, xi, nested)
+
+    monkeypatch.setattr(K, "_interpolate", counted)
+    assert K.gcd_int([0, 0, 1], [0, 31, 16, 13]) == [0, 1]
+    assert passes[0] == 31 and len(passes) >= 2
 
 
 def test_lcm_gcd_product_relation():
@@ -218,12 +322,12 @@ def test_cross_variable_product_stays_flat():
     assert r == Poly("x", [0, 0, 1])
     s = Poly("x", [0, 1]) * Poly("t", [0, 1])
     assert s.var == "t"
-    assert P.eval_bivariate(s, Fraction(3), Fraction(5)) == 15
+    assert P.subs_inner(s, Fraction(3)).eval(Fraction(5)) == 15
 
 
 def test_eval_bivariate_worked():
     bp = Poly("t", [Poly("x", [1, 2]), Poly("x", [0, 3])])
-    assert P.eval_bivariate(bp, Fraction(2), Fraction(5)) == 35
+    assert P.subs_inner(bp, Fraction(2)).eval(Fraction(5)) == 35
 
 
 def test_inner_substitution_and_derivative():

