@@ -14,19 +14,20 @@ the rows the exact solver would build.  If those rows have full column rank
 mod p, some maximal minor is nonzero mod p, hence nonzero over Q, so the
 exact nullspace is trivial and the cell is skipped.  The screen gives no
 verdict when PRIME divides a term's denominator or when the rank mod p falls
-short of the column count; such cells take the exact path unchanged, so the
-screen only ever skips cells the exact path would have rejected.
+short of the column count, so it only ever skips cells with no solution.
+Every other cell goes to `linalg.nullspace`, which solves it by p-adic
+lifting and checks each basis vector exactly against every row; the held-out
+terms then gate the candidate recurrence.
 """
 
 from fractions import Fraction
 
-from .linalg import canonical_vector, nullspace
+from .linalg import PRIME, canonical_vector, echelon_mod_p, nullspace
 from .ode2rec import Recurrence, first_failure
 from . import poly as P
 from .poly import Poly
 
 MARGIN = 8
-PRIME = 1073741789  # the largest prime below 2**30
 
 
 def _cell(terms, r, d, train):
@@ -65,27 +66,8 @@ def _residues(values):
 
 
 def _full_rank_mod_p(rows, ncols):
-    """True when the residue rows (an iterable) have rank ncols modulo PRIME.
-
-    Rows are reduced one at a time against an echelon basis, so the scan
-    stops as soon as ncols pivots are found.
-    """
-    basis = {}
-    for row in rows:
-        row = list(row)
-        for c in range(ncols):
-            v = row[c]
-            if not v:
-                continue
-            b = basis.get(c)
-            if b is None:
-                inv = pow(v, -1, PRIME)
-                basis[c] = [x * inv % PRIME for x in row]
-                if len(basis) == ncols:
-                    return True
-                break
-            row[c:] = [(x - v * y) % PRIME for x, y in zip(row[c:], b[c:])]
-    return False
+    """True when the residue rows (an iterable) have rank ncols modulo PRIME."""
+    return len(echelon_mod_p(rows, ncols, PRIME)) == ncols
 
 
 def _cell_rows_mod_p(res, r, d, train):

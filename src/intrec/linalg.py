@@ -1,19 +1,37 @@
-"""Exact nullspace and determinant computations, fraction-free throughout.
+"""Exact nullspace and determinant computations.
 
-The nullspace solver clears every row to integer (or integer-polynomial)
-entries, eliminates with the gcd cross-multiplication trick, strips row
-contents as it goes, then back-substitutes (for polynomial entries without
-leaving Z[t]).  Basis vectors come back canonical: jointly integer-primitive
-with the first nonzero entry positive, one vector per free column, in column
-order.  That makes solver output reproducible across runs.
+Both nullspace solvers return the canonical basis: one vector per free column
+of the reduced row echelon form over Q, in column order, each jointly
+integer-primitive with the first nonzero entry positive.  That makes solver
+output reproducible across runs.
+
+Polynomial entries (`_nullspace_poly`) stay fraction-free: rows are cleared
+to Z[t], eliminated with the gcd cross-multiplication trick with row contents
+stripped as it goes, and back-substituted without leaving Z[t].
+
+Rational entries (`_nullspace_frac`) are solved by p-adic lifting (Dixon,
+Numer. Math. 1982).  Rows are cleared to integers and eliminated modulo the
+prime PRIME, which gives the pivot columns and an invertible pivot block.
+For each free column the block system is lifted one p-adic digit at a time,
+and rational reconstruction (Wang's bounds, one shared denominator) is tried
+whenever the digit count has grown by a fixed factor; past the Hadamard bound
+the reconstruction is exact, so the lifting ends.  A vector is returned only
+when it annihilates every row exactly and leans on no pivot column after its
+own, which makes it the reduced row echelon vector over Q.  When a row fails,
+the rank dropped modulo the prime: the solve restarts at the next smaller
+prime.  Only the finitely many primes dividing the minors involved can fail,
+so the loop ends.
 """
 
 from fractions import Fraction
-from math import gcd as _igcd, lcm as _ilcm
+from math import gcd as _igcd, isqrt, lcm as _ilcm
+from operator import mul
 
 from . import _kernels as K
 from . import poly as P
 from .poly import Poly
+
+PRIME = 1073741789  # the largest prime below 2**30
 
 
 def canonical_scale(entries):
@@ -41,58 +59,191 @@ def canonical_vector(entries):
             for e in entries]
 
 
+def _primes():
+    """PRIME, then the primes below it in descending order."""
+    yield PRIME
+    p = PRIME - 2
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p -= 2
+
+
+def echelon_mod_p(rows, ncols, p):
+    """Row echelon form modulo p of residue rows (an iterable).
+
+    Returns one entry per pivot, in the order found: (pivot column, index of
+    the row that brought it, that row reduced with a leading 1, the
+    multipliers of the earlier entries subtracted from it, the inverse of its
+    leading entry).  Rows are reduced one at a time against the entries so
+    far, so the scan stops as soon as ncols pivots are found.  The pivot
+    columns are those of the reduced row echelon form.
+    """
+    echelon, at = [], {}
+    for i, row in enumerate(rows):
+        row = list(row)
+        steps = [0] * len(echelon)
+        for c in range(ncols):
+            v = row[c]
+            if not v:
+                continue
+            hit = at.get(c)
+            if hit is None:
+                inv = pow(v, -1, p)
+                reduced = [x * inv % p for x in row]
+                at[c] = len(echelon), reduced
+                echelon.append((c, i, reduced, steps, inv))
+                if len(echelon) == ncols:
+                    return echelon
+                break
+            k, b = hit
+            steps[k] = v
+            row[c:] = [(x - v * y) % p for x, y in zip(row[c:], b[c:])]
+    return echelon
+
+
+def _solver_mod_p(echelon, p):
+    """x ↦ the solution mod p of B·x = b, B the pivot rows on the pivot columns.
+
+    b is indexed like the echelon entries, x by pivot column in ascending
+    order.  The recorded steps carry b to the echelon rows, and
+    back-substitution through their unit upper-triangular part gives x.
+    """
+    order = sorted(range(len(echelon)), key=lambda k: echelon[k][0])
+    pcols = [echelon[k][0] for k in order]
+    # back-substitution from the last pivot column: the rows above the
+    # diagonal, read right to left
+    upper = [(k, [echelon[k][2][c] for c in reversed(pcols[s + 1:])])
+             for s, k in reversed(list(enumerate(order)))]
+
+    def solve(b):
+        y = []
+        for (_, _, _, steps, inv), v in zip(echelon, b):
+            y.append((v - sum(map(mul, steps, y))) * inv % p)
+        x = []
+        for k, row in upper:
+            x.append((y[k] - sum(map(mul, row, x))) % p)
+        x.reverse()
+        return x
+
+    return solve
+
+
+def _ratrecon(u, m, bound_n, bound_d):
+    """(a, b) with a ≡ u·b mod m, |a| ≤ bound_n, 0 < b ≤ bound_d, or None (Wang)."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound_n:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not t1 or abs(t1) > bound_d:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _reconstruct(xs, m):
+    """Integers (nums, den) with nums ≡ den·xs mod m, or None.
+
+    Entries share one denominator: each is multiplied by the denominator found
+    so far before its own reconstruction, whose denominator bound shrinks to
+    match, so den stays within Wang's bound isqrt(m // 2).
+    """
+    bound = isqrt(m // 2)
+    nums, den = [], 1
+    for x in xs:
+        ab = _ratrecon(x * den % m, m, bound, bound // den)
+        if ab is None:
+            return None
+        a, b = ab
+        if b != 1:
+            nums = [n * b for n in nums]
+            den *= b
+        nums.append(a)
+    return nums, den
+
+
+def _lift(block, solve, rhs, p):
+    """Candidate solutions (nums, den) of block·nums = den·rhs, by p-adic lifting.
+
+    block is square and `solve` solves it mod p.  Each step adds one p-adic
+    digit to the solution; a candidate is reconstructed whenever the digit
+    count has grown by a factor 5/4.  The last candidate comes once p^k
+    exceeds 2·H², H the Hadamard bound on the Cramer numerators and the
+    denominator, and is the exact solution.
+    """
+    h2 = max(1, sum(v * v for v in rhs))
+    for c in range(len(block)):
+        h2 *= sum(row[c] * row[c] for row in block)
+    xs = [0] * len(block)
+    res = list(rhs)
+    m, k, check = 1, 0, 1
+    while True:
+        if any(res):
+            digit = solve([v % p for v in res])
+            res = [(v - sum(map(mul, row, digit))) // p for v, row in zip(res, block)]
+            xs = [x + m * d for x, d in zip(xs, digit)]
+        m *= p
+        k += 1
+        last = m > 2 * h2
+        if k >= check or last:
+            check = k + (k + 3) // 4
+            cand = _reconstruct(xs, m)
+            if cand is not None:
+                yield cand
+        if last:
+            return
+
+
+def _rref_basis(mat, ncols, p):
+    """The canonical nullspace basis of the integer rows, or None when p is unlucky.
+
+    Elimination mod p gives the pivot columns P and the pivot rows R.  For
+    each other column f, A[R][P]·x = −A[R][f] is solved by p-adic lifting.
+    A vector is kept only if A·v = 0 holds exactly on every row and its
+    support lies in f and the pivots before f; it is then the reduced row
+    echelon vector of f over Q.  Otherwise the rank of some leading block of
+    columns dropped mod p, and the caller moves to the next prime.  Only
+    finitely many primes divide the minors involved.
+    """
+    echelon = echelon_mod_p(([x % p for x in r] for r in mat), ncols, p)
+    if len(echelon) == ncols:
+        return []
+    pcols = sorted(e[0] for e in echelon)
+    block = [[mat[e[1]][c] for c in pcols] for e in echelon]
+    kept = set(e[1] for e in echelon)
+    others = [r for i, r in enumerate(mat) if i not in kept]
+    solve = _solver_mod_p(echelon, p)
+    out = []
+    for f in range(ncols):
+        if f in pcols:
+            continue
+        rhs = [-mat[e[1]][f] for e in echelon]
+        for nums, den in _lift(block, solve, rhs, p):
+            if all(sum(map(mul, row, nums)) == den * v for row, v in zip(block, rhs)):
+                break
+        else:
+            raise ArithmeticError("p-adic lifting passed the Hadamard bound")
+        v = [0] * ncols
+        v[f] = den
+        for c, x in zip(pcols, nums):
+            v[c] = x
+        if any(v[c] for c in pcols if c > f) or any(sum(map(mul, r, v)) for r in others):
+            return None
+        out.append(canonical_vector(v))
+    return out
+
+
 def _nullspace_frac(rows, ncols):
     mat = []
     for row in rows:
-        den = 1
-        for e in row:
-            den = _ilcm(den, Fraction(e).denominator)
-        r = [int(Fraction(e) * den) for e in row]
+        den = _ilcm(*(e.denominator for e in row))
+        r = [e.numerator * (den // e.denominator) for e in row]
         if any(r):
             mat.append(r)
-    used = [False] * len(mat)
-    pivots = []
-    for col in range(ncols):
-        best = None
-        for i, r in enumerate(mat):
-            if used[i] or not r[col]:
-                continue
-            key = abs(r[col]).bit_length()
-            if best is None or key < best[0]:
-                best = (key, i)
-        if best is None:
-            continue
-        i = best[1]
-        used[i] = True
-        pivots.append((i, col))
-        piv = mat[i][col]
-        for j, r in enumerate(mat):
-            if j == i or not r[col]:
-                continue
-            g = _igcd(piv, r[col])
-            pg, eg = piv // g, r[col] // g
-            new = [pg * r[k] - eg * mat[i][k] for k in range(ncols)]
-            c = 0
-            for v in new:
-                if v:
-                    c = _igcd(c, v)
-                    if c == 1:
-                        break
-            if c > 1:
-                new = [v // c for v in new]
-            mat[j] = new
-    pivot_of = dict((c, i) for i, c in pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_of:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in pivots:
-            # row i is clean outside its pivot and the free columns
-            v[c] = Fraction(-mat[i][f], mat[i][c])
-        basis.append(canonical_vector(v))
-    return basis
+    for p in _primes():
+        basis = _rref_basis(mat, ncols, p)
+        if basis is not None:
+            return basis
 
 
 def _nullspace_poly(rows, ncols, var):

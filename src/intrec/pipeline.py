@@ -147,7 +147,7 @@ def _build_sequence(doc, what="sequence"):
     if "builtin" in doc:
         _check_keys(doc, ("builtin",), what)
         name = doc["builtin"]
-        if name not in cf.BUILTINS:
+        if not isinstance(name, str) or name not in cf.BUILTINS:
             raise InvalidJob(
                 "%s: unknown builtin %r (available: %s)"
                 % (what, name, ", ".join(sorted(cf.BUILTINS)))
@@ -340,8 +340,10 @@ def load_job(path, defaults=None):
             doc = json.load(fh)
     except OSError as e:
         raise InvalidJob("cannot read job file: %s" % e)
-    except json.JSONDecodeError as e:
-        raise InvalidJob("job file is not valid JSON: %s" % e)
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors; the decoder
+        # recurses once per nesting level
+        raise InvalidJob("job file is not valid UTF-8 JSON: %s" % e)
     return build_job(doc, defaults)
 
 

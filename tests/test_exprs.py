@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intrec import exprs
 from intrec.errors import DivisionByZeroExpr, ParseError, UnknownVariable
@@ -174,6 +176,36 @@ def test_print_parse_round_trip():
         r = rand_ratfunc(rng)
         text = exprs.fmt_ratfunc(r)
         assert exprs.parse_ratfunc(text, X, "x") == r
+
+
+coeffs = (st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+          | st.integers(-2**200, 2**200).map(Fraction))
+
+
+def polys(var):
+    return st.lists(coeffs, max_size=5).map(lambda cs: Poly(var, cs))
+
+
+# (ring, allowed variables, default variable): Q[x], Q[n] and Q[x][t]
+RINGS = [
+    (polys("x"), X, "x"),
+    (polys("n"), ("n",), "n"),
+    (st.lists(polys("x"), max_size=4).map(lambda cs: Poly("t", cs)), XT, "t"),
+]
+
+
+@st.composite
+def ratfuncs(draw):
+    ring, allowed, default = draw(st.sampled_from(RINGS))
+    den = draw(ring.filter(lambda p: not p.is_zero()))
+    return RatFunc(draw(ring), den), allowed, default
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratfuncs())
+def test_printed_ratfunc_parses_back(case):
+    r, allowed, default = case
+    assert exprs.parse_ratfunc(exprs.fmt_ratfunc(r), allowed, default) == r
 
 
 def test_byte_fuzz_never_panics():

@@ -6,14 +6,17 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from intrec import cfinite as cf
+from intrec import cli
 from intrec import exprs
 from intrec import oracle
 from intrec import pipeline
 from intrec import poly as P
-from intrec.errors import BoundaryNotEvaluable, InvalidJob
+from intrec.errors import BoundaryNotEvaluable, IntrecError, InvalidJob
 from intrec.poly import Poly
 from intrec.ratfunc import RatFunc
 from intrec.telescope import Kernel, chebyshev_weight
@@ -370,3 +373,89 @@ def test_load_job_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(InvalidJob):
         pipeline.load_job(str(bad))
+    # not UTF-8, and nested deeper than the JSON decoder's recursion allows
+    for blob in (b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000):
+        bad.write_bytes(blob)
+        with pytest.raises(InvalidJob):
+            pipeline.load_job(str(bad))
+
+
+# -- job-document fuzzing: every document builds or is refused with exit 2 ----
+
+EXPRESSIONS = ["1", "0", "x", "-x", "2*x", "2*x^2-1", "1-x^2", "x^2+1", "1/(2-x)",
+               "(1/2)/(x-1)", "x/(1-x^2)", "1/x", "1/0", "x^1001", "t", "2x", "(1+x)^40"]
+fuzz_text = st.text(alphabet="xtn0123456789+-*/^() .", max_size=10)
+expressions = st.sampled_from(EXPRESSIONS) | fuzz_text
+json_leaves = (st.none() | st.booleans() | st.integers(-3, 40)
+               | st.floats(allow_nan=False, allow_infinity=False) | expressions)
+json_values = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=8), kids, max_size=3),
+    max_leaves=8,
+)
+rational_texts = st.sampled_from(["-1", "0", "1", "1/2", "-1/3", "2/5", "1e3", "x", ""])
+
+
+@st.composite
+def junk_or(draw, strategy):
+    """A value from strategy, or one time in eight a JSON value of any shape."""
+    return draw(json_values if draw(st.integers(0, 7)) == 7 else strategy)
+
+
+custom_sequences = st.fixed_dictionaries(
+    {"coeffs": junk_or(st.lists(expressions, max_size=3)),
+     "init": junk_or(st.lists(expressions, max_size=3))},
+    optional={"order": junk_or(st.integers(0, 3))},
+)
+sequences = junk_or(st.sampled_from([{"builtin": n} for n in sorted(cf.BUILTINS)])
+                    | st.fixed_dictionaries({"builtin": json_values})
+                    | custom_sequences)
+transforms = junk_or(st.lists(
+    st.sampled_from(["reverse", {"reverse": True}])
+    | st.fixed_dictionaries({"power": junk_or(st.integers(-1, 5))})
+    | st.fixed_dictionaries({"product_with": sequences})
+    | json_values,
+    max_size=3,
+))
+kernels = junk_or(
+    st.fixed_dictionaries({"polynomial": junk_or(expressions)})
+    | st.fixed_dictionaries({"rational": junk_or(expressions)})
+    | st.fixed_dictionaries({"logderiv": junk_or(expressions)},
+                            optional={"form": junk_or(st.sampled_from(["linear_power", "cheb"]))})
+)
+options = junk_or(st.dictionaries(
+    st.sampled_from(["max_order", "max_degree", "precision", "margin", "depth"]),
+    junk_or(st.integers(-1, 120)), max_size=4,
+))
+@st.composite
+def schema_documents(draw):
+    """Job documents along the schema, one time in eight with a stray field."""
+    doc = draw(st.fixed_dictionaries(
+        {"task": junk_or(st.sampled_from(pipeline._TASKS)), "sequence": sequences},
+        optional={
+            "transforms": transforms,
+            "kernel": kernels,
+            "interval": junk_or(st.lists(junk_or(rational_texts), min_size=2, max_size=2)),
+            "count": junk_or(st.integers(-1, 600)),
+            "options": options,
+        },
+    ))
+    if draw(st.integers(0, 7)) == 7:
+        doc[draw(st.text(max_size=8))] = draw(json_values)
+    return doc
+
+
+job_documents = junk_or(schema_documents())
+
+
+@settings(max_examples=400, deadline=None)
+@given(job_documents)
+def test_job_documents_build_or_exit_2(doc):
+    start = time.perf_counter()
+    try:
+        job = pipeline.build_job(doc)
+    except IntrecError as e:
+        assert cli._error_exit_code(e) == 2
+    else:
+        assert isinstance(job, pipeline.Job)
+    assert time.perf_counter() - start < 10.0
