@@ -1,13 +1,9 @@
 """Exact nullspace and determinant computations.
 
 Both nullspace solvers return the canonical basis: one vector per free column
-of the reduced row echelon form over Q, in column order, each jointly
-integer-primitive with the first nonzero entry positive.  That makes solver
-output reproducible across runs.
-
-Polynomial entries (`_nullspace_poly`) stay fraction-free: rows are cleared
-to Z[t], eliminated with the gcd cross-multiplication trick with row contents
-stripped as it goes, and back-substituted without leaving Z[t].
+of the reduced row echelon form over Q or Q(t), in column order, each jointly
+primitive over Z or Z[t] with the first nonzero entry (its leading
+coefficient) positive.  That makes solver output reproducible across runs.
 
 Rational entries (`_nullspace_frac`) are solved by p-adic lifting (Dixon,
 Numer. Math. 1982).  Rows are cleared to integers and eliminated modulo the
@@ -21,10 +17,25 @@ own, which makes it the reduced row echelon vector over Q.  When a row fails,
 the rank dropped modulo the prime: the solve restarts at the next smaller
 prime.  Only the finitely many primes dividing the minors involved can fail,
 so the loop ends.
+
+Polynomial entries (`_nullspace_tadic`) are solved by the same idea in t:
+t-adic lifting modulo primes.  Rows are cleared to Z[t] and reduced mod p.
+At a point t0 from a fixed sequence (t0 = 0 is often degenerate here),
+elimination gives the pivot columns and an invertible pivot block; if the
+rows at t0 have full column rank, so do the rows over Q(t), and the basis is
+empty.  Otherwise each free column's block system is lifted as a power
+series in t − t0, one coefficient per triangular solve, and a Padé
+approximant (extended Euclid, one shared denominator) is tried whenever the
+coefficient count has grown by a fixed factor; Cramer's rule bounds the
+count needed.  Shifted back to t, the images of successive primes are
+combined by CRT and rational reconstruction.  A basis is returned only when
+it annihilates every row exactly over Z[t] and leans on no pivot column
+after its own.  Only finitely many pairs (p, t0) fail, so the loop ends.
 """
 
 from fractions import Fraction
-from math import gcd as _igcd, isqrt, lcm as _ilcm
+from itertools import accumulate, count
+from math import comb, gcd as _igcd, isqrt, lcm as _ilcm
 from operator import mul
 
 from . import _kernels as K
@@ -59,14 +70,21 @@ def canonical_vector(entries):
             for e in entries]
 
 
+_PRIMES = [PRIME]  # the primes _primes() has found so far
+
+
 def _primes():
-    """PRIME, then the primes below it in descending order."""
-    yield PRIME
-    p = PRIME - 2
-    while True:
-        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
-            yield p
-        p -= 2
+    """PRIME, then the primes below it in descending order.
+
+    Each prime is found by trial division once and kept in _PRIMES.
+    """
+    for i in count():
+        if i == len(_PRIMES):
+            p = _PRIMES[-1] - 2
+            while not all(p % q for q in range(3, isqrt(p) + 1, 2)):
+                p -= 2
+            _PRIMES.append(p)
+        yield _PRIMES[i]
 
 
 def echelon_mod_p(rows, ncols, p):
@@ -246,81 +264,267 @@ def _nullspace_frac(rows, ncols):
             return basis
 
 
-def _nullspace_poly(rows, ncols, var):
-    # rows of int-coefficient lists, scaled per row to clear rational parts
+# -- Q[t] entries: t-adic lifting modulo primes --------------------------------
+
+T0_STEP = 2654435761  # a prime above PRIME
+
+
+def _points():
+    """The shift points tried for each prime, in order: T0_STEP·j for j = 1, 2, …
+
+    For a prime p below T0_STEP the first p − 1 of them are distinct and
+    nonzero mod p.
+    """
+    return count(T0_STEP, T0_STEP)
+
+
+def _pmul_mod(a, b, p, n=None):
+    """a·b mod p for coefficient lists, truncated below t^n when n is given."""
+    if not a or not b:
+        return []
+    lb = len(b)
+    rb = b[::-1]
+    top = len(a) + lb - 1 if n is None else min(n, len(a) + lb - 1)
+    head = [sum(map(mul, a, rb[lb - 1 - k:])) % p for k in range(min(lb - 1, top))]
+    return K.strip(head + [sum(map(mul, a[k - lb + 1:k + 1], rb)) % p for k in range(lb - 1, top)])
+
+
+def _shifter(t0, d, p):
+    """cs ↦ the coefficients mod p of a(t + t0), a of degree ≤ d with coefficients cs."""
+    pw = [pow(t0, j, p) for j in range(d + 1)]
+    # coefficient k of a(t + t0) is the sum over j ≥ k of a_j·C(j, k)·t0^(j−k)
+    taylor = [[comb(j, k) * pw[j - k] % p for j in range(k, d + 1)] for k in range(d + 1)]
+    return lambda cs: K.strip([sum(map(mul, cs[k:], w)) % p
+                               for k, w in enumerate(taylor[:len(cs)])])
+
+
+def _divmod_mod(a, b, p):
+    """Quotient and remainder of a by b (nonzero) modulo p."""
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = r[i] * inv % p
+        if c:
+            q[i - db] = c
+            r[i - db:i] = [(x - c * y) % p for x, y in zip(r[i - db:i], b)]
+    return K.strip(q), K.strip(r[:db])
+
+
+def _ratrecon_series(u, n, bound_n, bound_d, p):
+    """(a, b) with a ≡ u·b mod t^n, deg a ≤ bound_n, deg b ≤ bound_d, b(0) = 1, or None.
+
+    The extended Euclidean algorithm on t^n and u, stopped at the first
+    remainder of degree at most bound_n.
+    """
+    r0, r1, s0, s1 = [0] * n + [1], u, [], [1]
+    while len(r1) > bound_n + 1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, K.strip([x % p for x in K.psub(s0, _pmul_mod(q, s1, p))])
+    if len(s1) > bound_d + 1 or not s1[0]:
+        return None
+    c = pow(s1[0], -1, p)
+    return [x * c % p for x in r1], [x * c % p for x in s1]
+
+
+def _pade(series, n, p):
+    """Polynomials (nums, den) mod p with den·s ≡ num mod t^n for each series s, or None.
+
+    The Padé analogue of _reconstruct: entries share one denominator, with
+    den(0) = 1.  Each entry is multiplied by the denominator found so far
+    before its own reconstruction, whose denominator bound shrinks to match,
+    so numerators stay within degree (n − 1)//2 and den within the rest of
+    n − 1.  A solution within those bounds is therefore the one found.
+    """
+    bound_n = (n - 1) // 2
+    bound_d = n - 1 - bound_n
+    nums, den = [], [1]
+    for s in series:
+        u = _pmul_mod(s, den, p, n) if len(den) > 1 else K.strip(list(s))
+        ab = _ratrecon_series(u, n, bound_n, bound_d + 1 - len(den), p)
+        if ab is None:
+            return None
+        a, b = ab
+        if len(b) > 1:
+            nums = [_pmul_mod(x, b, p) for x in nums]
+            den = _pmul_mod(den, b, p)
+        nums.append(a)
+    return nums, den
+
+
+def _lift_series(block, cols, solve, d, p):
+    """(nums, den) over F_p[t] with block·nums = −den·cols, by t-adic lifting.
+
+    block is an r×r matrix of coefficient lists whose constant term is
+    invertible and solved by `solve`; d bounds the degrees of block and cols.
+    Each step adds one coefficient of the power series solution.  A Padé
+    candidate is tried from d + 1 coefficients on, whenever the count has
+    grown by 5/4.  A candidate of degree k that matches n > d + k
+    coefficients is exact, because block·nums + den·cols then has degree at
+    most d + k and vanishes mod t^n.  By Cramer's rule the solution has
+    degree at most r·d, so by 2·r·d + 1 coefficients it is found and
+    certified.
+    """
+    r = len(block)
+    # the last coefficients of the solution, column by column, newest first,
+    # as many as the column's degree in the block: `hist`, laid out like
+    # each row's `flats` entry, which holds its coefficients of t^1, t^2, …
+    widths = [max((len(row[s]) for row in block), default=1) - 1 for s in range(r)]
+    spans = [(s, o, w) for s, o, w in zip(range(r), accumulate([0] + widths), widths) if w]
+    flats = [[row[s][j] if j < len(row[s]) else 0 for s, _, w in spans for j in range(1, w + 1)]
+             for row in block]
+    hist = [0] * sum(widths)
+    xs = []
+    n, check, last = 0, d + 1, 2 * r * d + 1
+    while True:
+        x = solve([(-(g[n] if n < len(g) else 0) - sum(map(mul, fl, hist))) % p
+                   for fl, g in zip(flats, cols)])
+        xs.append(x)
+        hist = [v for s, o, w in spans for v in (x[s], *hist[o:o + w - 1])]
+        n += 1
+        if n >= check or n >= last:
+            check = n + (n + 3) // 4
+            cand = _pade(list(zip(*xs)), n, p)
+            if cand is not None:
+                top = max(map(len, cand[0] + [cand[1]])) - 1
+                if n > d + top:
+                    return cand
+                check = min(check, d + top + 1)
+            if n >= last:
+                raise ArithmeticError("t-adic lifting passed the Cramer bound")
+
+
+def _vanishes_mod(row, vec, p):
+    """Whether the sum of row[c]·vec[c] is the zero polynomial mod p."""
+    acc = []
+    for a, e in zip(row, vec):
+        acc = K.padd(acc, _pmul_mod(a, e, p))
+    return not any(c % p for c in acc)
+
+
+def _basis_mod_p(mat, ncols, p, t0):
+    """(pivot columns, basis) of the nullspace over F_p(t), or None when t0 is unlucky.
+
+    The basis has one vector per free column f of the reduced row echelon
+    form over F_p(t), as coefficient lists mod p, scaled to be primitive
+    over F_p[t] with a monic entry f.  Elimination of the rows at t = t0
+    gives the pivot columns P and rows R; for each free column f the block
+    system A[R][P]·x = −A[R][f] is lifted in powers of t − t0.  If the
+    rows at t0 have full column rank, so do the rows over Q(t), and the
+    basis is empty.  A vector must hold on every row mod p and lean on no
+    pivot after f; otherwise the rank of a leading block of columns dropped
+    at t0, which happens at finitely many points for each prime.
+    """
+    d = max((len(e) for r in mat for e in r), default=1) - 1
+    pw = [pow(t0, j, p) for j in range(d + 1)]
+    echelon = echelon_mod_p(([sum(map(mul, e, pw)) % p for e in r] for r in mat), ncols, p)
+    pcols = sorted(e[0] for e in echelon)
+    if len(pcols) == ncols:
+        return pcols, []
+    shift = _shifter(t0, d, p)
+    sh = [[shift(e) for e in r] for r in mat]
+    block = [sh[e[1]] for e in echelon]
+    kept = set(e[1] for e in echelon)
+    others = [r for i, r in enumerate(sh) if i not in kept]
+    pblock = [[r[c] for c in pcols] for r in block]
+    db = max((len(e) for r in pblock for e in r), default=1) - 1
+    solve = _solver_mod_p(echelon, p)
+    basis = []
+    for f in range(ncols):
+        if f in pcols:
+            continue
+        cols = [r[f] for r in block]
+        deg = max(db, max(map(len, cols), default=1) - 1)
+        nums, den = _lift_series(pblock, cols, solve, deg, p)
+        v = [[] for _ in range(ncols)]
+        v[f] = den
+        for c, x in zip(pcols, nums):
+            v[c] = x
+        if any(v[c] for c in pcols if c > f) or not all(_vanishes_mod(r, v, p) for r in others):
+            return None
+        back = _shifter(-t0 % p, max(map(len, v)) - 1, p)
+        v = [back(e) for e in v]
+        inv = pow(v[f][-1], -1, p)
+        basis.append([[x * inv % p for x in e] for e in v])
+    return pcols, basis
+
+
+def _annihilates(mat, vecs):
+    """Whether mat·v = 0 over Z[t] for every integer vector v in vecs."""
+    for row in mat:
+        for v in vecs:
+            acc = []
+            for a, e in zip(row, v):
+                acc = K.padd(acc, K.pmul(a, e))
+            if acc:
+                return False
+    return True
+
+
+def _shape_key(shape, ncols):
+    """Sort key of an image shape: weight of the pivots, then total entry length."""
+    pcols, lens = shape
+    return sum(ncols - c for c in pcols), sum(map(sum, lens))
+
+
+def _nullspace_tadic(rows, ncols, var):
+    """The canonical nullspace basis over Q(t) of rows with Q[t] entries.
+
+    Each prime p in turn gives the basis over F_p(t) (_basis_mod_p, at the
+    first lucky shift point).  Images of equal shape, meaning equal pivot
+    columns and entry degrees, are combined by CRT and rebuilt by rational
+    reconstruction, one shared denominator per vector.  An image whose shape
+    sorts higher (_shape_key) replaces those kept: where the Q(t) basis
+    reduces badly mod p, pivots move later or degrees drop, so the true shape
+    sorts above every other.  A rebuilt basis is returned only if every
+    vector annihilates every row exactly over Z[t] and has a nonzero entry
+    at its free column; its support lies in that column and the pivots
+    before it by construction.  As in _rref_basis, that makes it the reduced
+    row echelon basis over Q(t); since the degrees of the shape are those of
+    a primitive vector mod p, the vectors share no factor in t, so
+    canonical_vector makes them canonical.  Only finitely many primes reduce
+    the basis badly, so the loop ends.
+    """
     mat = []
     for row in rows:
-        den = 1
-        entries = []
-        for e in row:
-            cs = e.coeffs if isinstance(e, Poly) else ([P.as_num(e)] if e else [])
-            entries.append(cs)
-            for c in cs:
-                den = _ilcm(den, Fraction(c).denominator)
-        r = [[int(c * den) for c in cs] for cs in entries]
-        if any(cs for cs in r):
+        entries = [e.coeffs if isinstance(e, Poly) else ([e] if e else []) for e in row]
+        den = _ilcm(*(c.denominator for cs in entries for c in cs))
+        r = [[c.numerator * (den // c.denominator) for c in cs] for cs in entries]
+        if any(r):
             mat.append(r)
-    used = [False] * len(mat)
-    pivots = []
-    for col in range(ncols):
-        best = None
-        for i, r in enumerate(mat):
-            if used[i] or not r[col]:
-                continue
-            e = r[col]
-            key = (len(e), sum(1 for c in e if c))
-            if best is None or key < best[0]:
-                best = (key, i)
-        if best is None:
-            continue
-        i = best[1]
-        used[i] = True
-        pivots.append((i, col))
-        piv = mat[i][col]
-        for j, r in enumerate(mat):
-            if j == i or not r[col]:
-                continue
-            g = K.gcd_int(piv, r[col])
-            if len(g) > 1 or g[0] != 1:
-                pg = K.exactdiv_int(piv, g)
-                eg = K.exactdiv_int(r[col], g)
-            else:
-                pg, eg = piv, r[col]
-            new = [K.psub(K.pmul(pg, r[k]), K.pmul(eg, mat[i][k])) for k in range(ncols)]
-            c = 0
-            for cs in new:
-                for v in cs:
-                    if v:
-                        c = _igcd(c, v)
-                if c == 1:
-                    break
-            if c > 1:
-                new = [[v // c for v in cs] for cs in new]
-            mat[j] = new
-    pivot_of = dict((c, i) for i, c in pivots)
-    basis = []
-    zero = Poly(var, [])
-    for f in range(ncols):
-        if f in pivot_of:
-            continue
-        # row i is clean outside its pivot and the free columns: scale e_f by
-        # the lcm L of the pivots m_ic of the rows touching column f, so that
-        # v[c] = -m_if·L/m_ic is exact over Z[t]
-        touching = [(mat[i][f], mat[i][c], c) for i, c in pivots if mat[i][f]]
-        L = [1]
-        for _, piv, _ in touching:
-            L = piv if L == [1] else K.pmul(L, K.exactdiv_int(piv, K.gcd_int(L, piv)))
-        vals = {f: L}
-        for m_if, m_ic, c in touching:
-            vals[c] = K.pneg(K.pmul(m_if, K.exactdiv_int(L, m_ic)))
-        g = []
-        for cs in vals.values():
-            g = K.gcd_int(g, cs)
-            if g == [1]:
+    shape, images, m = None, None, 1
+    for p in _primes():
+        for t0 in _points():
+            got = _basis_mod_p(mat, ncols, p, t0 % p)
+            if got is not None:
                 break
-        vec = [Poly(var, K.exactdiv_int(vals[k], g)) if k in vals else zero for k in range(ncols)]
-        basis.append(canonical_vector(vec))
-    return basis
+        pcols, basis = got
+        if not basis:
+            return []  # full column rank at t0, hence over Q(t)
+        new = (pcols, [[len(e) for e in v] for v in basis])
+        flat = [[x for e in v for x in e] for v in basis]
+        if new == shape:
+            inv = pow(m, -1, p)
+            images = [[a + m * ((b - a) * inv % p) for a, b in zip(xs, ys)]
+                      for xs, ys in zip(images, flat)]
+            m *= p
+        elif shape is None or _shape_key(new, ncols) >= _shape_key(shape, ncols):
+            shape, images, m = new, flat, p
+        else:
+            continue
+        vecs = []
+        for lens, xs in zip(shape[1], images):
+            got = _reconstruct(xs, m)
+            if got is None:
+                break
+            nums = iter(got[0])
+            vecs.append([[next(nums) for _ in range(k)] for k in lens])
+        else:
+            free = [f for f in range(ncols) if f not in shape[0]]
+            if all(v[f] for v, f in zip(vecs, free)) and _annihilates(mat, vecs):
+                return [canonical_vector([Poly(var, e) for e in v]) for v in vecs]
 
 
 def nullspace(rows, ncols):
@@ -337,7 +541,7 @@ def nullspace(rows, ncols):
         break
     if var is None:
         return _nullspace_frac(rows, ncols)
-    return _nullspace_poly(rows, ncols, var)
+    return _nullspace_tadic(rows, ncols, var)
 
 
 def bareiss_det(mat, var):

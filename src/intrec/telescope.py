@@ -5,10 +5,14 @@ y(x,t) such that P applied to the integrand equals d/dx of y·(integrand).
 Everything stays rational: with F = R·K, each (d/dt)^i F / F is rational
 because K is x-only, and (d/dx of y F)/F = y' + y·Lx where Lx is the
 rational x-log-derivative of F.  Clearing denominators turns the search
-into a nullspace problem over Q[t], solved exactly.  Each order tries one
-ansatz for the certificate (see telescope).  Every returned operator is
-re-verified against the defining identity before it leaves this module, so
-a too-small ansatz can cause a miss but never a wrong answer.
+into a nullspace problem over Q[t].  `linalg.nullspace` solves it modulo
+primes by t-adic lifting and Padé reconstruction, and returns a basis only
+after checking it exactly against every row; when the system has full
+column rank at its first evaluation point, the order is rejected after one
+elimination mod p.  Each order tries one ansatz for the certificate (see
+telescope).  Every returned operator is re-verified against the defining
+identity before it leaves this module, so a too-small ansatz can cause a
+miss but never a wrong answer.
 """
 
 from dataclasses import dataclass

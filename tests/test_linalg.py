@@ -1,5 +1,6 @@
 """Exact linear algebra: nullspaces and determinants, cross-checked."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intrec import linalg
+from intrec import poly as P
 from intrec.poly import Poly
 
 
@@ -50,6 +52,57 @@ def frac_det(rows):
     return det
 
 
+def poly_gcd_all(entries):
+    g = Poly("t", [])
+    for e in entries:
+        g = P.gcd(g, e)
+    return g
+
+
+def qt_rref_basis(rows, ncols):
+    """Reduced-row-echelon nullspace basis over Q(t), scaled canonically: entries
+    in Z[t] with no common factor, the first nonzero entry's leading coefficient
+    positive.  Gauss-Jordan stays in Q[t]: rows are cross-multiplied, and each
+    new row is divided by the gcd of its entries."""
+    zero = Poly("t", [])
+    m = [[e if isinstance(e, Poly) else Poly("t", [e]) for e in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        piv = next((i for i in range(len(pivots), len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        k = len(pivots)
+        m[k], m[piv] = m[piv], m[k]
+        for i in range(len(m)):
+            if i != k and m[i][col]:
+                a, b = m[k][col], m[i][col]
+                new = [a * x - b * y for x, y in zip(m[i], m[k])]
+                g = poly_gcd_all(new)
+                m[i] = [P.exact_div(e, g) if g else e for e in new]
+        pivots.append(col)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        # row k reads m[k][c]·v[c] + (sum over free g of m[k][g]·v[g]) = 0, c = pivots[k]
+        den = Poly("t", [1])
+        for k, c in enumerate(pivots):
+            den = den * m[k][c]
+        v = [zero] * ncols
+        v[f] = den
+        for k, c in enumerate(pivots):
+            v[c] = -P.exact_div(m[k][f] * den, m[k][c])
+        g = poly_gcd_all(v)
+        v = [P.exact_div(e, g) for e in v]
+        coeffs = [Fraction(c) for e in v for c in e.coeffs]
+        scale = Fraction(math.lcm(*(c.denominator for c in coeffs)),
+                         math.gcd(*(c.numerator for c in coeffs)))
+        if next(e for e in v if e).lc() < 0:
+            scale = -scale
+        basis.append([P.scale_poly(e, scale) for e in v])
+    return basis
+
+
 def test_identity_nullspace_empty():
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     assert linalg.nullspace(rows, 2) == []
@@ -81,7 +134,9 @@ def test_polynomial_entry_nullspace_residuals():
     for _ in range(15):
         rows = [[Poly("t", [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
                  for _ in range(5)] for _ in range(3)]
-        for v in linalg.nullspace(rows, 5):
+        basis = linalg.nullspace(rows, 5)
+        assert basis == qt_rref_basis(rows, 5)
+        for v in basis:
             for row in rows:
                 acc = Poly("t", [])
                 for rv, vv in zip(row, v):
@@ -217,3 +272,117 @@ def test_zero_and_full_rank_matrices():
             [Fraction(0), Fraction(11, 13), Fraction(2**100)],
             [Fraction(4), Fraction(4), Fraction(4)]]
     assert linalg.nullspace(full, 3) == rref_basis(full, 3) == []
+
+
+# -- the Q[t] solver: t-adic lifting against a Gauss-Jordan reference over Q(t) --
+
+
+def tpoly(*cs):
+    return Poly("t", list(cs))
+
+
+small_tpolys = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=3),
+                        max_size=3).map(lambda cs: Poly("t", cs))
+big_tpolys = st.lists(st.integers(-2**70, 2**70), max_size=3).map(lambda cs: Poly("t", cs))
+
+
+@st.composite
+def planted_poly_matrices(draw):
+    """Q[t] matrices with up to three columns planted as Q[t]-combinations of the others."""
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 6))
+    entries = draw(st.sampled_from([small_tpolys, big_tpolys]))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    for j in draw(st.lists(st.integers(0, ncols - 1), max_size=3, unique=True)):
+        mix = [draw(small_tpolys) for _ in range(ncols)]
+        for row in rows:
+            acc = Poly("t", [])
+            for k, (a, e) in enumerate(zip(mix, row)):
+                if k != j:
+                    acc = acc + a * e
+            row[j] = acc
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_poly_matrices())
+def test_poly_nullspace_matches_qt_reference(case):
+    rows, ncols = case
+    assert linalg.nullspace(rows, ncols) == qt_rref_basis(rows, ncols)
+
+
+def recorded_pairs(monkeypatch):
+    """Patch _basis_mod_p to record each (prime, point) and whether it was lucky."""
+    pairs = []
+    solve = linalg._basis_mod_p
+
+    def recorded(mat, ncols, p, t0):
+        got = solve(mat, ncols, p, t0)
+        pairs.append((p, t0, got is not None))
+        return got
+
+    monkeypatch.setattr(linalg, "_basis_mod_p", recorded)
+    return pairs
+
+
+def test_unlucky_shift_point_moves_to_the_next_point(monkeypatch):
+    pairs = recorded_pairs(monkeypatch)
+    points = linalg._points
+    monkeypatch.setattr(linalg, "_points", lambda: itertools.chain([5], points()))
+    # column 0 is (t - 5)·column 1, so column 1 is free over Q(t); at t = 5 the
+    # leading minor t - 5 vanishes, column 0 drops out and column 1 becomes a pivot
+    rows = [[tpoly(-5, 1), tpoly(1), tpoly(0, 1)],
+            [tpoly(-10, 2), tpoly(2), tpoly(1)]]
+    assert linalg.nullspace(rows, 3) == qt_rref_basis(rows, 3) == [[tpoly(1), tpoly(5, -1), tpoly()]]
+    first = linalg.T0_STEP % linalg.PRIME
+    assert pairs[:2] == [(linalg.PRIME, 5, False), (linalg.PRIME, first, True)]
+    # full rank over Q(t), rank 1 at t = 5 with the same first pivot: the
+    # vector lifted there leans on no later pivot but fails the other row
+    pairs.clear()
+    rows = [[tpoly(1), tpoly()], [tpoly(), tpoly(-5, 1)]]
+    assert linalg.nullspace(rows, 2) == []
+    assert [ok for _, _, ok in pairs] == [False, True]
+
+
+def test_prime_dividing_a_leading_coefficient(monkeypatch):
+    pairs = recorded_pairs(monkeypatch)
+    p = linalg.PRIME
+    # the basis vector (t + 2, -(p·t + 1)) drops a degree mod PRIME; the next
+    # primes' images sort higher and replace it
+    rows = [[tpoly(1, p), tpoly(2, 1)]]
+    assert linalg.nullspace(rows, 2) == qt_rref_basis(rows, 2) == [[tpoly(2, 1), tpoly(-1, -p)]]
+    assert pairs[0][0] == p and len(pairs) >= 3
+    rows = [[tpoly(1, p), tpoly(2, 1), tpoly(0, 0, Fraction(1, p))],
+            [tpoly(3), tpoly(0, p, 1), tpoly(1, 1)]]
+    assert linalg.nullspace(rows, 3) == qt_rref_basis(rows, 3)
+
+
+def test_full_column_rank_at_the_first_point(monkeypatch):
+    pairs = recorded_pairs(monkeypatch)
+    monkeypatch.setattr(linalg, "_lift_series", None)  # no lifting may run
+    rows = [[tpoly(0, 1), tpoly(1), tpoly(2, 3)],
+            [tpoly(1), tpoly(0, 1), tpoly(5)],
+            [tpoly(1, 1, 1), tpoly(-1), tpoly(0, 0, 7)]]
+    assert linalg.nullspace(rows, 3) == qt_rref_basis(rows, 3) == []
+    assert len(pairs) == 1
+
+
+def test_certificate_only_nullspace():
+    # shaped like a telescoper system: two certificate columns, then the
+    # operator columns a_0, a_1; the one solution has a zero operator part
+    rows = [[tpoly(1), tpoly(0, -1), tpoly(0, 1), tpoly(1, 1)],
+            [tpoly(0, 1), tpoly(0, 0, -1), tpoly(1), tpoly(0, 0, 1)],
+            [tpoly(), tpoly(), tpoly(2, 1), tpoly(1, 0, 3)],
+            [tpoly(), tpoly(), tpoly(1), tpoly(0, 1)]]
+    basis = linalg.nullspace(rows, 4)
+    assert basis == qt_rref_basis(rows, 4) == [[tpoly(0, 1), tpoly(1), tpoly(), tpoly()]]
+
+
+def test_primes_are_found_once():
+    def is_prime(n):
+        return n % 2 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+    expected = [n for n in range(linalg.PRIME, linalg.PRIME - 100, -1) if is_prime(n)][:3]
+    assert list(itertools.islice(linalg._primes(), 3)) == expected
+    assert linalg._PRIMES[:3] == expected
+    assert list(itertools.islice(linalg._primes(), 3)) == expected
