@@ -7,22 +7,22 @@ annihilates every full window of the input, including a suffix of terms the
 solver never saw.  Everything is exact rational arithmetic; there is no
 tolerance to tune and near-fits cannot slip through.
 
-Most cells hold no recurrence, so each cell is first screened modulo the
-word-size prime PRIME (after Kauers' Guessing Handbook, RISC report 09-07):
-the terms are reduced once, and a plain Gaussian elimination mod p runs on
-the rows the exact solver would build.  If those rows have full column rank
-mod p, some maximal minor is nonzero mod p, hence nonzero over Q, so the
-exact nullspace is trivial and the cell is skipped.  The screen gives no
-verdict when PRIME divides a term's denominator or when the rank mod p falls
-short of the column count, so it only ever skips cells with no solution.
-Every other cell goes to `linalg.nullspace`, which solves it by p-adic
-lifting and checks each basis vector exactly against every row; the held-out
-terms then gate the candidate recurrence.
+For each order r the training rows are built once, as integers, at the
+largest degree: row n is scaled by the lcm L_n of the denominators of
+a(n), …, a(n+r), so its entries are n^j·L_n·a(n+i).  Cell (r, d) takes the
+first d + 1 entries of each of the r + 1 blocks.  Each cell costs one
+elimination modulo a word-size prime inside `linalg.nullspace`: most cells
+hold no recurrence, and when their rows have full column rank mod p the
+nullspace is trivial and the solve ends there.  Otherwise the same
+elimination starts the p-adic lifting, and each basis vector is checked
+exactly against every row; the held-out terms then gate the candidate
+recurrence.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .linalg import PRIME, canonical_vector, echelon_mod_p, nullspace
+from .linalg import canonical_vector, nullspace
 from .ode2rec import Recurrence, first_failure
 from . import poly as P
 from .poly import Poly
@@ -30,23 +30,28 @@ from .poly import Poly
 MARGIN = 8
 
 
-def _cell(terms, r, d, train):
-    """Best canonical recurrence of order r, coefficient degree ≤ d, or None."""
-    ncols = (r + 1) * (d + 1)
+def _training_rows(terms, r, max_degree, train):
+    """Integer rows for order r: row n holds n^j·L_n·a(n+i), block i, j ≤ max_degree."""
     rows = []
     for n in range(train):
+        window = terms[n : n + r + 1]
+        den = lcm(*(a.denominator for a in window))
         row = []
-        for i in range(r + 1):
-            npow = Fraction(1)
-            for _ in range(d + 1):
-                row.append(npow * terms[n + i])
-                npow *= n
+        for a in window:
+            v = a.numerator * (den // a.denominator)
+            for _ in range(max_degree + 1):
+                row.append(v)
+                v *= n
         rows.append(row)
-    for vec in nullspace(rows, ncols):
-        coeffs = []
-        for i in range(r + 1):
-            block = vec[i * (d + 1) : (i + 1) * (d + 1)]
-            coeffs.append(Poly("n", block))
+    return rows
+
+
+def _cell(terms, rows, r, d, max_degree):
+    """Best canonical recurrence of order r, coefficient degree ≤ d, or None."""
+    stride = max_degree + 1
+    cols = [i * stride + j for i in range(r + 1) for j in range(d + 1)]
+    for vec in nullspace([[row[c] for c in cols] for row in rows], len(cols)):
+        coeffs = [Poly("n", vec[i * (d + 1) : (i + 1) * (d + 1)]) for i in range(r + 1)]
         if coeffs[-1].is_zero():
             continue
         if first_failure(Recurrence(tuple(coeffs), 0), terms) is None:
@@ -54,52 +59,21 @@ def _cell(terms, r, d, train):
     return None
 
 
-def _residues(values):
-    """The values modulo PRIME, or None when PRIME divides a denominator."""
-    out = []
-    for v in values:
-        f = Fraction(v)
-        if f.denominator % PRIME == 0:
-            return None
-        out.append(f.numerator * pow(f.denominator, -1, PRIME) % PRIME)
-    return out
-
-
-def _full_rank_mod_p(rows, ncols):
-    """True when the residue rows (an iterable) have rank ncols modulo PRIME."""
-    return len(echelon_mod_p(rows, ncols, PRIME)) == ncols
-
-
-def _cell_rows_mod_p(res, r, d, train):
-    """The rows `_cell` builds for (r, d), reduced modulo PRIME."""
-    for n in range(train):
-        row = []
-        for i in range(r + 1):
-            v = res[n + i]
-            for _ in range(d + 1):
-                row.append(v)
-                v = v * n % PRIME
-        yield row
-
-
 def guess_precursive(terms, max_order, max_degree, margin=MARGIN):
     """Lexicographically minimal (order, degree) recurrence fitting the terms.
 
     Returns None when no cell within the bounds admits a recurrence that
     survives full verification.  Cells whose training window would be empty
-    are skipped, and so are cells whose system has full rank modulo PRIME.
+    are skipped.
     """
     terms = [P.as_num(Fraction(v)) for v in terms]
-    res = _residues(terms)
     for r in range(max_order + 1):
         train = len(terms) - r - margin
         if train < 1:
             continue
+        rows = _training_rows(terms, r, max_degree, train)
         for d in range(max_degree + 1):
-            ncols = (r + 1) * (d + 1)
-            if res is not None and _full_rank_mod_p(_cell_rows_mod_p(res, r, d, train), ncols):
-                continue
-            coeffs = _cell(terms, r, d, train)
+            coeffs = _cell(terms, rows, r, d, max_degree)
             if coeffs is None:
                 continue
             coeffs = canonical_vector(coeffs)

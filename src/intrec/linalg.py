@@ -6,8 +6,10 @@ primitive over Z or Z[t] with the first nonzero entry (its leading
 coefficient) positive.  That makes solver output reproducible across runs.
 
 Rational entries (`_nullspace_frac`) are solved by p-adic lifting (Dixon,
-Numer. Math. 1982).  Rows are cleared to integers and eliminated modulo the
-prime PRIME, which gives the pivot columns and an invertible pivot block.
+Numer. Math. 1982).  Rows are cleared to integers (a row of ints is used as
+it is) and eliminated modulo the prime PRIME, which gives the pivot columns
+and an invertible pivot block; if the rows have full column rank mod PRIME,
+they have it over Q, and the basis is empty.
 For each free column the block system is lifted one p-adic digit at a time,
 and rational reconstruction (Wang's bounds, one shared denominator) is tried
 whenever the digit count has grown by a fixed factor; past the Hadamard bound
@@ -254,10 +256,11 @@ def _rref_basis(mat, ncols, p):
 def _nullspace_frac(rows, ncols):
     mat = []
     for row in rows:
-        den = _ilcm(*(e.denominator for e in row))
-        r = [e.numerator * (den // e.denominator) for e in row]
-        if any(r):
-            mat.append(r)
+        if not all(type(e) is int for e in row):
+            den = _ilcm(*(e.denominator for e in row))
+            row = [e.numerator * (den // e.denominator) for e in row]
+        if any(row):
+            mat.append(row)
     for p in _primes():
         basis = _rref_basis(mat, ncols, p)
         if basis is not None:

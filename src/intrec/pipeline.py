@@ -32,7 +32,7 @@ from .guess import guess_precursive
 from . import poly as P
 from .poly import Poly
 from .ratfunc import RatFunc
-from .telescope import BoundaryData, Kernel, boundary_rhs, telescope, verify_certificate
+from .telescope import Kernel, boundary_rhs, telescope, verify_certificate
 
 _TASKS = ("genfun", "terms", "telescope", "recurrence", "guess", "verify")
 
@@ -368,11 +368,11 @@ def _telescoper_payload(tel):
     }
 
 
-def _boundary_payload(bd):
+def _boundary_payload(alpha, beta, rhs):
     return {
-        "alpha": _fmt_value(bd.alpha),
-        "beta": _fmt_value(bd.beta),
-        "rhs": exprs.fmt_ratfunc(bd.rhs),
+        "alpha": _fmt_value(alpha),
+        "beta": _fmt_value(beta),
+        "rhs": exprs.fmt_ratfunc(rhs),
     }
 
 
@@ -582,7 +582,7 @@ def _recurrence_stage(rep, job, gf, tel, want_terms):
             return rec, None
         raise StageFailure("boundary", e)
 
-    rep.results["boundary"] = _boundary_payload(BoundaryData(job.alpha, job.beta, rhs))
+    rep.results["boundary"] = _boundary_payload(job.alpha, job.beta, rhs)
     rec = _stage("ode_to_recurrence", o2r.ode_to_recurrence, tel.opcoeffs, rhs)
     need = o2r.required_initials(rec)
     # pi·q_n satisfies a homogeneous recurrence exactly when q_n does

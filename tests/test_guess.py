@@ -3,13 +3,11 @@
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from intrec import cfinite as cf
 from intrec import guess as G
 from intrec import linalg
 from intrec.guess import guess_precursive
+from intrec.ode2rec import Recurrence, first_failure
 from intrec.pipeline import Options, _guess_term_count
 from intrec.poly import Poly
 
@@ -92,49 +90,40 @@ def test_too_few_terms_is_absence_not_error():
     assert guess_precursive([Fraction(1), Fraction(2), Fraction(3)], 2, 2) is None
 
 
-# -- the modular screen ------------------------------------------------------
-
-rationals = (st.fractions(min_value=-50, max_value=50, max_denominator=12)
-             | st.integers(-2**40, 2**40).map(Fraction))
+# -- one exact solve per cell -------------------------------------------------
 
 
-@st.composite
-def matrices(draw):
-    """Random rational matrices, some with a column planted as a combination of others."""
-    ncols = draw(st.integers(1, 6))
-    nrows = draw(st.integers(max(1, ncols - 1), ncols + 3))
-    rows = [[draw(rationals) for _ in range(ncols)] for _ in range(nrows)]
-    planted = ncols > 1 and draw(st.booleans())
-    if planted:
-        j = draw(st.integers(0, ncols - 1))
-        mix = [draw(rationals) for _ in range(ncols)]
-        for row in rows:
-            row[j] = sum((m * v for k, (m, v) in enumerate(zip(mix, row)) if k != j), Fraction(0))
-    return rows, ncols, planted
+def _cell(terms, r, d, train):
+    """Best canonical recurrence of order r, coefficient degree ≤ d, or None,
+    from the cell's rows built as Fractions."""
+    ncols = (r + 1) * (d + 1)
+    rows = []
+    for n in range(train):
+        row = []
+        for i in range(r + 1):
+            npow = Fraction(1)
+            for _ in range(d + 1):
+                row.append(npow * terms[n + i])
+                npow *= n
+        rows.append(row)
+    for vec in linalg.nullspace(rows, ncols):
+        coeffs = [Poly("n", vec[i * (d + 1) : (i + 1) * (d + 1)]) for i in range(r + 1)]
+        if coeffs[-1].is_zero():
+            continue
+        if first_failure(Recurrence(tuple(coeffs), 0), terms) is None:
+            return coeffs
+    return None
 
 
-@settings(max_examples=300, deadline=None)
-@given(matrices())
-def test_screen_full_rank_means_trivial_nullspace(case):
-    rows, ncols, planted = case
-    res = [G._residues(row) for row in rows]
-    assert all(r is not None for r in res)
-    screened = G._full_rank_mod_p(res, ncols)
-    if screened:
-        assert linalg.nullspace(rows, ncols) == []
-    if planted:
-        assert not screened
-
-
-def guess_without_screen(terms, max_order, max_degree, margin=G.MARGIN):
-    """guess_precursive with every cell sent to the exact path."""
+def reference_guess(terms, max_order, max_degree, margin=G.MARGIN):
+    """guess_precursive with each cell's rows built and cleared separately."""
     terms = [Fraction(v) for v in terms]
     for r in range(max_order + 1):
         train = len(terms) - r - margin
         if train < 1:
             continue
         for d in range(max_degree + 1):
-            coeffs = G._cell(terms, r, d, train)
+            coeffs = _cell(terms, r, d, train)
             if coeffs is not None:
                 coeffs = linalg.canonical_vector(coeffs)
                 if coeffs[-1].lc() < 0:
@@ -157,14 +146,14 @@ def count_nullspace_calls(monkeypatch):
 
 def test_prime_in_a_denominator_takes_the_exact_path(monkeypatch):
     # a(n) = 1/(n + p): only a(0) has p in its denominator; (n+p+1) a(n+1) = (n+p) a(n)
-    terms = [Fraction(1, n + G.PRIME) for n in range(20)]
-    assert G._residues(terms) is None
+    p = linalg.PRIME
+    terms = [Fraction(1, n + p) for n in range(20)]
     calls = count_nullspace_calls(monkeypatch)
     rec = guess_precursive(terms, 3, 4)
     # every cell up to the hit at (1, 1) was solved exactly: five at order 0, two at order 1
-    assert len(calls) == 7
-    assert rec.coeffs == (Poly("n", [-G.PRIME, -1]), Poly("n", [G.PRIME + 1, 1]))
-    assert rec.coeffs == guess_without_screen(terms, 3, 4)
+    assert calls == [1, 2, 3, 4, 5, 2, 4]
+    assert rec.coeffs == (Poly("n", [-p, -1]), Poly("n", [p + 1, 1]))
+    assert rec.coeffs == reference_guess(terms, 3, 4)
 
 
 def test_screen_keeps_every_guess():
@@ -176,7 +165,7 @@ def test_screen_keeps_every_guess():
     ]
     for terms in cases:
         rec = guess_precursive(terms, 3, 2)
-        assert (rec.coeffs if rec else None) == guess_without_screen(terms, 3, 2)
+        assert (rec.coeffs if rec else None) == reference_guess(terms, 3, 2)
 
 
 def test_chebyshev_integral_needs_one_exact_solve(monkeypatch):
@@ -185,5 +174,6 @@ def test_chebyshev_integral_needs_one_exact_solve(monkeypatch):
     calls = count_nullspace_calls(monkeypatch)
     rec = guess_precursive(terms, opts.max_order, opts.max_degree, opts.margin)
     assert list(rec.coeffs) == [Poly("n", [1, -1]), Poly("n", []), Poly("n", [3, 1])]
-    # only the hit at (order 2, degree 1) reaches the exact solver
-    assert calls == [6]
+    # each cell is solved once, in lexicographic order, up to the hit at
+    # (order 2, degree 1)
+    assert calls == [1, 2, 3, 4, 5, 2, 4, 6, 8, 10, 3, 6]

@@ -15,6 +15,7 @@ from intrec import cli
 from intrec import exprs
 from intrec import oracle
 from intrec import pipeline
+from intrec import telescope
 from intrec import poly as P
 from intrec.errors import BoundaryNotEvaluable, IntrecError, InvalidJob
 from intrec.poly import Poly
@@ -164,6 +165,42 @@ def test_report_exit_codes():
     assert rep.ok and rep.exit_code == 0
     rep.check("b", False, "broke")
     assert not rep.ok and rep.exit_code == 1
+
+
+def golden_job():
+    with open("tests/golden/chebyshev_recurrence.json", "r", encoding="utf-8") as fh:
+        return pipeline.build_job(json.load(fh)["job"])
+
+
+def certificate_entry(rep):
+    return next(v for v in rep.verifications if v["name"] == "certificate_identity")
+
+
+def test_golden_job_checks_its_certificate_once(monkeypatch):
+    calls = []
+    for mod in (telescope, pipeline):
+        def counted(*args, check=mod.verify_certificate):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(mod, "verify_certificate", counted)
+    rep = pipeline.run(golden_job())
+    assert rep.ok
+    assert certificate_entry(rep)["detail"] == "telescoping identity re-checked exactly"
+    assert len(calls) == 1
+
+
+def test_bad_certificate_is_a_reported_failure(monkeypatch):
+    reduce_content = telescope._reduce_content
+
+    def doubled(avec, y):
+        avec, y = reduce_content(avec, y)
+        return avec, y * 2
+
+    monkeypatch.setattr(telescope, "_reduce_content", doubled)
+    rep = pipeline.run(golden_job())
+    assert not certificate_entry(rep)["pass"]
+    assert rep.exit_code == 1
 
 
 def test_json_emission_is_deterministic():
