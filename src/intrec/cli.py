@@ -5,7 +5,8 @@
 
 Exit codes: 0 all verifications passed; 1 a verification failed; 2 invalid
 input (job file, schema, or expressions); 3 search exhausted (no telescoper,
-no guess, or boundary not evaluable with no fallback).
+no guess, boundary not evaluable with no fallback, or quadrature short of
+its digits at its degree limit).
 """
 
 import argparse
@@ -18,10 +19,11 @@ from .errors import (
     IntrecError,
     NoGuessFound,
     NoTelescoperFound,
+    QuadratureFailed,
     StageFailure,
 )
 
-_EXHAUSTED = (NoTelescoperFound, NoGuessFound, BoundaryNotEvaluable)
+_EXHAUSTED = (NoTelescoperFound, NoGuessFound, BoundaryNotEvaluable, QuadratureFailed)
 
 
 def _error_exit_code(err):

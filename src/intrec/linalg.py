@@ -27,10 +27,12 @@ elimination gives the pivot columns and an invertible pivot block; if the
 rows at t0 have full column rank, so do the rows over Q(t), and the basis is
 empty.  Otherwise each free column's block system is lifted as a power
 series in t − t0, one coefficient per triangular solve, and a Padé
-approximant (extended Euclid, one shared denominator) is tried whenever the
-coefficient count has grown by a fixed factor; Cramer's rule bounds the
-count needed.  Shifted back to t, the images of successive primes are
-combined by CRT and rational reconstruction.  A basis is returned only when
+approximant (extended Euclid, one shared denominator) is tried first at
+twice the degree of the system plus one coefficients, below which it could
+certify only solutions of lower degree, and then whenever the count has
+grown by a fixed factor; Cramer's rule bounds the count needed.  Shifted
+back to t, the images of successive primes are combined by CRT and
+rational reconstruction.  A basis is returned only when
 it annihilates every row exactly over Z[t] and leans on no pivot column
 after its own.  Only finitely many pairs (p, t0) fail, so the loop ends.
 """
@@ -362,13 +364,15 @@ def _lift_series(block, cols, solve, d, p):
 
     block is an r×r matrix of coefficient lists whose constant term is
     invertible and solved by `solve`; d bounds the degrees of block and cols.
-    Each step adds one coefficient of the power series solution.  A Padé
-    candidate is tried from d + 1 coefficients on, whenever the count has
-    grown by 5/4.  A candidate of degree k that matches n > d + k
-    coefficients is exact, because block·nums + den·cols then has degree at
-    most d + k and vanishes mod t^n.  By Cramer's rule the solution has
-    degree at most r·d, so by 2·r·d + 1 coefficients it is found and
-    certified.
+    Each step adds one coefficient of the power series solution.  A
+    candidate of degree k that matches n > d + k coefficients is exact,
+    because block·nums + den·cols then has degree at most d + k and vanishes
+    mod t^n.  Padé at n coefficients aims at numerators of degree (n − 1)/2,
+    so below 2·d + 1 coefficients it could certify only a solution of degree
+    below d: it is tried first at 2·d + 1, then whenever the count has grown
+    by 5/4, or at d + k + 1 after a candidate of degree k came too early to
+    certify.  By Cramer's rule the solution has degree at most r·d, so by
+    2·r·d + 1 coefficients it is found and certified.
     """
     r = len(block)
     # the last coefficients of the solution, column by column, newest first,
@@ -380,7 +384,7 @@ def _lift_series(block, cols, solve, d, p):
              for row in block]
     hist = [0] * sum(widths)
     xs = []
-    n, check, last = 0, d + 1, 2 * r * d + 1
+    n, check, last = 0, 2 * d + 1, 2 * r * d + 1
     while True:
         x = solve([(-(g[n] if n < len(g) else 0) - sum(map(mul, fl, hist))) % p
                    for fl, g in zip(flats, cols)])

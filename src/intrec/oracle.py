@@ -229,7 +229,8 @@ def numeric_term(prob, n, precision):
         )
         if not mp.isfinite(val) or err > mp.mpf(10) ** (-precision):
             raise QuadratureFailed(
-                "quadrature did not reach 10^-%d (error estimate %s)" % (precision, err)
+                "quadrature did not reach 10^-%d within its limit of tanh-sinh"
+                " degree %d (error estimate %s)" % (precision, _MAXDEGREE, err)
             )
         return +val
 

@@ -11,8 +11,12 @@ Every polynomial gcd, univariate or in Q[x][t], clears denominators and runs
 the one heuristic gcd `_kernels.gcd_int` (GCDHEU: evaluate, take the integer
 or Z[x] gcd of the images, rebuild by balanced digits), which accepts a
 candidate only after it divides both inputs exactly; its docstring says why
-that gate makes the result the gcd and why the loop ends.  No factorization
-is used anywhere.
+that gate makes the result the gcd and why the loop ends.  `gcd` can return
+the two quotients of that division as cofactors, which is how `RatFunc`
+reduces a fraction.  No factorization is used anywhere.
+
+`int_rows` and `from_rows` convert Q[x][t] polynomials to and from the
+integer rows of `_kernels`, on which the telescoper does its arithmetic.
 """
 
 from fractions import Fraction
@@ -41,6 +45,8 @@ def num_div(a, b):
 
 
 def _canon_coeff(c):
+    if type(c) is int:
+        return c
     if isinstance(c, Poly):
         if c.degree() <= 0:
             return c.constant()
@@ -358,53 +364,70 @@ def exact_div(a, b):
     return Poly(a.var, q)
 
 
-def _int_rows(p):
-    """Denominator-cleared bivariate coefficients as a t-list of int x-lists."""
+def int_rows(p):
+    """(rows, L): L·p as integer rows (t-list of Z[x] int lists), L > 0 the
+    lcm of p's denominators.  A polynomial in x alone is one row."""
+    if not p.coeffs:
+        return [], 1
+    if p.var == "x":
+        inner = [p.coeffs]
+    else:
+        inner = [c.coeffs if isinstance(c, Poly) else ([c] if c else []) for c in p.coeffs]
     L = 1
-    for c in p.coeffs:
-        if isinstance(c, Poly):
-            for v in c.coeffs:
-                L = _ilcm(L, Fraction(v).denominator)
-        elif c:
-            L = _ilcm(L, Fraction(c).denominator)
-    out = []
-    for c in p.coeffs:
-        if isinstance(c, Poly):
-            out.append([int(v * L) for v in c.coeffs])
-        else:
-            out.append([int(c * L)] if c else [])
-    return out
+    for cs in inner:
+        for v in cs:
+            if type(v) is not int:
+                L = _ilcm(L, v.denominator)
+    if L == 1:
+        return [list(cs) for cs in inner], 1
+    return [[int(v * L) for v in cs] for cs in inner], L
+
+
+def from_rows(rows, den=1):
+    """The Q[x][t] polynomial whose integer rows, divided by den, are rows."""
+    p = Poly("t", [Poly("x", r) for r in rows])
+    return p if den == 1 else scale_poly(p, Fraction(1, den))
 
 
 def _gcd_bivariate(a, b):
-    """Canonical gcd in Q[x][t]: `K.gcd_int` on the denominator-cleared rows."""
-    rows = K.gcd_int(_int_rows(a), _int_rows(b))
-    return Poly(a.var, [Poly("x", r) for r in rows])
+    """(g, a/g, b/g) in Q[x][t]: `K.gcd_int` on the denominator-cleared rows."""
+    (ra, la), (rb, lb) = int_rows(a), int_rows(b)
+    h, qa, qb = K.gcd_int(ra, rb)
+    return from_rows(h), from_rows(qa, la), from_rows(qb, lb)
 
 
-def gcd(a, b):
+def gcd(a, b, cofactors=False):
     """Canonical gcd: monic for univariate over Q, unit-normalized for Q[x][t].
 
     gcd(a, 0) is the normalized form of a; gcd(0, 0) = 0; a nonzero rational
     constant has gcd 1 with anything, returned without running `K.gcd_int`.
+    With cofactors=True, returns (g, a/g, b/g), the cofactors taken from
+    `K.gcd_int` where it runs; a and b must not both be zero.
     """
+    g = None
     if a.is_zero() and b.is_zero():
-        return Poly(a.var, [])
-    if a.is_zero():
-        a, b = b, a
-    if b.is_zero():
-        return canonical_unit(a) if a.is_bivariate() else a.monic()
-    if any(p.is_constant() and not isinstance(p.constant(), Poly) for p in (a, b)):
-        return Poly(a.var if not a.is_constant() else b.var, [1])
-    if a.var != b.var:
-        if a.is_constant() or b.is_constant():
-            return Poly(a.var if not a.is_constant() else b.var, [1])
-        raise ValueError("variable mismatch in gcd")
+        g = Poly(a.var, [])
+    elif a.is_zero() or b.is_zero():
+        c = b if a.is_zero() else a
+        g = canonical_unit(c) if c.is_bivariate() else c.monic()
+    elif any(p.is_constant() and not isinstance(p.constant(), Poly) for p in (a, b)):
+        g = Poly(a.var if not a.is_constant() else b.var, [1])
+    elif a.var != b.var:
+        if not (a.is_constant() or b.is_constant()):
+            raise ValueError("variable mismatch in gcd")
+        g = Poly(a.var if not a.is_constant() else b.var, [1])
+    if g is not None:
+        return (g, exact_div(a, g), exact_div(b, g)) if cofactors else g
     if a.is_bivariate() or b.is_bivariate():
-        return _gcd_bivariate(a, b)
-    ia, _ = int_coeffs(a)
-    ib, _ = int_coeffs(b)
-    return Poly(a.var, K.gcd_int(ia, ib)).monic()
+        got = _gcd_bivariate(a, b)
+        return got if cofactors else got[0]
+    ia, la = int_coeffs(a)
+    ib, lb = int_coeffs(b)
+    h, qa, qb = K.gcd_int(ia, ib)
+    g = Poly(a.var, h).monic()
+    if not cofactors:
+        return g
+    return g, Poly(a.var, qa) * Fraction(h[-1], la), Poly(b.var, qb) * Fraction(h[-1], lb)
 
 
 def lcm(a, b):
@@ -428,36 +451,6 @@ def x_degree(p):
         if cd > d:
             d = cd
     return d
-
-
-def x_coefficients(p):
-    """Transpose Q[x][t] -> list of Q[t] polys, index = power of x."""
-    if p.var == "x":
-        return [Poly("t", [c]) for c in p.coeffs]
-    d = x_degree(p)
-    if d < 0:
-        return []
-    cols = []
-    for k in range(d + 1):
-        col = []
-        for c in p.coeffs:
-            if isinstance(c, Poly):
-                col.append(c.coeff(k))
-            else:
-                col.append(c if k == 0 else 0)
-        cols.append(Poly("t", col))
-    return cols
-
-
-def from_x_coefficients(cols, var="t"):
-    """Inverse of `x_coefficients`."""
-    depth = max((c.degree() for c in cols), default=-1)
-    if depth < 0:
-        return Poly(var, [])
-    out = []
-    for j in range(depth + 1):
-        out.append(Poly("x", [c.coeff(j) for c in cols]))
-    return Poly(var, out)
 
 
 def subs_inner(p, v):

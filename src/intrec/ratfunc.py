@@ -4,7 +4,9 @@ Invariant maintained by every constructor and operation: gcd(num, den) is
 trivial, and the denominator is integer-primitive with a positive leading
 coefficient (leading inner coefficient for bivariate input).  Two equal
 rational functions are therefore structurally identical, so `==` is cheap
-and printing is deterministic.
+and printing is deterministic.  The constructor reduces a fraction to the
+cofactors that `poly.gcd` returns alongside the gcd, so no division follows
+the gcd.
 """
 
 from fractions import Fraction
@@ -49,10 +51,7 @@ class RatFunc:
     def __init__(self, num, den=1, var=None):
         num, den = _pair(num, den, var)
         if not num.is_zero():
-            g = P.gcd(num, den)
-            if not (g.is_constant() and g.constant() == 1):
-                num = P.exact_div(num, g)
-                den = P.exact_div(den, g)
+            _, num, den = P.gcd(num, den, cofactors=True)
         self._finish(num, den)
 
     @classmethod

@@ -12,13 +12,27 @@ column rank at its first evaluation point, the order is rejected after one
 elimination mod p.  Each order tries one ansatz for the certificate (see
 telescope), so a too-small ansatz can cause a miss.  Callers check a
 returned operator against the defining identity with verify_certificate.
+
+The arithmetic runs on integer rows (`_kernels`: a polynomial in Z[x][t] as
+a t-list of Z[x] int lists, products by Kronecker substitution).  Each call
+converts its data once: N and D of the generating function R = N/D, cleared
+to integers; the kernel's x-log-derivative and prefactor.  The search
+builds on rows the W-sequence, each order's h = Lx − (d/dx den_y)/den_y in
+lowest terms (one `gcd_int`, whose cofactors are h's numerator and
+denominator) and the system's columns; the system differs from the one over
+R's own coefficients only by one factor common to every row.
+verify_certificate compares the two sides of the cross-multiplied identity
+as two packed-integer products, and boundary_rhs takes each endpoint limit
+from the multiplicities and values of the integrand's factors there.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as _igcd, lcm as _ilcm
 
 from .errors import BoundaryNotEvaluable, NoTelescoperFound
 from .linalg import canonical_scale, nullspace
+from . import _kernels as K
 from . import poly as P
 from .poly import Poly
 from .ratfunc import RatFunc
@@ -58,52 +72,6 @@ class Telescoper:
         return len(self.opcoeffs) - 1
 
 
-def _bivar(p):
-    """Embed a polynomial in x (or a number) as a t-constant bivariate poly."""
-    return Poly("t", [p])
-
-
-def _rf_bivar(r):
-    return RatFunc(_bivar(r.num), _bivar(r.den))
-
-
-def _bivar_part(p):
-    """Ensure outer variable t; t-free rational parts normalize to plain Q[x]."""
-    return p if p.var == "t" else _bivar(p)
-
-
-def _xshift(p, k):
-    """Multiply a bivariate polynomial by x^k."""
-    if k == 0:
-        return p
-
-    def shift(c):
-        cs = c.coeffs if isinstance(c, Poly) else [c]
-        return Poly("x", [0] * k + list(cs))
-
-    return p.map_coeffs(lambda c: shift(c) if c else 0)
-
-
-def _w_sequence(num, den, upto):
-    """Polynomials W_i with (d/dt)^i (N/D) = W_i / D^(i+1)."""
-    ws = [num]
-    dd = den.deriv()
-    for i in range(upto):
-        w = ws[-1]
-        ws.append(w.deriv() * den - (i + 1) * dd * w)
-    return ws
-
-
-def _log_deriv_x(gf, kernel):
-    """(d/dx F)/F for F = R·K, as a bivariate rational function."""
-    num, den = gf.value.num, gf.value.den
-    r_part = RatFunc(
-        P.deriv_inner(num) * den - num * P.deriv_inner(den), num * den
-    )
-    k_part = kernel.logderiv + _pre_logderiv(kernel)
-    return r_part + _rf_bivar(k_part)
-
-
 def _pre_logderiv(kernel):
     pre = kernel.prefactor
     return RatFunc(
@@ -111,32 +79,74 @@ def _pre_logderiv(kernel):
     )
 
 
-def _solve_order(num, den, ws, lx, ell):
-    """Try the ansatz at telescoper order ell; (operator, certificate) or None."""
-    den_l = _bivar_part(lx.den)
-    den_y = den_l * num * den**ell
-    h = lx - RatFunc(P.deriv_inner(den_y), den_y)
-    den_h, num_h = _bivar_part(h.den), _bivar_part(h.num)
+def _x_rows(r):
+    """A rational function of x alone as integer rows (num, den) of equal value."""
+    (n, ln), (d, ld) = P.int_rows(r.num), P.int_rows(r.den)
+    return K.rscale(n, ld), K.rscale(d, ln)
 
-    rhs = [ws[i] * den_l * den ** (ell - i) * den_h for i in range(ell + 1)]
-    m = max(P.x_degree(q) for q in rhs) + 2
-    mults = []
-    for j in range(m + 1):
-        mj = _xshift(num_h, j)
-        if j:
-            mj = mj + j * _xshift(den_h, j - 1)
-        mults.append(mj)
-    cols = [P.x_coefficients(q) for q in mults] + [P.x_coefficients(-q) for q in rhs]
-    zero_t = Poly("t", [])
-    depth = max((len(c) for c in cols), default=0)
-    rows = [[c[k] if k < len(c) else zero_t for c in cols] for k in range(depth)]
+
+def _integrand(gf, kernel):
+    """Integer rows of F = (N/D)·K: (N', cN, D', cD, ln, ld).
+
+    N' = cN·N and D' = cD·D clear the denominators of the generating
+    function, and ln/ld is its x-log-derivative (dN/dx)/N − (dD/dx)/D + K'/K,
+    not reduced.
+    """
+    (nr, cn), (dr, cd) = P.int_rows(gf.value.num), P.int_rows(gf.value.den)
+    kn, kd = _x_rows(kernel.logderiv + _pre_logderiv(kernel))
+    nd = K.rmul(nr, dr)
+    wron = K.rsub(K.rmul(K.rdx(nr), dr), K.rmul(nr, K.rdx(dr)))
+    return nr, cn, dr, cd, K.radd(K.rmul(wron, kd), K.rmul(nd, kn)), K.rmul(nd, kd)
+
+
+def _extend_w(ws, dr, upto):
+    """Extend ws = [N', …] to W_0..W_upto, (d/dt)^i (N'/D') = W_i / D'^(i+1)."""
+    ddr = K.rdt(dr)
+    while len(ws) <= upto:
+        i = len(ws) - 1
+        ws.append(K.rsub(K.rmul(K.rdt(ws[i]), dr), K.rscale(K.rmul(ddr, ws[i]), i + 1)))
+    return ws
+
+
+def _solve_order(ell, nd, dr, ws, ln, ld, scale):
+    """Try the ansatz at telescoper order ell; (operator, certificate) or None.
+
+    nd = N'·D'^ell, and ln/ld is the reduced x-log-derivative.  The
+    certificate is Y/den_y with den_y = ld·nd, which is `scale` times the
+    den_y built from N, D and ld made primitive.  The certificate columns
+    are multiplied by `scale`, so the system is the one over N, D and that
+    primitive ld times one factor common to every row, and has the same
+    nullspace basis.
+    """
+    den_y = K.rmul(ld, nd)
+    # h = Lx − (d/dx den_y)/den_y in lowest terms: its cofactors by one gcd
+    _, hn, hd = K.gcd_int(K.rsub(K.rmul(ln, nd), K.rdx(den_y)), den_y)
+    # right-hand side i: W_i·D'^(ell−i)·ld·hd
+    rhs, lh = [None] * (ell + 1), K.rmul(ld, hd)
+    for i in range(ell, -1, -1):
+        rhs[i] = K.rmul(ws[i], lh)
+        if i:
+            lh = K.rmul(lh, dr)
+    m = max(len(r) for q in rhs for r in q) + 1
+    # column j: coefficients in x of x^j·hn + j·x^(j−1)·hd, as t-lists
+    hnx, hdx = K.rscale(K.transpose(hn), scale), K.rscale(K.transpose(hd), scale)
+    cols = [hnx] + [K.radd([[]] * j + hnx, K.rscale([[]] * (j - 1) + hdx, j))
+                    for j in range(1, m + 1)]
+    cols += [K.rscale(K.transpose(q), -1) for q in rhs]
+    rows, zero = [], Poly("t", [])
+    for k in range(max(map(len, cols))):
+        row = [c[k] if k < len(c) else [] for c in cols]
+        g = _igcd(*(v for e in row for v in e))
+        rows.append([Poly("t", [v // g for v in e] if g > 1 else e) if e else zero
+                     for e in row])
     for vec in nullspace(rows, len(cols)):
         avec = vec[m + 1 :]
         if all(not a for a in avec):
             continue
         while not avec[-1]:
             avec = avec[:-1]
-        return list(avec), RatFunc(P.from_x_coefficients(vec[: m + 1], "t"), den_y)
+        y = K.transpose([e.coeffs for e in vec[: m + 1]])
+        return list(avec), RatFunc(P.from_rows(y), P.from_rows(den_y, scale))
     return None
 
 
@@ -150,13 +160,16 @@ def telescope(gf, kernel, max_order):
     right-hand sides.  Raises NoTelescoperFound if that ansatz has only
     trivial solutions at every order up to max_order.
     """
-    num, den = gf.value.num, gf.value.den
-    if num.is_zero():
+    if gf.value.num.is_zero():
         return Telescoper((Poly("t", [1]),), RatFunc(Poly("t", []), Poly("t", [1])))
-    lx = _log_deriv_x(gf, kernel)
-    ws = _w_sequence(num, den, max_order)
+    nr, cn, dr, cd, ln, ld = _integrand(gf, kernel)
+    _, ln, ld = K.gcd_int(ln, ld)
+    base = cn * K.primitive(ld, True)[0]
+    ws, nd = [nr], nr
     for ell in range(max_order + 1):
-        got = _solve_order(num, den, ws, lx, ell)
+        if ell:
+            nd = K.rmul(nd, dr)
+        got = _solve_order(ell, nd, dr, _extend_w(ws, dr, ell), ln, ld, base * cd**ell)
         if got is None:
             continue
         avec, y = _reduce_content(*got)
@@ -185,75 +198,79 @@ def _reduce_content(avec, y):
 def verify_certificate(gf, kernel, tel):
     """Exact check of sum a_i (d/dt)^i F / F = (d/dx (y F)) / F.
 
-    Both sides are cross-multiplied into a single polynomial identity, so
+    Both sides are cross-multiplied into a single polynomial identity on
+    integer rows, and its two products are compared as packed integers, so
     the check never normalizes an intermediate rational function.
     """
-    num, den = gf.value.num, gf.value.den
-    if num.is_zero():
+    if gf.value.num.is_zero():
         return True
-    order = tel.order
-    ws = _w_sequence(num, den, order)
-    lhs_num = Poly("t", [])
-    for i, a in enumerate(tel.opcoeffs):
-        lhs_num = lhs_num + a * ws[i] * den ** (order - i)
-    lhs_den = num * den**order
-    lx = _log_deriv_x(gf, kernel)
-    ln, ld = _bivar_part(lx.num), _bivar_part(lx.den)
-    ynum = _bivar_part(tel.certificate.num)
-    yden = _bivar_part(tel.certificate.den)
-    wron = P.deriv_inner(ynum) * yden - ynum * P.deriv_inner(yden)
-    rhs_num = wron * ld + ynum * yden * ln
-    rhs_den = yden * yden * ld
-    return lhs_num * rhs_den == rhs_num * lhs_den
+    nr, cn, dr, cd, ln, ld = _integrand(gf, kernel)
+    ws = _extend_w([nr], dr, tel.order)
+    # lhs: sum a_i W_i D'^(order−i) over N'·D'^order, the a_i cleared by ca
+    ca = _ilcm(*(v.denominator for a in tel.opcoeffs for v in a.coeffs))
+    lhs_num = lhs_den = []
+    for a, w in zip(tel.opcoeffs, ws):
+        a_rows = [[int(v * ca)] if v else [] for v in a.coeffs]
+        lhs_num = K.radd(K.rmul(lhs_num, dr), K.rmul(a_rows, w))
+        lhs_den = K.rmul(lhs_den, dr) if lhs_den else nr
+    (yn, cyn), (yd, cyd) = P.int_rows(tel.certificate.num), P.int_rows(tel.certificate.den)
+    wron = K.rsub(K.rmul(K.rdx(yn), yd), K.rmul(yn, K.rdx(yd)))
+    rhs_num = K.radd(K.rmul(wron, ld), K.rmul(K.rmul(yn, yd), ln))
+    rhs_den = K.rmul(K.rmul(yd, yd), ld)
+    # y = (cyd/cyn)·yn/yd and the lhs is lhs_num/(ca·lhs_den)
+    return K.rproducts_equal(K.rscale(lhs_num, cyn), rhs_den,
+                             rhs_num, K.rscale(lhs_den, ca * cyd))
 
 
-def _subs_zero(p, e):
-    s = P.subs_inner(p, e)
-    return s.is_zero()
+def _vanish_order(rows, e):
+    """(k, rows/(x − e)^k at x = e): the multiplicity of (x − e) in nonzero
+    integer rows and the t-coefficients of what is left, there, as rationals.
 
-
-def _div_linear(p, e):
-    """Divide a bivariate polynomial by (x - e), assuming it vanishes at x = e."""
-
-    def div(c):
-        if not isinstance(c, Poly):
-            if c:
-                raise ArithmeticError("nonzero constant not divisible by x - e")
-            return 0
-        q, r = P.divmod_poly(c, Poly("x", [-e, 1]))
-        if not r.is_zero():
-            raise ArithmeticError("inexact linear division")
-        return q
-
-    return p.map_coeffs(div)
-
-
-def _vanish_order(p, e):
-    """Multiplicity of (x - e) in a bivariate polynomial (0 if p(e,·) ≠ 0).
-
-    For nonzero p it cannot exceed the x-degree, so the loop needs no cap.
+    For nonzero rows k cannot exceed the x-degree, so the loop needs no cap.
     """
+    e = Fraction(e)
+    p, q = e.numerator, e.denominator
     k = 0
-    while not p.is_zero() and _subs_zero(p, e):
-        p = _div_linear(p, e)
+    while True:
+        at = [K.peval(r, e) for r in rows]
+        if any(at):
+            return k, at
+        rows = [_deflate(r, p, q) for r in rows]
         k += 1
-    return k
 
 
-def _endpoint_contribution(w, kernel, e):
-    """Limit of y·R·prefactor·exp(∫ρ) at x = e, as a rational function of t."""
-    if w.num.is_zero():
-        return RatFunc(Poly("t", []), Poly("t", [1]))
-    wn, wd = _bivar_part(w.num), _bivar_part(w.den)
+def _deflate(r, p, q):
+    """r / (q·x − p) for an int list that vanishes at x = p/q."""
+    out, carry = [], 0
+    for c in reversed(r[1:]):
+        carry, rem = divmod(c + p * carry, q)
+        if rem:
+            raise ArithmeticError("inexact linear division")
+        out.append(carry)
+    if (r[0] if r else 0) != -p * carry:
+        raise ArithmeticError("inexact linear division")
+    return K.strip(out[::-1])
+
+
+def _endpoint_contribution(nums, dens, kernel, e):
+    """Limit at x = e of the product of nums over that of dens, times exp(∫ρ),
+    as a rational function of t; each factor is nonzero integer rows."""
+    ords, vals = [], []
+    for factors in (nums, dens):
+        k, val = 0, [1]
+        for f in factors:
+            fk, at = _vanish_order(f, e)
+            k, val = k + fk, K.pmul(val, at)
+        ords.append(k)
+        vals.append(val)
+    ordw = ords[0] - ords[1]
     rho = kernel.logderiv
     if rho.is_zero():
-        num, den = wn, wd
-        while _subs_zero(num, e) and _subs_zero(den, e):
-            num, den = _div_linear(num, e), _div_linear(den, e)
-        dsub = P.subs_inner(den, e)
-        if dsub.is_zero():
+        if ordw < 0:
             raise BoundaryNotEvaluable("certificate has a pole at x = %s" % (e,))
-        return RatFunc(P.subs_inner(num, e), dsub)
+        if ordw > 0:
+            return RatFunc(Poly("t", []), Poly("t", [1]))
+        return RatFunc(Poly("t", vals[0]), Poly("t", vals[1]))
     # hyperexponential part present: only a vanishing limit is decidable
     gamma = Fraction(0)
     dr = rho.den
@@ -264,7 +281,6 @@ def _endpoint_contribution(w, kernel, e):
                 "kernel log-derivative has a higher-order pole at x = %s" % (e,)
             )
         gamma = Fraction(rho.num.eval(e)) / Fraction(drp.eval(e))
-    ordw = _vanish_order(wn, e) - _vanish_order(wd, e)
     if ordw + gamma > 0:
         return RatFunc(Poly("t", []), Poly("t", [1]))
     raise BoundaryNotEvaluable(
@@ -273,8 +289,18 @@ def _endpoint_contribution(w, kernel, e):
 
 
 def boundary_rhs(gf, kernel, tel, alpha, beta):
-    """C(beta,t) − C(alpha,t) where C = y·F; the recurrence's inhomogeneous side."""
-    w = tel.certificate * gf.value * _rf_bivar(kernel.prefactor)
-    hi = _endpoint_contribution(w, kernel, beta)
-    lo = _endpoint_contribution(w, kernel, alpha)
-    return hi - lo
+    """C(beta,t) − C(alpha,t) where C = y·F; the recurrence's inhomogeneous side.
+
+    C/exp(∫ρ) = y·(N/D)·prefactor is kept as its six integer-row factors, so
+    each limit needs only their multiplicities at the endpoint and their
+    values there.
+    """
+    (yn, cyn), (yd, cyd) = P.int_rows(tel.certificate.num), P.int_rows(tel.certificate.den)
+    (nr, cn), (dr, cd) = P.int_rows(gf.value.num), P.int_rows(gf.value.den)
+    pn, pd = _x_rows(kernel.prefactor)
+    nums, dens = (yn, nr, pn), (yd, dr, pd)
+    if not all(nums):
+        return RatFunc(Poly("t", []), Poly("t", [1]))
+    hi = _endpoint_contribution(nums, dens, kernel, beta)
+    lo = _endpoint_contribution(nums, dens, kernel, alpha)
+    return (hi - lo) * Fraction(cyd * cd, cyn * cn)

@@ -33,6 +33,29 @@ def test_run_matches_golden_report(tmp_path):
         assert out.read_bytes() == fh.read()
 
 
+# reports of a job whose system has fractional coefficients (rational kernel)
+# and of one with larger systems, stored before the telescoper moved to
+# integer rows; both must stay byte-identical
+MORE_GOLDEN = [
+    ("chebyshev_u_rational_recurrence.json",
+     {"task": "recurrence", "sequence": {"builtin": "chebyshev_U"},
+      "kernel": {"rational": "1/(2-x)"}, "interval": ["-1", "1"]}),
+    ("chebyshev_t3_verify.json",
+     {"task": "verify", "sequence": {"builtin": "chebyshev_T"}, "transforms": [{"power": 3}],
+      "kernel": {"polynomial": "1"}, "interval": ["-1", "1"]}),
+]
+
+
+@pytest.mark.parametrize("name,doc", MORE_GOLDEN, ids=[g[0][:-5] for g in MORE_GOLDEN])
+def test_run_matches_more_golden_reports(tmp_path, name, doc):
+    out = tmp_path / "report.json"
+    code = cli.main(["run", "--job", write_job(tmp_path, doc),
+                     "--format", "json", "--out", str(out)])
+    assert code == 0
+    with open(os.path.join(os.path.dirname(GOLDEN), name), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def test_run_text_to_stdout(tmp_path, capsys):
     doc = {"task": "terms", "count": 3, "sequence": {"builtin": "chebyshev_T"}}
     code = cli.main(["run", "--job", write_job(tmp_path, doc)])
@@ -115,6 +138,17 @@ def test_no_guess_exits_3(tmp_path, capsys):
            "options": {"max_order": 1, "max_degree": 0}}
     assert cli.main(["run", "--job", write_job(tmp_path, doc)]) == 3
     assert "no recurrence" in capsys.readouterr().err
+
+
+def test_quadrature_short_of_its_digits_exits_3(tmp_path, monkeypatch, capsys):
+    from intrec import oracle
+
+    monkeypatch.setattr(oracle.mp, "quad", lambda *a, **k: (oracle.mp.mpf(1), oracle.mp.mpf(1)))
+    doc = {"task": "recurrence", "sequence": {"builtin": "chebyshev_T"},
+           "kernel": {"logderiv": "x/(1-x^2)", "form": "chebyshev_weight"},
+           "interval": ["-1", "1"]}
+    assert cli.main(["run", "--job", write_job(tmp_path, doc)]) == 3
+    assert "within its limit of tanh-sinh degree" in capsys.readouterr().err
 
 
 def test_failed_verification_exits_1(tmp_path, monkeypatch, capsys):

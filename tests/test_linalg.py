@@ -206,8 +206,19 @@ def rref_basis(rows, ncols):
     return basis
 
 
+def fraction(bound, max_den):
+    """Fractions n/d with |n/d| <= bound and d <= max_den, from a cheap integer pair."""
+    return st.tuples(st.integers(-bound * max_den, bound * max_den), st.integers(1, max_den)).map(
+        lambda ud: Fraction(ud[0] * ud[1] // max_den, ud[1]))
+
+
 big_rationals = st.builds(Fraction, st.integers(-2**300, 2**300), st.integers(1, 2**60))
-small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+small_rationals = fraction(9, 5)
+
+
+def row_of(entries, ncols):
+    """One draw for a whole row."""
+    return st.lists(entries, min_size=ncols, max_size=ncols)
 
 
 @st.composite
@@ -216,9 +227,9 @@ def planted_matrices(draw):
     ncols = draw(st.integers(1, 7))
     nrows = draw(st.integers(1, 8))
     entries = draw(st.sampled_from([big_rationals, small_rationals]))
-    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    rows = [draw(row_of(entries, ncols)) for _ in range(nrows)]
     for j in draw(st.lists(st.integers(0, ncols - 1), max_size=3, unique=True)):
-        mix = [draw(small_rationals | big_rationals) for _ in range(ncols)]
+        mix = draw(row_of(small_rationals | big_rationals, ncols))
         for row in rows:
             row[j] = sum((m * v for k, (m, v) in enumerate(zip(mix, row)) if k != j), Fraction(0))
     return rows, ncols
@@ -288,8 +299,7 @@ def tpoly(*cs):
     return Poly("t", list(cs))
 
 
-small_tpolys = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=3),
-                        max_size=3).map(lambda cs: Poly("t", cs))
+small_tpolys = st.lists(fraction(5, 3), max_size=3).map(lambda cs: Poly("t", cs))
 big_tpolys = st.lists(st.integers(-2**70, 2**70), max_size=3).map(lambda cs: Poly("t", cs))
 
 
@@ -299,9 +309,9 @@ def planted_poly_matrices(draw):
     ncols = draw(st.integers(1, 6))
     nrows = draw(st.integers(1, 6))
     entries = draw(st.sampled_from([small_tpolys, big_tpolys]))
-    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    rows = [draw(row_of(entries, ncols)) for _ in range(nrows)]
     for j in draw(st.lists(st.integers(0, ncols - 1), max_size=3, unique=True)):
-        mix = [draw(small_tpolys) for _ in range(ncols)]
+        mix = draw(row_of(small_tpolys, ncols))
         for row in rows:
             acc = Poly("t", [])
             for k, (a, e) in enumerate(zip(mix, row)):
@@ -393,3 +403,37 @@ def test_primes_are_found_once():
     assert list(itertools.islice(linalg._primes(), 3)) == expected
     assert linalg._PRIMES[:3] == expected
     assert list(itertools.islice(linalg._primes(), 3)) == expected
+
+
+def test_pade_starts_at_2d_plus_1_and_returns_only_certified_candidates(monkeypatch):
+    # below 2·d + 1 coefficients Padé could certify only a solution of degree
+    # below d, so no attempt is made there; a candidate whose degree k leaves
+    # n <= d + k is not certified and lifting goes on (returning it sends the
+    # second matrix below into an endless search over primes)
+    from intrec import cfinite as cf
+    from intrec.genfun import generating_function
+    from intrec.telescope import telescope, trivial_kernel
+
+    pade, lift = linalg._pade, linalg._lift_series
+    lifts = []
+
+    def checked_lift(block, cols, solve, d, p):
+        calls = []
+
+        def recorded_pade(series, n, p):
+            calls.append(n)
+            return pade(series, n, p)
+
+        monkeypatch.setattr(linalg, "_pade", recorded_pade)
+        nums, den = lift(block, cols, solve, d, p)
+        assert calls[0] == min(2 * d + 1, 2 * len(block) * d + 1)
+        assert calls[-1] > d + max(map(len, nums + [den])) - 1
+        lifts.append(d)
+        return nums, den
+
+    monkeypatch.setattr(linalg, "_lift_series", checked_lift)
+    telescope(generating_function(cf.power(cf.BUILTINS["chebyshev_T"], 2)), trivial_kernel(), 6)
+    rows = [[tpoly(0, -1), tpoly(), tpoly(), tpoly(), tpoly(-1), tpoly()],
+            [tpoly(-1), tpoly(), tpoly(), tpoly(), tpoly(), tpoly(0, -1)]]
+    assert linalg.nullspace(rows, 6) == qt_rref_basis(rows, 6)
+    assert len(lifts) > 4

@@ -145,6 +145,23 @@ def test_gcd_divides_both_inputs():
         assert ra.is_zero() and rb.is_zero()
 
 
+def test_gcd_cofactors_multiply_back():
+    rng = random.Random(505)
+    zero_x, zero_t = Poly("x", []), Poly("t", [])
+    cases = [(nonzero_poly(rng), nonzero_poly(rng)) for _ in range(60)]
+    cases += [(nonzero_bivar(rng), nonzero_bivar(rng)) for _ in range(30)]
+    g = Poly("x", [1, Fraction(2, 5)])  # primitive part 2x + 5, not monic
+    cases += [(g * nonzero_poly(rng), g * nonzero_poly(rng)) for _ in range(20)]
+    cases += [(nonzero_poly(rng), zero_x), (zero_t, nonzero_bivar(rng)),
+              (Poly.const("x", Fraction(2, 3)), nonzero_poly(rng)),
+              (Poly("t", [Poly("x", [1, 1])]), Poly("t", [Fraction(1, 2), 3]))]
+    for a, b in cases:
+        for u, v in ((a, b), (b, a)):
+            g, cu, cv = P.gcd(u, v, cofactors=True)
+            assert g == P.gcd(u, v)
+            assert g * cu == u and g * cv == v
+
+
 def test_gcd_recovers_planted_factor():
     rng = random.Random(707)
     for _ in range(150):
@@ -188,7 +205,9 @@ def test_gcd_is_the_planted_factor_univariate():
         u = _product(us, one) * rng.randint(1, 6)
         v = _product(vs, one) * rng.randint(1, 6)
         a, b = (g * u).coeffs, (g * v).coeffs
-        assert K.gcd_int(a, b) == K.primitive_int(g.coeffs)
+        h, qa, qb = K.gcd_int(a, b)
+        assert h == K.primitive(g.coeffs, False)[1]
+        assert K.pmul(h, qa) == a and K.pmul(h, qb) == b
         assert P.gcd(g * u, g * v) == g.monic()
 
 
@@ -211,8 +230,10 @@ def test_gcd_is_the_planted_factor_bivariate():
         u = _product(ut + ux, one) * Fraction(rng.randint(1, 6), rng.randint(1, 6))
         v = _product(vt + vx, one) * rng.randint(1, 6)
         assert P.gcd(g * u, g * v) == P.canonical_unit(g)
-        rows = K.gcd_int(P._int_rows(g * u), P._int_rows(g * v))
-        assert Poly("t", [Poly("x", r) for r in rows]) == P.canonical_unit(g)
+        (ra, _), (rb, _) = P.int_rows(g * u), P.int_rows(g * v)
+        rows, qa, qb = K.gcd_int(ra, rb)
+        assert P.from_rows(rows) == P.canonical_unit(g)
+        assert K.rmul(rows, qa) == ra and K.rmul(rows, qb) == rb
 
 
 def _euclid_over_q(a, b):
@@ -238,8 +259,9 @@ def test_gcd_int_matches_euclid_over_q(g, u, v):
     a, b = K.pmul(g, u), K.pmul(g, v)
     if not (a or b):
         return
-    h = K.gcd_int(a, b)
+    h, qa, qb = K.gcd_int(a, b)
     assert [Fraction(c, h[-1]) for c in h] == _euclid_over_q(a, b)
+    assert K.pmul(h, qa) == K.strip(a) and K.pmul(h, qb) == K.strip(b)
     assert h[-1] > 0 and K.content_int(h) == 1
 
 
@@ -254,7 +276,7 @@ def test_gcd_int_retries_after_an_unlucky_point(monkeypatch):
         return interpolate(g, xi, nested)
 
     monkeypatch.setattr(K, "_interpolate", counted)
-    assert K.gcd_int([0, 0, 1], [0, 31, 16, 13]) == [0, 1]
+    assert K.gcd_int([0, 0, 1], [0, 31, 16, 13]) == ([0, 1], [0, 1], [31, 16, 13])
     assert passes[0] == 31 and len(passes) >= 2
 
 
@@ -304,15 +326,19 @@ def test_int_coeffs_clears_denominators():
     assert cleared == [3, 2] and scale == 6
 
 
-def test_x_coefficients_round_trip():
-    bp = Poly("t", [Poly("x", [1, 2]), Poly("x", [0, 3])])
-    cols = P.x_coefficients(bp)
-    assert cols == [Poly("t", [1]), Poly("t", [2, 3])]
-    assert P.from_x_coefficients(cols, "t") == bp
+def test_int_rows_round_trip():
+    bp = Poly("t", [Poly("x", [Fraction(1, 2), 2]), Poly("x", [0, 3])])
+    assert P.int_rows(bp) == ([[1, 4], [0, 6]], 2)
+    assert P.from_rows([[1, 4], [0, 6]], 2) == bp
+    assert P.int_rows(Poly("x", [Fraction(1, 3), 1])) == ([[1, 3]], 3)
+    assert P.int_rows(Poly("t", [0, 5])) == ([[], [5]], 1)
+    assert P.int_rows(Poly("t", [])) == ([], 1)
     rng = random.Random(222)
     for _ in range(60):
         p = rand_bivar(rng)
-        assert P.from_x_coefficients(P.x_coefficients(p), "t") == p
+        rows, den = P.int_rows(p)
+        assert all(type(v) is int for r in rows for v in r)
+        assert P.from_rows(rows, den) == p
 
 
 def test_cross_variable_product_stays_flat():

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intrec import cfinite as cf
 from intrec import exprs
@@ -127,16 +129,15 @@ def test_constructed_pole_raises():
 def test_vanish_order_past_64():
     x = Poly.variable("x")
     wd = Poly("t", [(x - 1) ** 70 * (x + 2), (x - 1) ** 71])
-    assert _vanish_order(wd, 1) == 70
+    assert _vanish_order(P.int_rows(wd)[0], 1) == (70, [3, 0])
     # |x-1|^(131/2) against a certificate with a pole of order 70 at x = 1:
     # the limit is infinite, so the boundary must not be reported as zero
     kern = Kernel(
         RatFunc(Poly("x", [1])),
         RatFunc(Poly("x", [Fraction(131, 2)]), Poly("x", [-1, 1])),
     )
-    w = RatFunc(Poly("x", [1]), (x - 1) ** 70)
     with pytest.raises(BoundaryNotEvaluable):
-        _endpoint_contribution(w, kern, Fraction(1))
+        _endpoint_contribution([[[1]]], [P.int_rows((x - 1) ** 70)[0]], kern, Fraction(1))
 
 
 def test_order_minimality_rerun():
@@ -204,6 +205,21 @@ def kernel(prefactor="1", logderiv="0"):
     return Kernel(exprs.parse_ratfunc(prefactor, ("x",)), exprs.parse_ratfunc(logderiv, ("x",)))
 
 
+@pytest.mark.parametrize("kern", [trivial_kernel(), kernel("1/(3-x)"), kernel("x^2+1")],
+                         ids=["one", "rational", "polynomial"])
+def test_boundary_scales_with_the_sequence(kern):
+    # a third of T has a generating function with a fractional numerator, the
+    # same telescoper and certificate, and a third of the boundary value
+    third = cf.CFiniteSeq(T.coeffs, tuple(q * Fraction(1, 3) for q in T.init))
+    gf, gf3 = generating_function(T), generating_function(third)
+    tel, tel3 = telescope(gf, kern, 6), telescope(gf3, kern, 6)
+    assert tel3 == tel
+    assert verify_certificate(gf3, kern, tel3)
+    rhs = boundary_rhs(gf, kern, tel, Fraction(-1, 2), Fraction(1))
+    assert not rhs.is_zero()
+    assert boundary_rhs(gf3, kern, tel3, Fraction(-1, 2), Fraction(1)) == rhs * Fraction(1, 3)
+
+
 U = cf.BUILTINS["chebyshev_U"]
 EXP, GAUSS = kernel(logderiv="1"), kernel(logderiv="-x")
 JACOBI = kernel(logderiv="(1/2)/(x-1)+(3/2)/(x+1)")
@@ -246,6 +262,177 @@ def test_minimal_order_one_solve_per_order(monkeypatch, seq, kern, order):
     assert tel.order == order
     assert len(calls) == order + 1
     assert verify_certificate(gf, kern, tel)
+
+
+# -- reference: the telescoper built on nested Poly objects ------------------
+# The system of each order, built with Q[x][t] Poly and RatFunc arithmetic as
+# the search did before it moved to integer rows.  The integer-row search
+# must return the identical Telescoper.
+
+
+def _bivar(p):
+    return Poly("t", [p])
+
+
+def _bivar_part(p):
+    return p if p.var == "t" else _bivar(p)
+
+
+def _x_coefficients(p):
+    """Transpose Q[x][t] -> list of Q[t] polys, index = power of x."""
+    if p.var == "x":
+        return [Poly("t", [c]) for c in p.coeffs]
+    cols = []
+    for k in range(P.x_degree(p) + 1):
+        cols.append(Poly("t", [c.coeff(k) if isinstance(c, Poly) else (c if k == 0 else 0)
+                               for c in p.coeffs]))
+    return cols
+
+
+def _from_x_coefficients(cols):
+    depth = max((c.degree() for c in cols), default=-1)
+    return Poly("t", [Poly("x", [c.coeff(j) for c in cols]) for j in range(depth + 1)])
+
+
+def _xshift(p, k):
+    if k == 0:
+        return p
+
+    def shift(c):
+        cs = c.coeffs if isinstance(c, Poly) else [c]
+        return Poly("x", [0] * k + list(cs))
+
+    return p.map_coeffs(lambda c: shift(c) if c else 0)
+
+
+def _w_sequence(num, den, upto):
+    ws = [num]
+    dd = den.deriv()
+    for i in range(upto):
+        w = ws[-1]
+        ws.append(w.deriv() * den - (i + 1) * dd * w)
+    return ws
+
+
+def _log_deriv_x(gf, kernel):
+    num, den = gf.value.num, gf.value.den
+    r_part = RatFunc(P.deriv_inner(num) * den - num * P.deriv_inner(den), num * den)
+    k_part = kernel.logderiv + telescope_module._pre_logderiv(kernel)
+    return r_part + RatFunc(_bivar(k_part.num), _bivar(k_part.den))
+
+
+def _reference_solve_order(num, den, ws, lx, ell):
+    den_l = _bivar_part(lx.den)
+    den_y = den_l * num * den**ell
+    h = lx - RatFunc(P.deriv_inner(den_y), den_y)
+    den_h, num_h = _bivar_part(h.den), _bivar_part(h.num)
+    rhs = [ws[i] * den_l * den ** (ell - i) * den_h for i in range(ell + 1)]
+    m = max(P.x_degree(q) for q in rhs) + 2
+    mults = []
+    for j in range(m + 1):
+        mj = _xshift(num_h, j)
+        if j:
+            mj = mj + j * _xshift(den_h, j - 1)
+        mults.append(mj)
+    cols = [_x_coefficients(q) for q in mults] + [_x_coefficients(-q) for q in rhs]
+    zero_t = Poly("t", [])
+    depth = max((len(c) for c in cols), default=0)
+    rows = [[c[k] if k < len(c) else zero_t for c in cols] for k in range(depth)]
+    for vec in linalg.nullspace(rows, len(cols)):
+        avec = vec[m + 1:]
+        if all(not a for a in avec):
+            continue
+        while not avec[-1]:
+            avec = avec[:-1]
+        return list(avec), RatFunc(_from_x_coefficients(vec[: m + 1]), den_y)
+    return None
+
+
+def reference_telescope(gf, kernel, max_order):
+    num, den = gf.value.num, gf.value.den
+    lx = _log_deriv_x(gf, kernel)
+    ws = _w_sequence(num, den, max_order)
+    for ell in range(max_order + 1):
+        got = _reference_solve_order(num, den, ws, lx, ell)
+        if got is not None:
+            avec, y = telescope_module._reduce_content(*got)
+            return Telescoper(tuple(avec), y)
+    raise NoTelescoperFound(max_order)
+
+
+def same_search(gf, kern, max_order):
+    """The telescoper, or the exhausted order, of both searches; asserts they agree."""
+    results = []
+    for search in (telescope, reference_telescope):
+        try:
+            results.append(repr(search(gf, kern, max_order)))
+        except NoTelescoperFound as e:
+            results.append(e.max_order)
+    assert results[0] == results[1]
+    return results[0]
+
+
+def proportional(row, ref):
+    """Whether row = c·ref for one nonzero rational c (entries in Q[t])."""
+    c = None
+    for e, f in zip(row, ref):
+        if not e or not f:
+            if e or f:
+                return False
+            continue
+        q = Fraction(e.lc()) / Fraction(f.lc())
+        if P.scale_poly(f, q) != e or (c is not None and q != c):
+            return False
+        c = q
+    return True
+
+
+@pytest.mark.parametrize("seq,kern,order", [c[1:] for c in MINIMAL_ORDERS],
+                         ids=[c[0] for c in MINIMAL_ORDERS])
+def test_integer_rows_match_poly_reference(monkeypatch, seq, kern, order):
+    systems = {}
+    for mod in (telescope_module, linalg):
+        def recorded(rows, ncols, solve=mod.nullspace, key=mod.__name__):
+            systems.setdefault(key, []).append(rows)
+            return solve(rows, ncols)
+
+        monkeypatch.setattr(mod, "nullspace", recorded)
+    assert "Telescoper" in same_search(generating_function(seq), kern, order)
+    # each order's system is the reference's, up to one factor per row
+    new, ref = systems["intrec.telescope"], systems["intrec.linalg"]
+    assert len(new) == len(ref) == order + 1
+    for rows, ref_rows in zip(new, ref):
+        assert len(rows) == len(ref_rows)
+        assert all(proportional(r, f) for r, f in zip(rows, ref_rows))
+
+
+xpolys = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda cs: Poly("x", cs))
+
+
+@st.composite
+def integrands(draw):
+    """A short C-finite sequence against a rational or hyperexponential kernel."""
+    order = draw(st.integers(1, 2))
+    coeffs = draw(st.lists(xpolys, min_size=order, max_size=order))
+    init = draw(st.lists(xpolys, min_size=order, max_size=order))
+    if coeffs[-1].is_zero():
+        coeffs[-1] = Poly("x", [1])
+    pre_num, pre_den, rho_num, rho_den = (draw(xpolys) for _ in range(4))
+    prefactor = RatFunc(pre_num if pre_num else Poly("x", [1]),
+                        pre_den if pre_den else Poly("x", [1]))
+    rho = RatFunc(rho_num if draw(st.booleans()) else Poly("x", []),
+                  rho_den if rho_den else Poly("x", [1]))
+    seq = cf.CFiniteSeq(tuple(coeffs), tuple(init))
+    return generating_function(seq), Kernel(prefactor, rho)
+
+
+@settings(max_examples=40, deadline=None)
+@given(integrands())
+def test_integer_rows_match_poly_reference_on_random_integrands(case):
+    gf, kern = case
+    if gf.value.num.is_zero():
+        return
+    same_search(gf, kern, 2)
 
 
 def test_reduce_content_matches_full_normalisation(monkeypatch):
