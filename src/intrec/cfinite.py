@@ -2,9 +2,15 @@
 
 A sequence P_n(x) is given by a fixed-depth recurrence
 P_n = p_1(x) P_{n-1} + ... + p_L(x) P_{n-L} together with the first L
-polynomials.  Products and powers stay C-finite; the witness recurrence is
-read off the characteristic polynomial of the Kronecker product of companion
-matrices, which carries its own order bound (minimality is not attempted).
+polynomials.  Products and powers stay C-finite.  The recurrence of P_n·Q_n
+is the characteristic polynomial of the Kronecker product of the two
+companion matrices, whose roots are the products of their roots; it is
+built without the matrix, from power sums (Kauers and Paule, The Concrete
+Tetrahedron, ch. 4).  Newton's identities give the power sums of a
+recurrence's roots, those of a product are the termwise products of its
+factors' power sums, and Newton's identities read backwards give the
+recurrence of the product.  Its order is exactly order(a)·order(b);
+minimality is not attempted.
 
 Each sequence keeps one prefix [P_0, ..., P_m] of its terms, grown on demand
 by the recurrence: `term` indexes it and `terms` slices it, so asking for
@@ -15,10 +21,9 @@ copies BUILTINS for each job).
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import ReverseUnsupportedDegreeProfile
-from .linalg import bareiss_det
-from . import poly as P
 from .poly import Poly
 
 
@@ -80,54 +85,57 @@ def terms(seq, count):
     return _extend(seq, count)[:count]
 
 
-def _companion(seq):
-    L = seq.order
-    A = [[Poly("x", []) for _ in range(L)] for _ in range(L)]
-    for i in range(L - 1):
-        A[i][i + 1] = Poly.const("x", 1)
-    for i, p in enumerate(seq.coeffs):
-        A[L - 1][L - 1 - i] = p
-    return A
+def _power_sums(seq, count):
+    """s_1, ..., s_count, the power sums of the roots of
+    t^L - p_1 t^(L-1) - ... - p_L, by Newton's identities:
+    s_k = p_1 s_(k-1) + ... + p_(k-1) s_1 + k·p_k, with p_k = 0 for k > L."""
+    ps = seq.coeffs
+    sums = []
+    for k in range(1, count + 1):
+        acc = k * ps[k - 1] if k <= len(ps) else Poly("x", [])
+        for i in range(1, min(k, len(ps) + 1)):
+            acc = acc + ps[i - 1] * sums[k - i - 1]
+        sums.append(acc)
+    return sums
+
+
+def _from_power_sums(sums):
+    """The recurrence p_1, ..., p_M whose characteristic polynomial's roots
+    have the power sums s_1, ..., s_M: Newton's identities solved for p_k."""
+    ps = []
+    for k in range(1, len(sums) + 1):
+        acc = sums[k - 1]
+        for i in range(1, k):
+            acc = acc - ps[i - 1] * sums[k - i - 1]
+        ps.append(acc * Fraction(1, k))
+    return ps
 
 
 def product(a, b):
-    """Sequence with terms P_n·Q_n, order at most order(a)·order(b).
+    """Sequence with terms P_n·Q_n, of order exactly order(a)·order(b).
 
-    The recurrence comes from the characteristic polynomial of the Kronecker
-    product of the two companion matrices: every linear functional of the
-    tensored state vector is annihilated by it, the termwise product included.
+    Its characteristic polynomial is that of the Kronecker product of the
+    two companion matrices: its k-th power sum is the product of the
+    factors' k-th power sums.
     """
-    A, B = _companion(a), _companion(b)
-    La, Lb = a.order, b.order
-    M = La * Lb
-    char_rows = []
-    for i1 in range(La):
-        for i2 in range(Lb):
-            row = []
-            for j1 in range(La):
-                for j2 in range(Lb):
-                    e = A[i1][j1] * B[i2][j2]
-                    diag = i1 == j1 and i2 == j2
-                    row.append(Poly("t", [-e, 1] if diag else [-e]))
-            char_rows.append(row)
-    chi = bareiss_det(char_rows, "t")
-    # chi is monic of degree M, so the shift recurrence is c(n) = -sum d_{M-i} c(n-i)
-    new_coeffs = [-chi.coeff(M - i) for i in range(1, M + 1)]
-    ta, tb = terms(a, M), terms(b, M)
-    new_init = [ta[k] * tb[k] for k in range(M)]
-    return CFiniteSeq(tuple(new_coeffs), tuple(new_init))
+    M = a.order * b.order
+    sums = [u * v for u, v in zip(_power_sums(a, M), _power_sums(b, M))]
+    init = [u * v for u, v in zip(terms(a, M), terms(b, M))]
+    return CFiniteSeq(tuple(_from_power_sums(sums)), tuple(init))
 
 
 def power(seq, r):
-    """Sequence with terms P_n^r; r = 0 gives the constant sequence 1."""
+    """Sequence with terms P_n^r, of order exactly order(seq)^r.
+
+    Its k-th power sum is the r-th power of seq's, which gives the same
+    recurrence as r - 1 chained products; r = 0 gives the constant sequence 1.
+    """
     if r < 0:
         raise ValueError("exponent must be nonnegative")
-    if r == 0:
-        return CFiniteSeq((Poly.const("x", 1),), (Poly.const("x", 1),))
-    out = seq
-    for _ in range(r - 1):
-        out = product(out, seq)
-    return out
+    M = seq.order**r
+    sums = [s**r for s in _power_sums(seq, M)]
+    init = [q**r for q in terms(seq, M)]
+    return CFiniteSeq(tuple(_from_power_sums(sums)), tuple(init))
 
 
 def _reverse_poly(p, d):

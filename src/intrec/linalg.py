@@ -1,4 +1,4 @@
-"""Exact nullspace and determinant computations.
+"""Exact nullspace computations.
 
 Both nullspace solvers return the canonical basis: one vector per free column
 of the reduced row echelon form over Q or Q(t), in column order, each jointly
@@ -549,30 +549,3 @@ def nullspace(rows, ncols):
     if var is None:
         return _nullspace_frac(rows, ncols)
     return _nullspace_tadic(rows, ncols, var)
-
-
-def bareiss_det(mat, var):
-    """Exact determinant over a polynomial ring by two-step fraction-free elimination."""
-    n = len(mat)
-    if n == 0:
-        return Poly(var, [1])
-    M = [[e if isinstance(e, Poly) else Poly.const(var, e) for e in row] for row in mat]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not M[k][k]:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly(var, [])
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                M[i][j] = P.exact_div(num, prev) if prev is not None else num
-            M[i][k] = Poly(var, [])
-        prev = M[k][k]
-    d = M[n - 1][n - 1]
-    return -d if sign < 0 else d

@@ -15,6 +15,11 @@ that gate makes the result the gcd and why the loop ends.  `gcd` can return
 the two quotients of that division as cofactors, which is how `RatFunc`
 reduces a fraction.  No factorization is used anywhere.
 
+Division is univariate over Q: `divmod_poly`, and `exact_div` on top of it,
+which also divides any polynomial by a nonzero rational constant.  Q[x][t]
+polynomials are divided only inside the gcd, whose cofactors are the
+quotients.
+
 `int_rows` and `from_rows` convert Q[x][t] polynomials to and from the
 integer rows of `_kernels`, on which the telescoper does its arithmetic.
 """
@@ -307,61 +312,25 @@ def int_coeffs(p):
 # -- division and gcd --------------------------------------------------------
 
 
-def coeff_div(a, b):
-    """Exact division in the coefficient domain (Q or Q[x])."""
-    if isinstance(b, Poly):
-        if isinstance(a, Poly):
-            return exact_div(a, b)
-        if not a:
-            return 0
-        raise ArithmeticError("inexact coefficient division")
-    if isinstance(a, Poly):
-        return a * num_div(1, b)
-    return num_div(a, b)
-
-
 def divmod_poly(a, b):
     """Quotient/remainder for univariate polynomials over Q."""
     if a.is_bivariate() or b.is_bivariate():
         raise ValueError("divmod_poly is univariate-only")
+    if a.var != b.var and not b.is_constant():
+        raise ValueError("variable mismatch in polynomial division")
     q, r = K.pdivmod_q(a.coeffs, b.coeffs)
     return Poly(a.var, q), Poly(a.var, r)
 
 
 def exact_div(a, b):
-    """a / b when b divides a exactly (outer long division, exact inner steps)."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return Poly(a.var, [])
-    if a.var != b.var and not b.is_constant():
-        raise ValueError("variable mismatch in exact_div")
-    if b.is_constant():
-        c = b.constant()
-        if isinstance(c, Poly):
-            # t-constant divisor with a polynomial x-part
-            if a.var == c.var:
-                return exact_div(a, c)
-            return a.map_coeffs(lambda v: coeff_div(v, c))
-        return a * num_div(1, c)
-    r = list(a.coeffs)
-    db = b.degree()
-    lb = b.lc()
-    q = [0] * (len(r) - db)
-    while len(r) > db:
-        while r and not r[-1]:
-            del r[-1]
-        if len(r) <= db:
-            break
-        lead = coeff_div(r[-1], lb)
-        s = len(r) - 1 - db
-        q[s] = lead
-        for i in range(db + 1):
-            r[s + i] = r[s + i] - lead * b.coeffs[i]
-        del r[-1]
-    if K.strip(r):
+    """a / b when b divides a exactly: univariate over Q, or any polynomial
+    over a nonzero rational constant."""
+    if b.is_constant() and not b.is_bivariate():
+        return a * num_div(1, b.constant())
+    q, r = divmod_poly(a, b)
+    if r:
         raise ArithmeticError("inexact polynomial division")
-    return Poly(a.var, q)
+    return q
 
 
 def int_rows(p):
@@ -404,20 +373,26 @@ def gcd(a, b, cofactors=False):
     With cofactors=True, returns (g, a/g, b/g), the cofactors taken from
     `K.gcd_int` where it runs; a and b must not both be zero.
     """
-    g = None
-    if a.is_zero() and b.is_zero():
-        g = Poly(a.var, [])
-    elif a.is_zero() or b.is_zero():
+    if a.is_zero() or b.is_zero():
         c = b if a.is_zero() else a
-        g = canonical_unit(c) if c.is_bivariate() else c.monic()
-    elif any(p.is_constant() and not isinstance(p.constant(), Poly) for p in (a, b)):
-        g = Poly(a.var if not a.is_constant() else b.var, [1])
-    elif a.var != b.var:
+        if c.is_zero():
+            if cofactors:
+                raise ZeroDivisionError("gcd(0, 0) has no cofactors")
+            return Poly(a.var, [])
+        # c is a rational unit times g, and that unit is its cofactor; the
+        # zero argument is its own
+        unit = rational_content(c) * leading_sign(c) if c.is_bivariate() else c.lc()
+        g = scale_poly(c, num_div(1, unit))
+        if not cofactors:
+            return g
+        u = Poly(c.var, [unit])
+        return (g, u, b) if c is a else (g, a, u)
+    if a.var != b.var or any(p.is_constant() and not isinstance(p.constant(), Poly)
+                             for p in (a, b)):
         if not (a.is_constant() or b.is_constant()):
             raise ValueError("variable mismatch in gcd")
-        g = Poly(a.var if not a.is_constant() else b.var, [1])
-    if g is not None:
-        return (g, exact_div(a, g), exact_div(b, g)) if cofactors else g
+        one = Poly(a.var if not a.is_constant() else b.var, [1])
+        return (one, a, b) if cofactors else one
     if a.is_bivariate() or b.is_bivariate():
         got = _gcd_bivariate(a, b)
         return got if cofactors else got[0]
@@ -428,14 +403,6 @@ def gcd(a, b, cofactors=False):
     if not cofactors:
         return g
     return g, Poly(a.var, qa) * Fraction(h[-1], la), Poly(b.var, qb) * Fraction(h[-1], lb)
-
-
-def lcm(a, b):
-    if a.is_zero() or b.is_zero():
-        return Poly(a.var, [])
-    g = gcd(a, b)
-    m = exact_div(a * b, g)
-    return canonical_unit(m) if m.is_bivariate() else m.monic()
 
 
 # -- bivariate helpers -------------------------------------------------------
@@ -451,17 +418,3 @@ def x_degree(p):
         if cd > d:
             d = cd
     return d
-
-
-def subs_inner(p, v):
-    """Substitute x in a Q[x][t] (or plain Q[x]) polynomial; result in Q[t]."""
-    if p.var == "x":
-        return Poly("t", [p.eval(v)])
-    return p.map_coeffs(lambda c: c.eval(v) if isinstance(c, Poly) else c)
-
-
-def deriv_inner(p):
-    """d/dx of a Q[x][t] (or plain Q[x]) polynomial."""
-    if p.var == "x":
-        return p.deriv()
-    return p.map_coeffs(lambda c: c.deriv() if isinstance(c, Poly) else 0)

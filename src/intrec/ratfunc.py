@@ -176,26 +176,12 @@ class RatFunc:
             self.den * self.den,
         )
 
-    def deriv_inner(self):
-        """Derivative with respect to x for functions in Q(x)[t] quotients."""
-        return RatFunc(
-            P.deriv_inner(self.num) * self.den - self.num * P.deriv_inner(self.den),
-            self.den * self.den,
-        )
-
     def eval(self, v):
         """Substitute the outer variable; raises ZeroDenominator at a pole."""
         d = self.den.eval(v)
         if isinstance(d, Poly) or d:
             n = self.num.eval(v)
             if isinstance(d, Poly) or isinstance(n, Poly):
-                raise ValueError("evaluation left a polynomial; use subs_inner")
+                raise ValueError("evaluation left a polynomial")
             return P.num_div(n, d)
         raise ZeroDenominator("evaluation at a pole")
-
-    def subs_inner(self, v):
-        """Substitute x in a bivariate quotient; result stays rational in t."""
-        d = P.subs_inner(self.den, v)
-        if d.is_zero():
-            raise ZeroDenominator("inner substitution vanishes on the denominator")
-        return RatFunc(P.subs_inner(self.num, v), d)

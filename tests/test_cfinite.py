@@ -187,3 +187,93 @@ def test_closure_outputs_self_verify():
         else:
             direct = [cf.term(base, n) ** r for n in range(horizon + 1)]
         assert cf.verify_annihilation(out, direct)
+
+
+# -- the closure is the characteristic polynomial itself ------------------------
+
+
+def frac_det(rows):
+    m = [[Fraction(v) for v in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for i in range(col + 1, n):
+            if m[i][col]:
+                f = m[i][col] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return det
+
+
+def companion_at(seq, x0):
+    L = seq.order
+    A = [[Fraction(0)] * L for _ in range(L)]
+    for i in range(L - 1):
+        A[i][i + 1] = Fraction(1)
+    for i, p in enumerate(seq.coeffs):
+        A[L - 1][L - 1 - i] = Fraction(p.eval(x0))
+    return A
+
+
+def kron(A, B):
+    return [[a * b for a in ra for b in rb] for ra in A for rb in B]
+
+
+def char_value(seq, x0, t0):
+    """t0^M - p_1(x0) t0^(M-1) - ... - p_M(x0) for the recurrence of seq."""
+    M = seq.order
+    return t0**M - sum(p.eval(x0) * t0 ** (M - 1 - i) for i, p in enumerate(seq.coeffs))
+
+
+def rat_seq(rng, order):
+    def rpoly():
+        return Poly("x", [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)])
+
+    coeffs = [rpoly() for _ in range(order)]
+    while coeffs[-1].is_zero():
+        coeffs[-1] = rpoly()
+    return cf.CFiniteSeq(tuple(coeffs), tuple(rpoly() for _ in range(order)))
+
+
+POINTS = [(Fraction(0), Fraction(2)), (Fraction(1, 3), Fraction(-1, 2)),
+          (Fraction(-2), Fraction(5, 3)), (Fraction(3, 2), Fraction(0))]
+
+
+def test_product_is_the_kronecker_characteristic_polynomial():
+    # annihilating the products is not enough: any multiple of the
+    # characteristic polynomial does that too
+    rng = random.Random(1303)
+    pairs = [(rat_seq(rng, rng.randint(1, 3)), rat_seq(rng, rng.randint(1, 3)))
+             for _ in range(12)]
+    a, b, c = (rat_seq(rng, 2) for _ in range(3))
+    pairs.append((a, cf.product(b, c)))  # order 8
+    for a, b in pairs:
+        prod = cf.product(a, b)
+        M = a.order * b.order
+        assert prod.order == M
+        for x0, t0 in POINTS:
+            kp = kron(companion_at(a, x0), companion_at(b, x0))
+            shifted = [[(t0 if i == j else 0) - e for j, e in enumerate(row)]
+                       for i, row in enumerate(kp)]
+            assert char_value(prod, x0, t0) == frac_det(shifted)
+        assert cf.terms(prod, M + 3) == [u * v for u, v in zip(cf.terms(a, M + 3),
+                                                               cf.terms(b, M + 3))]
+
+
+def test_power_is_chained_products():
+    rng = random.Random(1304)
+    for order in (1, 2, 3, 2):
+        s = rat_seq(rng, order)
+        chained = [cf.CFiniteSeq((Poly("x", [1]),), (Poly("x", [1]),))]
+        for _ in range(3):
+            chained.append(cf.product(chained[-1], s))
+        for r, want in enumerate(chained):
+            got = cf.power(s, r)
+            assert (got.coeffs, got.init) == (want.coeffs, want.init)

@@ -35,7 +35,9 @@ def test_run_matches_golden_report(tmp_path):
 
 # reports of a job whose system has fractional coefficients (rational kernel)
 # and of one with larger systems, stored before the telescoper moved to
-# integer rows; both must stay byte-identical
+# integer rows, and of a power and a product of a sequence with rational
+# coefficients, stored before closures moved to power sums; all must stay
+# byte-identical
 MORE_GOLDEN = [
     ("chebyshev_u_rational_recurrence.json",
      {"task": "recurrence", "sequence": {"builtin": "chebyshev_U"},
@@ -43,6 +45,9 @@ MORE_GOLDEN = [
     ("chebyshev_t3_verify.json",
      {"task": "verify", "sequence": {"builtin": "chebyshev_T"}, "transforms": [{"power": 3}],
       "kernel": {"polynomial": "1"}, "interval": ["-1", "1"]}),
+    ("custom_rational_power_product_genfun.json",
+     {"task": "genfun", "sequence": {"coeffs": ["x/3+1", "-2/5"], "init": ["1", "x-1/2"]},
+      "transforms": [{"power": 2}, {"product_with": {"builtin": "chebyshev_U"}}]}),
 ]
 
 

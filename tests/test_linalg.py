@@ -1,4 +1,4 @@
-"""Exact linear algebra: nullspaces and determinants, cross-checked."""
+"""Exact linear algebra: nullspaces, cross-checked."""
 
 import itertools
 import math
@@ -30,26 +30,6 @@ def frac_rank(rows, ncols):
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
-
-
-def frac_det(rows):
-    m = [[Fraction(v) for v in row] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
 
 
 def poly_gcd_all(entries):
@@ -149,25 +129,6 @@ def test_canonical_vector_normalization():
     assert linalg.canonical_vector(
         [Poly("t", [0, -2]), Poly("t", [4])]
     ) == [Poly("t", [0, 1]), Poly("t", [-2])]
-
-
-def test_bareiss_det_matches_elimination():
-    rng = random.Random(359)
-    points = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(5, 2)]
-    for _ in range(25):
-        n = rng.randint(2, 3)
-        mat = [[Poly("t", [rng.randint(-3, 3), rng.randint(-2, 2)])
-                for _ in range(n)] for _ in range(n)]
-        det = linalg.bareiss_det(mat, "t")
-        for pt in points:
-            plain = frac_det([[e.eval(pt) for e in row] for row in mat])
-            assert det.eval(pt) == plain
-
-
-def test_singular_matrix_det_zero():
-    mat = [[Poly("t", [1]), Poly("t", [0, 1])],
-           [Poly("t", [2]), Poly("t", [0, 2])]]
-    assert linalg.bareiss_det(mat, "t").is_zero()
 
 
 # -- the rational solver: p-adic lifting against a Gauss-Jordan reference -----

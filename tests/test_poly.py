@@ -92,10 +92,6 @@ def test_exact_div_inverts_product():
     for _ in range(120):
         a, b = rand_poly(rng), nonzero_poly(rng)
         assert P.exact_div(a * b, b) == a
-    # same inverse law in the two-variable layer
-    for _ in range(40):
-        a, b = rand_bivar(rng), nonzero_bivar(rng)
-        assert P.exact_div(a * b, b) == a
 
 
 def test_kernel_api_surface():
@@ -280,26 +276,18 @@ def test_gcd_int_retries_after_an_unlucky_point(monkeypatch):
     assert passes[0] == 31 and len(passes) >= 2
 
 
-def test_lcm_gcd_product_relation():
-    rng = random.Random(808)
-    for _ in range(100):
-        a, b = nonzero_poly(rng), nonzero_poly(rng)
-        lhs = P.canonical_unit(a * b)
-        rhs = P.canonical_unit(P.gcd(a, b) * P.lcm(a, b))
-        assert lhs == rhs
-
-
 def test_bivariate_gcd_common_factor():
     rng = random.Random(909)
     for _ in range(40):
         g = nonzero_bivar(rng, maxdeg_t=1, maxdeg_x=1)
         u = nonzero_bivar(rng, maxdeg_t=1, maxdeg_x=1)
         v = nonzero_bivar(rng, maxdeg_t=1, maxdeg_x=1)
-        d = P.gcd(g * u, g * v)
+        d, cu, cv = P.gcd(g * u, g * v, cofactors=True)
         # d divides both products and the planted factor divides d
-        assert P.exact_div(g * u, d) * d == g * u
-        assert P.exact_div(g * v, d) * d == g * v
-        assert P.exact_div(d, P.canonical_unit(g)) * P.canonical_unit(g) == d
+        assert d * cu == g * u and d * cv == g * v
+        h, cd, cg = P.gcd(d, g, cofactors=True)
+        assert h * cd == d and h * cg == g
+        assert cg.is_constant() and not cg.is_bivariate()
 
 
 def test_chebyshev_denominator_is_squarefree():
@@ -348,18 +336,9 @@ def test_cross_variable_product_stays_flat():
     assert r == Poly("x", [0, 0, 1])
     s = Poly("x", [0, 1]) * Poly("t", [0, 1])
     assert s.var == "t"
-    assert P.subs_inner(s, Fraction(3)).eval(Fraction(5)) == 15
+    assert s == Poly("t", [0, Poly("x", [0, 1])])
 
 
 def test_eval_bivariate_worked():
     bp = Poly("t", [Poly("x", [1, 2]), Poly("x", [0, 3])])
-    assert P.subs_inner(bp, Fraction(2)).eval(Fraction(5)) == 35
-
-
-def test_inner_substitution_and_derivative():
-    bp = Poly("t", [Poly("x", [1, 2]), Poly("x", [0, 3])])
-    assert P.subs_inner(bp, Fraction(2)) == Poly("t", [5, 6])
-    assert P.deriv_inner(bp) == Poly("t", [2, 3])
-    sq = Poly("x", [0, 0, 1])
-    assert P.subs_inner(sq, Fraction(3)) == Poly("t", [9])
-    assert P.deriv_inner(sq) == Poly("x", [0, 2])
+    assert bp.eval(Fraction(5)).eval(Fraction(2)) == 35

@@ -97,19 +97,6 @@ def test_derivative_rules():
             assert d == RatFunc(f.num.deriv(), Poly(f.num.var, [1]))
 
 
-def test_inner_derivative_product_rule():
-    one_m_xt = Poly("t", [Poly("x", [1]), Poly("x", [0, -1])])
-    f = RatFunc(Poly("t", [1]), one_m_xt)
-    g = RatFunc(Poly("t", [Poly("x", [0, 1])]), Poly("t", [1]))
-    assert (f * g).deriv_inner() == f.deriv_inner() * g + f * g.deriv_inner()
-
-
-def test_geometric_kernel_x_derivative():
-    f = exprs.parse_ratfunc("1/(1-x*t)", ("x", "t"), "t")
-    want = exprs.parse_ratfunc("t/((1-x*t)^2)", ("x", "t"), "t")
-    assert f.deriv_inner() == want
-
-
 def test_chebyshev_pair_already_reduced():
     r = exprs.parse_ratfunc("(1-x*t)/(1-2*x*t+t^2)", ("x", "t"), "t")
     assert exprs.fmt_ratfunc(r) == "(1-x*t)/(1-2*x*t+t^2)"

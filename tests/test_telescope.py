@@ -274,6 +274,13 @@ def _bivar(p):
     return Poly("t", [p])
 
 
+def dx(p):
+    """d/dx of a Q[x][t] (or plain Q[x]) polynomial."""
+    if p.var == "x":
+        return p.deriv()
+    return p.map_coeffs(lambda c: c.deriv() if isinstance(c, Poly) else 0)
+
+
 def _bivar_part(p):
     return p if p.var == "t" else _bivar(p)
 
@@ -316,7 +323,7 @@ def _w_sequence(num, den, upto):
 
 def _log_deriv_x(gf, kernel):
     num, den = gf.value.num, gf.value.den
-    r_part = RatFunc(P.deriv_inner(num) * den - num * P.deriv_inner(den), num * den)
+    r_part = RatFunc(dx(num) * den - num * dx(den), num * den)
     k_part = kernel.logderiv + telescope_module._pre_logderiv(kernel)
     return r_part + RatFunc(_bivar(k_part.num), _bivar(k_part.den))
 
@@ -324,7 +331,7 @@ def _log_deriv_x(gf, kernel):
 def _reference_solve_order(num, den, ws, lx, ell):
     den_l = _bivar_part(lx.den)
     den_y = den_l * num * den**ell
-    h = lx - RatFunc(P.deriv_inner(den_y), den_y)
+    h = lx - RatFunc(dx(den_y), den_y)
     den_h, num_h = _bivar_part(h.den), _bivar_part(h.num)
     rhs = [ws[i] * den_l * den ** (ell - i) * den_h for i in range(ell + 1)]
     m = max(P.x_degree(q) for q in rhs) + 2
