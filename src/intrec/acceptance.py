@@ -61,7 +61,7 @@ def case_plain_chebyshev_integral(seed=DEFAULT_SEED):
     seq = cf.BUILTINS["chebyshev_T"]
     kern = trivial_kernel()
     prob = oracle.IntegralProblem(seq, kern, -1, 1)
-    terms = [oracle.exact_term(prob, n) for n in range(51)]
+    terms = oracle.exact_terms(prob, 51)
 
     gf = generating_function(seq)
     tel = telescope(gf, kern, 6)
@@ -117,7 +117,7 @@ def case_power_sequence_integral(seed=DEFAULT_SEED):
         checks.append(("boundary rhs matches up to content", ref_rhs == mu * rhs))
     rec = o2r.ode_to_recurrence(tel.opcoeffs, rhs)
     prob = oracle.IntegralProblem(seq, kern, 0, 1)
-    terms = [oracle.exact_term(prob, n) for n in range(31)]
+    terms = oracle.exact_terms(prob, 31)
     rec = o2r.attach_initials(rec, terms[: o2r.required_initials(rec)])
     checks.append(("reproduces a(n) = 1/(n+1) for n<=30",
                    o2r.unroll(rec, 31) == [Fraction(1, n + 1) for n in range(31)]))
@@ -214,7 +214,7 @@ def case_squared_chebyshev_integral(seed=DEFAULT_SEED):
     seq = cf.power(cf.BUILTINS["chebyshev_T"], 2)
     kern = trivial_kernel()
     prob = oracle.IntegralProblem(seq, kern, -1, 1)
-    terms = [oracle.exact_term(prob, n) for n in range(60)]
+    terms = oracle.exact_terms(prob, 60)
     checks = [
         ("oracle spot values", terms[0] == 2 and terms[1] == Fraction(2, 3)
          and terms[2] == Fraction(14, 15)),
@@ -266,8 +266,9 @@ def case_singular_weight_fallback(seed=DEFAULT_SEED):
 
     seq = cf.power(cf.BUILTINS["chebyshev_T"], 2)
     prob = oracle.IntegralProblem(seq, chebyshev_weight(), -1, 1)
+    checks.append(("exact values are pi times rationals", prob.factor == "pi"))
     checks.append(("q_0 = 1 and q_n = 1/2 for n=1..6",
-                   oracle.pi_parts(prob, 7) == [1] + [Fraction(1, 2)] * 6))
+                   oracle.exact_terms(prob, 7) == [1] + [Fraction(1, 2)] * 6))
     with mp.workdps(40):
         tol = mp.mpf(10) ** -25
         v0 = oracle.numeric_term(prob, 0, 30)

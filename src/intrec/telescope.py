@@ -45,9 +45,6 @@ class Kernel:
     prefactor: RatFunc
     logderiv: RatFunc
 
-    def is_rational(self):
-        return self.logderiv.is_zero()
-
 
 def trivial_kernel():
     one = RatFunc(Poly.const("x", 1))

@@ -1,7 +1,9 @@
 """Command-line front end: exit codes, output routing, golden stability."""
 
+import argparse
 import json
 import os
+import re
 import time
 
 import pytest
@@ -48,6 +50,12 @@ MORE_GOLDEN = [
     ("custom_rational_power_product_genfun.json",
      {"task": "genfun", "sequence": {"coeffs": ["x/3+1", "-2/5"], "init": ["1", "x-1/2"]},
       "transforms": [{"power": 2}, {"product_with": {"builtin": "chebyshev_U"}}]}),
+    # stored before the pi-factored values moved into oracle.exact_term: the
+    # guess needs more q_n than the telescoper path
+    ("chebyshev_weight_t2_verify.json",
+     {"task": "verify", "sequence": {"builtin": "chebyshev_T"}, "transforms": [{"power": 2}],
+      "kernel": {"logderiv": "x/(1-x^2)", "form": "chebyshev_weight"},
+      "interval": ["-1", "1"], "options": {"max_degree": 5}}),
 ]
 
 
@@ -174,6 +182,17 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--job", write_job(tmp_path, doc),
                      "--out", path]) == 2
     capsys.readouterr()
+
+
+def test_option_flag_defaults_are_the_pipeline_defaults():
+    parser = argparse.ArgumentParser()
+    cli._add_option_flags(parser)
+    defaults = pipeline.Options()
+    assert pipeline.Options(**vars(parser.parse_args([]))) == defaults
+    text = " ".join(parser.format_help().split())
+    for name, value in vars(defaults).items():
+        flag = "--" + name.replace("_", "-")
+        assert re.search(r"%s \w+ [^()]*\(default %d\)" % (flag, value), text), flag
 
 
 def test_option_flags_reach_the_pipeline(tmp_path, capsys):

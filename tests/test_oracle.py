@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from intrec import cfinite as cf
-from intrec import oracle
+from intrec import exprs, oracle
 from intrec.errors import ExactOracleUnavailable, QuadratureFailed, UnsupportedKernel
 from intrec.oracle import IntegralProblem
 from intrec.poly import Poly
@@ -36,9 +36,12 @@ def test_exact_worked_examples():
 
 
 def test_exact_requires_polynomial_kernel():
+    # the Chebyshev weight has exact values a(n) = pi·q_n on [-1, 1] only
     prob = IntegralProblem(T, chebyshev_weight(), Fraction(-1), Fraction(1))
+    assert prob.factor == "pi" and oracle.exact_term(prob, 0) == 1
+    half = IntegralProblem(T, chebyshev_weight(), Fraction(0), Fraction(1))
     with pytest.raises(ExactOracleUnavailable):
-        oracle.exact_term(prob, 0)
+        oracle.exact_term(half, 0)
     frac_kernel = Kernel(
         RatFunc(Poly("x", [1]), Poly("x", [1, 0, 1])),
         RatFunc(Poly("x", []), Poly("x", [1])),
@@ -126,21 +129,61 @@ def test_chebyshev_weight_outside_unit_interval_unsupported():
 
 def test_pi_parts_worked_values():
     prob = IntegralProblem(cf.power(T, 2), chebyshev_weight(), Fraction(-1), Fraction(1))
-    assert oracle.pi_parts(prob, 5) == [1] + [Fraction(1, 2)] * 4
+    assert oracle.exact_terms(prob, 5) == [1] + [Fraction(1, 2)] * 4
     # prefactor x^2: int x^2 T_n(x)/sqrt(1-x^2) dx = pi*(1/2, 0, 1/4, 0, 0)
     x2 = Kernel(RatFunc(Poly("x", [0, 0, 1])), chebyshev_weight().logderiv)
     prob = IntegralProblem(T, x2, Fraction(-1), Fraction(1))
-    assert oracle.pi_parts(prob, 5) == [Fraction(1, 2), 0, Fraction(1, 4), 0, 0]
+    assert oracle.exact_terms(prob, 5) == [Fraction(1, 2), 0, Fraction(1, 4), 0, 0]
 
 
 def test_pi_parts_needs_unit_interval_and_polynomial_prefactor():
     sub = IntegralProblem(T, chebyshev_weight(), Fraction(0), Fraction(1))
-    assert not oracle.has_pi_parts(sub)
-    with pytest.raises(ExactOracleUnavailable):
-        oracle.pi_parts(sub, 3)
     frac = Kernel(RatFunc(Poly("x", [1]), Poly("x", [2, -1])), chebyshev_weight().logderiv)
-    assert not oracle.has_pi_parts(IntegralProblem(T, frac, Fraction(-1), Fraction(1)))
-    assert not oracle.has_pi_parts(plain_problem())
+    for prob in (sub, IntegralProblem(T, frac, Fraction(-1), Fraction(1))):
+        assert prob.factor is None
+        with pytest.raises(ExactOracleUnavailable):
+            oracle.exact_term(prob, 0)
+        with pytest.raises(ExactOracleUnavailable):
+            oracle.exact_terms(prob, 3)
+    assert plain_problem().factor == "1"
+
+
+def kernel_of(prefactor, logderiv):
+    parse = lambda e: exprs.parse_ratfunc(e, ("x",))
+    return Kernel(parse(prefactor), parse(logderiv))
+
+
+# kernel class, kernel, interval, form, factor
+KERNEL_CLASSES = [
+    ("polynomial", kernel_of("x^2+1", "0"), (-1, 2), "rational", "1"),
+    ("rational", kernel_of("1/(2-x)", "0"), (-1, 1), "rational", None),
+    ("chebyshev_unit", kernel_of("x^2", "x/(1-x^2)"), (-1, 1), "chebyshev_weight", "pi"),
+    ("chebyshev_sub", kernel_of("1", "x/(1-x^2)"), (Fraction(-1, 2), 1),
+     "chebyshev_weight", None),
+    ("chebyshev_rational_prefactor", kernel_of("1/(2-x)", "x/(1-x^2)"), (-1, 1),
+     "chebyshev_weight", None),
+    ("linear_power", kernel_of("1", "(1/2)/(x-1)"), (-1, 1), "linear_power", None),
+    ("unrecognized", kernel_of("1", "1/(x^2+1)"), (-1, 1), None, None),
+]
+
+
+@pytest.mark.parametrize("kern,interval,form,factor", [k[1:] for k in KERNEL_CLASSES],
+                         ids=[k[0] for k in KERNEL_CLASSES])
+def test_problem_classifies_kernel(kern, interval, form, factor):
+    prob = IntegralProblem(T, kern, *interval)
+    assert (prob.form, prob.factor) == (form, factor)
+    assert prob.form == oracle.recognized_form(kern)
+
+
+def test_exact_terms_grow_one_cached_prefix(monkeypatch):
+    prob = plain_problem()
+    calls = []
+    real = oracle.exact_term
+    monkeypatch.setattr(oracle, "exact_term", lambda p, n: calls.append(n) or real(p, n))
+    assert oracle.exact_terms(prob, 3) == [2, 0, Fraction(-2, 3)]
+    assert oracle.exact_terms(prob, 5) == [real(prob, n) for n in range(5)]
+    assert oracle.exact_terms(prob, 2) == [2, 0]
+    assert calls == [0, 1, 2, 3, 4]
 
 
 small = st.integers(-2, 2)
@@ -163,7 +206,7 @@ def test_pi_parts_match_quadrature(seq, pre, n):
     kern = Kernel(RatFunc(Poly("x", pre) if any(pre) else Poly("x", [1])),
                   chebyshev_weight().logderiv)
     prob = IntegralProblem(seq, kern, Fraction(-1), Fraction(1))
-    q = oracle.pi_parts(prob, n + 1)[n]
+    q = oracle.exact_terms(prob, n + 1)[n]
     with mp.workdps(40):
         got = oracle.numeric_term(prob, n, 30)
         assert abs(mp.pi * float_free(Fraction(q)) - got) < mp.mpf(10) ** -29
@@ -217,7 +260,7 @@ def test_pi_parts_match_moment_sum(seq, pre, count):
         # int x^k/sqrt(1-x^2) over [-1, 1] = pi*C(k, k/2)/2^k for even k, 0 for odd k
         want.append(sum((Fraction(c) * math.comb(k, k // 2) / 2**k
                          for k, c in enumerate(p.coeffs) if k % 2 == 0), Fraction(0)))
-    assert oracle.pi_parts(prob, count) == want
+    assert oracle.exact_terms(prob, count) == want
 
 
 def test_numeric_unroll_harmonic():

@@ -13,6 +13,8 @@ from mpmath import mp
 from intrec import cfinite as cf
 from intrec import cli
 from intrec import exprs
+from intrec import guess
+from intrec import ode2rec as o2r
 from intrec import oracle
 from intrec import pipeline
 from intrec import telescope
@@ -345,6 +347,55 @@ def test_chebyshev_weight_guess_task_uses_rational_parts():
     # int U_n/sqrt(1-x^2) dx = pi for even n and 0 for odd n
     values = rep.results["guess"]["exact_initial_terms"]["values"]
     assert values[:4] == ["1", "0", "1", "0"]
+
+
+def counting(monkeypatch, modules, name):
+    """Count the calls of `name` made through any of the modules."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_chebyshev_weight_verify_classifies_once_and_sums_each_q_n_once(monkeypatch):
+    # the guess needs 58 q_n at max_degree 5, the telescoper path 51 of them
+    job = pipeline.build_job({
+        "task": "verify",
+        "sequence": {"builtin": "chebyshev_T"},
+        "transforms": [{"power": 2}],
+        "kernel": CHEB_WEIGHT,
+        "interval": ["-1", "1"],
+        "options": {"max_degree": 5},
+    })
+    sums = counting(monkeypatch, [oracle], "_moment_sum")
+    forms = counting(monkeypatch, [oracle], "recognized_form")
+    rep = pipeline.run(job)
+    assert rep.ok
+    assert len(rep.results["guess"]["exact_initial_terms"]["values"]) == 58
+    assert len(sums) == 58
+    assert len(forms) == 1
+
+
+def test_guess_job_checks_its_windows_once(monkeypatch):
+    job = pipeline.build_job({
+        "task": "guess",
+        "sequence": {"builtin": "chebyshev_T"},
+        "kernel": {"polynomial": "1"},
+        "interval": ["-1", "1"],
+    })
+    calls = counting(monkeypatch, [o2r, guess], "first_failure")
+    rep = pipeline.run(job)
+    assert rep.ok
+    assert [v["name"] for v in rep.verifications] == ["guess_window_equations"]
+    # the guesser's own check covers every term the guess was fitted to
+    assert len(calls) == 1
+    assert len(calls[0][1]) == pipeline._guess_term_count(job.options)
 
 
 def test_chebyshev_weight_unevaluable_boundary_falls_back_to_guessing(monkeypatch):
