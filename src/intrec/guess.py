@@ -22,8 +22,8 @@ recurrence.
 from fractions import Fraction
 from math import lcm
 
-from .linalg import canonical_vector, nullspace
-from .ode2rec import Recurrence, first_failure
+from .linalg import nullspace
+from .ode2rec import Recurrence, canonical_coeffs, first_failure
 from . import poly as P
 from .poly import Poly
 
@@ -76,8 +76,5 @@ def guess_precursive(terms, max_order, max_degree, margin=MARGIN):
             coeffs = _cell(terms, rows, r, d, max_degree)
             if coeffs is None:
                 continue
-            coeffs = canonical_vector(coeffs)
-            if P.leading_sign(coeffs[-1]) < 0:
-                coeffs = [-c for c in coeffs]
-            return Recurrence(tuple(coeffs), 0, tuple(terms))
+            return Recurrence(tuple(canonical_coeffs(coeffs)), 0, tuple(terms))
     return None

@@ -142,13 +142,7 @@ def _integer_roots(p):
 def ode_to_recurrence(opcoeffs, rhs):
     """Recurrence (without initial terms) induced by sum a_i(t) f^(i) = rhs."""
     coeffs, threshold, exceptional = convert_raw(opcoeffs, rhs)
-    g = None
-    for c in coeffs:
-        if not c:
-            continue
-        g = c if g is None else P.gcd(g, c)
-        if g.is_constant():
-            break
+    g = P.content(coeffs)
     if g is not None and not g.is_constant():
         # at an integer root of the removed content the reduced recurrence is
         # not implied by the original equation, so validity starts above it
@@ -156,10 +150,15 @@ def ode_to_recurrence(opcoeffs, rhs):
         coeffs = [P.exact_div(c, g) if c else c for c in coeffs]
         if bump:
             threshold = max(bump)
+    return Recurrence(tuple(canonical_coeffs(coeffs)), threshold, None, exceptional)
+
+
+def canonical_coeffs(coeffs):
+    """canonical_vector of a recurrence's coefficients, leading one positive."""
     coeffs = canonical_vector(coeffs)
     if P.leading_sign(coeffs[-1]) < 0:
         coeffs = [-c for c in coeffs]
-    return Recurrence(tuple(coeffs), threshold, None, exceptional)
+    return coeffs
 
 
 def singular_indices(rec):

@@ -31,6 +31,7 @@ from mpmath import mp
 
 from .cfinite import term
 from .errors import ExactOracleUnavailable, QuadratureFailed, UnsupportedKernel
+from . import _kernels as K
 from . import poly as P
 from .poly import Poly
 from .ratfunc import RatFunc
@@ -154,14 +155,7 @@ def as_mpf(v):
 
 def _poly_mpf(p):
     cs = [as_mpf(c) for c in p.coeffs]
-
-    def f(x):
-        acc = mp.mpf(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    return f
+    return lambda x: K.peval(cs, x)
 
 
 def recognized_form(kern):

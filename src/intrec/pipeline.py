@@ -435,7 +435,7 @@ def _set_recurrence(rep, key, rec, factor):
     rep.results[key] = payload
 
 
-def _run_guess(rep, prob, opts, count, note=None):
+def _run_guess(rep, prob, opts, count):
     terms = _stage("oracle", oracle.exact_terms, prob, count)
     grec = _stage(
         "guess", guess_precursive, terms, opts.max_order, opts.max_degree, opts.margin
@@ -448,8 +448,6 @@ def _run_guess(rep, prob, opts, count, note=None):
                 " exact terms" % (opts.max_order, opts.max_degree, count)
             ),
         )
-    if note:
-        rep.notes.append(note)
     _set_recurrence(rep, "guess", grec, prob.factor)
     # guess_precursive returns a recurrence only once first_failure has
     # passed it on every window of these terms, held-out ones included
@@ -458,7 +456,7 @@ def _run_guess(rep, prob, opts, count, note=None):
         True,
         "guessed recurrence holds on every window of %d oracle terms" % count,
     )
-    return grec, terms
+    return grec
 
 
 def _numeric_consistency(rep, job, rec, prob):
@@ -524,25 +522,21 @@ def _telescoper_stage(rep, job):
 
 
 def _recurrence_stage(rep, job, prob, gf, tel, want_terms):
-    """Boundary evaluation, conversion, and initial terms; falls back to
-    guessing (exact oracle) or numeric seeding when the boundary has no
-    evaluable limit.  Returns (recurrence or None, exact terms or None); for
-    the Chebyshev weight on [-1, 1] the exact terms are the q_n of
-    a(n) = pi·q_n."""
-    factor = prob.factor
+    """Boundary evaluation, conversion, and the recurrence's check.
+
+    Three outcomes: with an exact oracle (prob.factor set), initial terms
+    come from exact terms and the unroll is compared with them; with a
+    recognized kernel form, quadrature seeds check it numerically; else no
+    oracle checks it.  Returns (recurrence, exact terms, unrolled terms), the
+    last two None off the exact path; for the Chebyshev weight on [-1, 1] the
+    exact terms are the q_n of a(n) = pi·q_n.
+
+    An exact problem's boundary always has a limit: against a polynomial
+    kernel C = y·F has no finite pole, against the Chebyshev weight C → 0 at ±1.
+    """
     try:
         rhs = boundary_rhs(gf, job.kernel, tel, job.alpha, job.beta)
     except BoundaryNotEvaluable as e:
-        if factor is not None:
-            grec, terms = _run_guess(
-                rep,
-                prob,
-                job.options,
-                max(want_terms, _guess_term_count(job.options)),
-                note="boundary stage failed (%s); recurrence below comes from the"
-                " guessing path on exact oracle terms" % e,
-            )
-            return grec, terms
         if prob.form is not None:
             rep.notes.append(
                 "boundary stage failed (%s); reporting the homogeneous recurrence"
@@ -552,14 +546,15 @@ def _recurrence_stage(rep, job, prob, gf, tel, want_terms):
             rec = _stage("ode_to_recurrence", o2r.ode_to_recurrence, tel.opcoeffs, zero)
             rep.results["recurrence"] = _recurrence_payload(rec)
             _numeric_consistency(rep, job, rec, prob)
-            return rec, None
+            return rec, None, None
         raise StageFailure("boundary", e)
 
     rep.results["boundary"] = _boundary_payload(job.alpha, job.beta, rhs)
     rec = _stage("ode_to_recurrence", o2r.ode_to_recurrence, tel.opcoeffs, rhs)
     need = o2r.required_initials(rec)
-    # pi·q_n satisfies a homogeneous recurrence exactly when q_n does
-    if factor == "1" or (factor == "pi" and rhs.is_zero()):
+    # against the Chebyshev weight the boundary is zero, and pi·q_n satisfies
+    # a homogeneous recurrence exactly when q_n does
+    if prob.factor is not None:
         count = max(need, want_terms)
         terms = _stage("oracle", oracle.exact_terms, prob, count)
         try:
@@ -572,17 +567,17 @@ def _recurrence_stage(rep, job, prob, gf, tel, want_terms):
         except RecurrenceRefuted as e:
             rep.check("initial_window_equations", False, str(e))
             rep.results["recurrence"] = _recurrence_payload(rec)
-            return rec, terms
+            return rec, terms, None
         unrolled = _stage("oracle", o2r.unroll, rec, count)
         rep.check(
             "unroll_matches_oracle",
             unrolled == list(terms),
             "unrolled terms equal exact oracle terms for n <= %d" % (count - 1),
         )
-        _set_recurrence(rep, "recurrence", rec, factor)
-        if factor == "pi":
+        _set_recurrence(rep, "recurrence", rec, prob.factor)
+        if prob.factor == "pi":
             _quadrature_spot_check(rep, job, prob, terms[: max(need, 2)])
-        return rec, terms
+        return rec, terms, unrolled
     rep.results["recurrence"] = _recurrence_payload(rec)
     if prob.form is not None:
         _numeric_consistency(rep, job, rec, prob)
@@ -590,7 +585,7 @@ def _recurrence_stage(rep, job, prob, gf, tel, want_terms):
         rep.notes.append(
             "no oracle available for this kernel; initial terms not attached"
         )
-    return rec, None
+    return rec, None, None
 
 
 def run(job):
@@ -631,32 +626,31 @@ def run(job):
 
     # verify: run both paths and cross-check them against each other
     gf, tel = _telescoper_stage(rep, job)
-    rec, terms = _recurrence_stage(rep, job, prob, gf, tel, _MUTUAL_TERMS)
+    rec, terms, unrolled = _recurrence_stage(rep, job, prob, gf, tel, _MUTUAL_TERMS)
     if terms is None:
         rep.notes.append(
             "guessing path skipped: no exact oracle for this kernel"
         )
         return rep
-    if "guess" not in rep.results:
-        grec, _ = _run_guess(
-            rep, prob, job.options, max(len(terms), _guess_term_count(job.options))
+    grec = _run_guess(
+        rep, prob, job.options, max(len(terms), _guess_term_count(job.options))
+    )
+    if unrolled is not None:
+        # both paths hold at least _MUTUAL_TERMS terms already: the guess
+        # keeps every oracle term it was fitted to as its initial terms
+        horizon = _MUTUAL_TERMS
+        rep.check(
+            "telescoper_annihilates_guess_unroll",
+            o2r.first_failure(rec, grec.initial_terms[:horizon]) is None,
+            "telescoper recurrence holds on guessed-path terms for n <= %d"
+            % (horizon - 1),
         )
-        if rec.initial_terms is not None:
-            horizon = _MUTUAL_TERMS
-            tu = _stage("oracle", o2r.unroll, rec, horizon)
-            gu = _stage("oracle", o2r.unroll, grec, horizon)
-            rep.check(
-                "telescoper_annihilates_guess_unroll",
-                o2r.first_failure(rec, gu) is None,
-                "telescoper recurrence holds on guessed-path terms for n <= %d"
-                % (horizon - 1),
-            )
-            rep.check(
-                "guess_annihilates_telescoper_unroll",
-                o2r.first_failure(grec, tu) is None,
-                "guessed recurrence holds on telescoper-path terms for n <= %d"
-                % (horizon - 1),
-            )
+        rep.check(
+            "guess_annihilates_telescoper_unroll",
+            o2r.first_failure(grec, unrolled[:horizon]) is None,
+            "guessed recurrence holds on telescoper-path terms for n <= %d"
+            % (horizon - 1),
+        )
     return rep
 
 

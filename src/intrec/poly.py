@@ -100,10 +100,6 @@ class Poly:
     def variable(cls, var):
         return cls(var, [0, 1])
 
-    @classmethod
-    def monomial(cls, var, k, c=1):
-        return cls(var, [0] * k + [c])
-
     # -- inspection ---------------------------------------------------------
 
     def degree(self):
@@ -403,6 +399,21 @@ def gcd(a, b, cofactors=False):
     if not cofactors:
         return g
     return g, Poly(a.var, qa) * Fraction(h[-1], la), Poly(b.var, qb) * Fraction(h[-1], lb)
+
+
+def content(polys):
+    """gcd of the nonzero entries, stopping at the first constant; None if all are zero.
+
+    A single nonzero entry is returned as it is, not normalized.
+    """
+    g = None
+    for p in polys:
+        if not p:
+            continue
+        g = p if g is None else gcd(g, p)
+        if g.is_constant():
+            break
+    return g
 
 
 # -- bivariate helpers -------------------------------------------------------

@@ -86,11 +86,6 @@ class RatFunc:
     def is_polynomial(self):
         return self.den.is_constant()
 
-    def constant(self):
-        if not (self.num.is_constant() and self.den.is_constant()):
-            raise ValueError("rational function is not constant")
-        return P.num_div(self.num.constant(), self.den.constant())
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):
@@ -166,22 +161,3 @@ class RatFunc:
 
     def __repr__(self):
         return "RatFunc(%r, %r)" % (self.num, self.den)
-
-    # -- calculus & evaluation ----------------------------------------------
-
-    def deriv(self):
-        """Derivative with respect to the outer variable."""
-        return RatFunc(
-            self.num.deriv() * self.den - self.num * self.den.deriv(),
-            self.den * self.den,
-        )
-
-    def eval(self, v):
-        """Substitute the outer variable; raises ZeroDenominator at a pole."""
-        d = self.den.eval(v)
-        if isinstance(d, Poly) or d:
-            n = self.num.eval(v)
-            if isinstance(d, Poly) or isinstance(n, Poly):
-                raise ValueError("evaluation left a polynomial")
-            return P.num_div(n, d)
-        raise ZeroDenominator("evaluation at a pole")

@@ -176,13 +176,7 @@ def telescope(gf, kernel, max_order):
 
 def _reduce_content(avec, y):
     """Divide the operator by the gcd of its coefficients, rescaling y to match."""
-    g = None
-    for a in avec:
-        if not a:
-            continue
-        g = a if g is None else P.gcd(g, a)
-        if g.is_constant():
-            break
+    g = P.content(avec)
     if g is not None and not g.is_constant():
         avec = [P.exact_div(a, g) if a else a for a in avec]
         y = RatFunc(y.num, y.den * g)
@@ -232,21 +226,8 @@ def _vanish_order(rows, e):
         at = [K.peval(r, e) for r in rows]
         if any(at):
             return k, at
-        rows = [_deflate(r, p, q) for r in rows]
+        rows = [K.exactdiv_int(r, [-p, q]) for r in rows]
         k += 1
-
-
-def _deflate(r, p, q):
-    """r / (q·x − p) for an int list that vanishes at x = p/q."""
-    out, carry = [], 0
-    for c in reversed(r[1:]):
-        carry, rem = divmod(c + p * carry, q)
-        if rem:
-            raise ArithmeticError("inexact linear division")
-        out.append(carry)
-    if (r[0] if r else 0) != -p * carry:
-        raise ArithmeticError("inexact linear division")
-    return K.strip(out[::-1])
 
 
 def _endpoint_contribution(nums, dens, kernel, e):

@@ -56,6 +56,13 @@ MORE_GOLDEN = [
      {"task": "verify", "sequence": {"builtin": "chebyshev_T"}, "transforms": [{"power": 2}],
       "kernel": {"logderiv": "x/(1-x^2)", "form": "chebyshev_weight"},
       "interval": ["-1", "1"], "options": {"max_degree": 5}}),
+    # stored before verify's cross-checks moved onto terms both paths already
+    # hold: a nonzero boundary, 8 low-index equations, an order-8 recurrence
+    # and an order-5 guess
+    ("chebyshev_tu_inhomogeneous_verify.json",
+     {"task": "verify", "sequence": {"builtin": "chebyshev_T"},
+      "transforms": [{"product_with": {"builtin": "chebyshev_U"}}],
+      "kernel": {"polynomial": "x^2+1"}, "interval": ["-1/2", "3/4"]}),
 ]
 
 

@@ -49,7 +49,7 @@ def test_precedence_and_associativity():
 
 def test_exponent_limit():
     top = exprs.MAX_DEGREE
-    assert rf("x^%d" % top) == RatFunc(Poly.monomial("x", top))
+    assert rf("x^%d" % top) == RatFunc(Poly("x", [0] * top + [1]))
     assert rf("x^3^2^2") == rf("x^81")
     for text in ("x^%d" % (top + 1), "x^2^10", "x^9^9^9", "2^9^9^9^9", "1^9^9^9",
                  "x^1" + "0" * 400, "x^2^1" + "0" * 400):

@@ -19,7 +19,7 @@ from intrec import oracle
 from intrec import pipeline
 from intrec import telescope
 from intrec import poly as P
-from intrec.errors import BoundaryNotEvaluable, IntrecError, InvalidJob
+from intrec.errors import IntrecError, InvalidJob
 from intrec.poly import Poly
 from intrec.ratfunc import RatFunc
 from intrec.telescope import Kernel, chebyshev_weight
@@ -398,23 +398,30 @@ def test_guess_job_checks_its_windows_once(monkeypatch):
     assert len(calls[0][1]) == pipeline._guess_term_count(job.options)
 
 
-def test_chebyshev_weight_unevaluable_boundary_falls_back_to_guessing(monkeypatch):
-    def refuse(*args):
-        raise BoundaryNotEvaluable("forced for the test")
-
-    monkeypatch.setattr(pipeline, "boundary_rhs", refuse)
+def test_verify_job_unrolls_once(monkeypatch):
+    # the cross-checks read the telescoper path's unroll and the guess's own
+    # initial terms, so neither recurrence is unrolled again
     job = pipeline.build_job({
-        "task": "recurrence",
+        "task": "verify",
         "sequence": {"builtin": "chebyshev_T"},
-        "kernel": CHEB_WEIGHT,
-        "interval": ["-1", "1"],
+        "transforms": [{"product_with": {"builtin": "chebyshev_U"}}],
+        "kernel": {"polynomial": "x^2+1"},
+        "interval": ["-1/2", "3/4"],
     })
+    unrolls = counting(monkeypatch, [o2r], "unroll")
+    checks = counting(monkeypatch, [o2r, guess], "first_failure")
     rep = pipeline.run(job)
     assert rep.ok
-    assert "recurrence" not in rep.results
-    assert rep.results["guess"]["exact_initial_terms"]["values"][:3] == ["1", "0", "0"]
-    assert any("guessing path" in note for note in rep.notes)
-    assert not any("vanishing-boundary" in note for note in rep.notes)
+    assert [v["name"] for v in rep.verifications] == [
+        "certificate_identity",
+        "initial_window_equations",
+        "unroll_matches_oracle",
+        "guess_window_equations",
+        "telescoper_annihilates_guess_unroll",
+        "guess_annihilates_telescoper_unroll",
+    ]
+    assert len(unrolls) == 1
+    assert len(checks) == 4
 
 
 def test_chebyshev_weight_with_rational_prefactor_stays_numeric():

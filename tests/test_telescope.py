@@ -442,6 +442,47 @@ def test_integer_rows_match_poly_reference_on_random_integrands(case):
     same_search(gf, kern, 2)
 
 
+linear_xpolys = st.lists(st.integers(-3, 3), min_size=2, max_size=2).map(
+    lambda cs: Poly("x", cs))
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def exact_problems(draw):
+    """(gf, kernel, alpha, beta) of an integral with exact values: a short
+    sequence with linear coefficients against a polynomial kernel on a random
+    interval, or against the Chebyshev weight with a polynomial prefactor on
+    [-1, 1]."""
+    order = draw(st.integers(1, 2))
+    coeffs = draw(st.lists(linear_xpolys, min_size=order, max_size=order))
+    init = draw(st.lists(linear_xpolys, min_size=order, max_size=order))
+    if coeffs[-1].is_zero():
+        coeffs[-1] = Poly("x", [1])
+    gf = generating_function(cf.CFiniteSeq(tuple(coeffs), tuple(init)))
+    pre = draw(xpolys.filter(bool))
+    if draw(st.booleans()):
+        return gf, Kernel(RatFunc(pre), chebyshev_weight().logderiv), Fraction(-1), Fraction(1)
+    alpha, beta = sorted(draw(st.lists(rationals, min_size=2, max_size=2, unique=True)))
+    if draw(st.booleans()):
+        pre = pre * Poly("x", [-alpha, 1])
+    return gf, Kernel(RatFunc(pre), RatFunc(Poly("x", []))), alpha, beta
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_problems())
+def test_exact_problem_boundary_always_has_a_limit(case):
+    # a polynomial kernel leaves C = y·F no finite pole, and against the
+    # Chebyshev weight C vanishes at ±1, so neither boundary raises
+    gf, kern, alpha, beta = case
+    try:
+        tel = telescope(gf, kern, 4)
+    except NoTelescoperFound:
+        return
+    rhs = boundary_rhs(gf, kern, tel, alpha, beta)
+    if not kern.logderiv.is_zero():
+        assert rhs.is_zero()
+
+
 def test_reduce_content_matches_full_normalisation(monkeypatch):
     seen = []
     reduce = telescope_module._reduce_content
