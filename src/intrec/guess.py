@@ -9,20 +9,21 @@ tolerance to tune and near-fits cannot slip through.
 
 For each order r the training rows are built once, as integers, at the
 largest degree: row n is scaled by the lcm L_n of the denominators of
-a(n), …, a(n+r), so its entries are n^j·L_n·a(n+i).  Cell (r, d) takes the
-first d + 1 entries of each of the r + 1 blocks.  Each cell costs one
-elimination modulo a word-size prime inside `linalg.nullspace`: most cells
-hold no recurrence, and when their rows have full column rank mod p the
-nullspace is trivial and the solve ends there.  Otherwise the same
-elimination starts the p-adic lifting, and each basis vector is checked
-exactly against every row; the held-out terms then gate the candidate
-recurrence.
+a(n), …, a(n+r), so its entries are n^j·L_n·a(n+i).  Columns run degree-major,
+so cell (r, d) is the first (d + 1)(r + 1) of them.  One elimination of the
+whole order modulo a word-size prime (`linalg.rank_profile`) screens every
+degree at once: while the leading columns are independent mod p, they are
+independent over Q, and the cells within them hold no recurrence.  Only the
+cells from the first dependent column on go to `linalg.nullspace`, in
+practice just the cell that holds the recurrence; its own elimination
+starts p-adic lifting, and each basis vector is checked exactly against
+every row.  The held-out terms then gate the candidate recurrence.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from .linalg import nullspace
+from .linalg import nullspace, rank_profile
 from .ode2rec import Recurrence, canonical_coeffs, first_failure
 from . import poly as P
 from .poly import Poly
@@ -30,26 +31,31 @@ from .poly import Poly
 MARGIN = 8
 
 
-def _training_rows(terms, r, max_degree, train):
-    """Integer rows for order r: row n holds n^j·L_n·a(n+i), block i, j ≤ max_degree."""
+def _training_rows(nums, dens, r, max_degree, train):
+    """Integer rows for order r, degree-major: n^j·L_n·a(n+i) at column j·(r+1) + i.
+
+    nums and dens are the numerators and denominators of the terms.
+    """
     rows = []
     for n in range(train):
-        window = terms[n : n + r + 1]
-        den = lcm(*(a.denominator for a in window))
-        row = []
-        for a in window:
-            v = a.numerator * (den // a.denominator)
-            for _ in range(max_degree + 1):
-                row.append(v)
-                v *= n
+        ds = dens[n : n + r + 1]
+        den = lcm(*ds)
+        v = [a * (den // b) for a, b in zip(nums[n : n + r + 1], ds)]
+        row = v
+        for _ in range(max_degree):
+            v = [x * n for x in v]
+            row += v
         rows.append(row)
     return rows
 
 
-def _cell(terms, rows, r, d, max_degree):
-    """Best canonical recurrence of order r, coefficient degree ≤ d, or None."""
-    stride = max_degree + 1
-    cols = [i * stride + j for i in range(r + 1) for j in range(d + 1)]
+def _cell(terms, rows, r, d):
+    """Best canonical recurrence of order r, coefficient degree ≤ d, or None.
+
+    The cell's columns are the first (d + 1)(r + 1) of the rows, passed to
+    the solver block by block: coefficient i's degrees 0..d at i·(d + 1) + j.
+    """
+    cols = [j * (r + 1) + i for i in range(r + 1) for j in range(d + 1)]
     for vec in nullspace([[row[c] for c in cols] for row in rows], len(cols)):
         coeffs = [Poly("n", vec[i * (d + 1) : (i + 1) * (d + 1)]) for i in range(r + 1)]
         if coeffs[-1].is_zero():
@@ -67,13 +73,19 @@ def guess_precursive(terms, max_order, max_degree, margin=MARGIN):
     are skipped.
     """
     terms = [P.as_num(Fraction(v)) for v in terms]
+    nums = [a.numerator for a in terms]
+    dens = [a.denominator for a in terms]
     for r in range(max_order + 1):
         train = len(terms) - r - margin
         if train < 1:
             continue
-        rows = _training_rows(terms, r, max_degree, train)
-        for d in range(max_degree + 1):
-            coeffs = _cell(terms, rows, r, d, max_degree)
+        rows = _training_rows(nums, dens, r, max_degree, train)
+        # cell (r, d) is the first (d + 1)(r + 1) columns: those within the
+        # leading run of independent columns have full rank, hence no recurrence
+        pivots = rank_profile(rows, (r + 1) * (max_degree + 1))
+        lead = next((q for q, c in enumerate(pivots) if q != c), len(pivots))
+        for d in range(lead // (r + 1), max_degree + 1):
+            coeffs = _cell(terms, rows, r, d)
             if coeffs is None:
                 continue
             return Recurrence(tuple(canonical_coeffs(coeffs)), 0, tuple(terms))

@@ -35,6 +35,15 @@ back to t, the images of successive primes are combined by CRT and
 rational reconstruction.  A basis is returned only when
 it annihilates every row exactly over Z[t] and leans on no pivot column
 after its own.  Only finitely many pairs (p, t0) fail, so the loop ends.
+
+Both solvers eliminate mod p with `echelon_mod_p`, which takes residues in
+[0, p) and keeps each row packed in one integer, a slot of w bits per
+column: clearing a column is one multiply-add and one shift of that
+integer, and a slot is reduced mod p only when read.  w leaves room for
+ncols·p² + p, more than a slot can gain, so slots never carry into each
+other.  `rank_profile` runs the same elimination on integer rows reduced mod
+PRIME and returns only the pivot columns; the guesser screens each order
+with it.
 """
 
 from fractions import Fraction
@@ -94,34 +103,68 @@ def _primes():
 def echelon_mod_p(rows, ncols, p):
     """Row echelon form modulo p of residue rows (an iterable).
 
-    Returns one entry per pivot, in the order found: (pivot column, index of
-    the row that brought it, that row reduced with a leading 1, the
-    multipliers of the earlier entries subtracted from it, the inverse of its
-    leading entry).  Rows are reduced one at a time against the entries so
-    far, so the scan stops as soon as ncols pivots are found.  The pivot
-    columns are those of the reduced row echelon form.
+    Entries must be residues in [0, p).  Returns one entry per pivot, in the
+    order found: (pivot column, index of the row that brought it, that row
+    reduced with a leading 1, the multipliers of the earlier entries
+    subtracted from it, the inverse of its leading entry).  Rows are reduced
+    one at a time against the entries so far, so the scan stops as soon as
+    ncols pivots are found.  The pivot columns are those of the reduced row
+    echelon form.
+
+    A row is kept packed in one integer, a slot of w bits per column, read
+    from its current column on.  Clearing column c, whose slot is v mod p,
+    against the pivot row b, packed from c on with a leading 1, adds
+    (p − v)·b, which makes the slot ≡ 0, and shifts that slot out.  Slots
+    are reduced mod p only when read: each clearing adds less than p² to a
+    slot, so a slot stays below ncols·p² + p, which w holds with a bit to
+    spare, and never carries into the next.
     """
-    echelon, at = [], {}
+    w = (ncols * p * p + p).bit_length() + 1
+    mask = (1 << w) - 1
+    echelon, at = [], [None] * ncols
     for i, row in enumerate(rows):
-        row = list(row)
+        tail = 0
+        for x in reversed(row):
+            tail = tail << w | x
         steps = [0] * len(echelon)
         for c in range(ncols):
-            v = row[c]
-            if not v:
-                continue
-            hit = at.get(c)
-            if hit is None:
-                inv = pow(v, -1, p)
-                reduced = [x * inv % p for x in row]
-                at[c] = len(echelon), reduced
-                echelon.append((c, i, reduced, steps, inv))
-                if len(echelon) == ncols:
-                    return echelon
+            v = (tail & mask) % p
+            if v:
+                hit = at[c]
+                if hit is None:
+                    inv = pow(v, -1, p)
+                    reduced = [0] * c
+                    b = shift = 0
+                    for _ in range(c, ncols):
+                        x = (tail & mask) * inv % p
+                        reduced.append(x)
+                        b |= x << shift
+                        shift += w
+                        tail >>= w
+                    at[c] = len(echelon), b
+                    echelon.append((c, i, reduced, steps, inv))
+                    if len(echelon) == ncols:
+                        return echelon
+                    break
+                k, b = hit
+                steps[k] = v
+                tail = (tail + (p - v) * b) >> w
+            elif tail:
+                tail >>= w
+            else:
                 break
-            k, b = hit
-            steps[k] = v
-            row[c:] = [(x - v * y) % p for x, y in zip(row[c:], b[c:])]
     return echelon
+
+
+def rank_profile(rows, ncols):
+    """The sorted columns of the integer rows independent mod PRIME of those before them.
+
+    These are the pivot columns of echelon_mod_p on the rows reduced mod
+    PRIME.  When they begin with 0, 1, …, k − 1, the first k columns have
+    full column rank mod PRIME, so a k×k minor is nonzero mod PRIME, hence
+    nonzero over Z, and the first k columns have full column rank over Q.
+    """
+    return sorted(e[0] for e in echelon_mod_p(([x % PRIME for x in r] for r in rows), ncols, PRIME))
 
 
 def _solver_mod_p(echelon, p):

@@ -3,6 +3,9 @@
 import math
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from intrec import cfinite as cf
 from intrec import guess as G
 from intrec import linalg
@@ -132,6 +135,34 @@ def reference_guess(terms, max_order, max_degree, margin=G.MARGIN):
     return None
 
 
+@st.composite
+def guess_inputs(draw):
+    """Terms of a random order-1 or order-2 P-recursive sequence with small
+    polynomial coefficients, or a random list, with bounds up to (3, 2)."""
+    r, deg = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    max_order, max_degree = draw(st.integers(r - 1, 3)), draw(st.integers(max(deg - 1, 0), 2))
+    count = max_order + G.MARGIN + (max_order + 1) * (max_degree + 1) + draw(st.integers(-2, 4))
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+                             min_size=count, max_size=count)), max_order, max_degree
+    coeffs = [draw(st.lists(st.integers(-3, 3), min_size=1, max_size=deg + 1)) for _ in range(r)]
+    # the leading coefficient c + k·n has no root at n >= 0
+    c, k = draw(st.integers(1, 4)), draw(st.integers(0, min(deg, 1) * 2))
+    terms = [Fraction(v) for v in draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))]
+    for n in range(count - r):
+        acc = sum(Poly("n", cs).eval(n) * terms[n + i] for i, cs in enumerate(coeffs))
+        terms.append(-acc / (c + k * n))
+    return terms, max_order, max_degree
+
+
+@settings(max_examples=150, deadline=None)
+@given(guess_inputs())
+def test_screen_matches_the_cell_by_cell_guess(case):
+    terms, max_order, max_degree = case
+    rec = guess_precursive(terms, max_order, max_degree)
+    assert (rec.coeffs if rec else None) == reference_guess(terms, max_order, max_degree)
+
+
 def count_nullspace_calls(monkeypatch):
     calls = []
     exact = G.nullspace
@@ -150,8 +181,11 @@ def test_prime_in_a_denominator_takes_the_exact_path(monkeypatch):
     terms = [Fraction(1, n + p) for n in range(20)]
     calls = count_nullspace_calls(monkeypatch)
     rec = guess_precursive(terms, 3, 4)
-    # every cell up to the hit at (1, 1) was solved exactly: five at order 0, two at order 1
-    assert calls == [1, 2, 3, 4, 5, 2, 4]
+    # a(0) has no residue mod p, but the screen reduces the integer rows
+    # n^j·L_n·a(n+i), and full rank mod p still implies full rank over Q.
+    # It rules out all of order 0 and cell (1, 0): only the hit at (1, 1) is
+    # solved exactly
+    assert calls == [4]
     assert rec.coeffs == (Poly("n", [-p, -1]), Poly("n", [p + 1, 1]))
     assert rec.coeffs == reference_guess(terms, 3, 4)
 
@@ -174,6 +208,6 @@ def test_chebyshev_integral_needs_one_exact_solve(monkeypatch):
     calls = count_nullspace_calls(monkeypatch)
     rec = guess_precursive(terms, opts.max_order, opts.max_degree, opts.margin)
     assert list(rec.coeffs) == [Poly("n", [1, -1]), Poly("n", []), Poly("n", [3, 1])]
-    # each cell is solved once, in lexicographic order, up to the hit at
-    # (order 2, degree 1)
-    assert calls == [1, 2, 3, 4, 5, 2, 4, 6, 8, 10, 3, 6]
+    # the screen rules out every cell before the hit at (order 2, degree 1),
+    # the only one solved exactly
+    assert calls == [6]

@@ -210,6 +210,88 @@ def test_nullspace_matches_rref_reference(case):
     assert linalg.nullspace(ints, ncols) == expected
 
 
+# -- packed elimination mod p against a list-based reference -------------------
+
+
+def list_echelon_mod_p(rows, ncols, p):
+    """echelon_mod_p with each row kept as a list of residues, reduced mod p
+    at every step."""
+    echelon, at = [], {}
+    for i, row in enumerate(rows):
+        row = list(row)
+        steps = [0] * len(echelon)
+        for c in range(ncols):
+            v = row[c]
+            if not v:
+                continue
+            hit = at.get(c)
+            if hit is None:
+                inv = pow(v, -1, p)
+                reduced = [x * inv % p for x in row]
+                at[c] = len(echelon), reduced
+                echelon.append((c, i, reduced, steps, inv))
+                if len(echelon) == ncols:
+                    return echelon
+                break
+            k, b = hit
+            steps[k] = v
+            row[c:] = [(x - v * y) % p for x, y in zip(row[c:], b[c:])]
+    return echelon
+
+
+@st.composite
+def residue_matrices(draw):
+    """(rows, ncols, p): random or rank-deficient (A·B mod p) residue rows,
+    with zero and repeated rows, biased towards the entries 0, 1 and p − 1."""
+    p = draw(st.sampled_from([2, 3, 65537, linalg.PRIME]))
+    ncols = draw(st.integers(1, 40))
+    nrows = draw(st.integers(0, 45))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def entry():
+        return rng.choice((0, 1, p - 1)) if rng.random() < 0.3 else rng.randrange(p)
+
+    if draw(st.booleans()):
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        k = draw(st.integers(0, ncols))
+        a = [[entry() for _ in range(k)] for _ in range(nrows)]
+        b = [[entry() for _ in range(ncols)] for _ in range(k)]
+        rows = [[sum(x * bt[j] for x, bt in zip(r, b)) % p for j in range(ncols)] for r in a]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rng.choice(rows) if rows and rng.random() < 0.5 else [0] * ncols
+        rows.insert(rng.randrange(len(rows) + 1), list(row))
+    return rows, ncols, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_matrices())
+def test_packed_echelon_matches_list_echelon(case):
+    rows, ncols, p = case
+    pulled = []
+
+    def pull():
+        for i, row in enumerate(rows):
+            pulled.append(i)
+            yield row
+
+    echelon = linalg.echelon_mod_p(pull(), ncols, p)
+    assert echelon == list_echelon_mod_p(rows, ncols, p)
+    # a generator is read no further than the row that brings the ncols-th pivot
+    assert len(pulled) == (echelon[-1][1] + 1 if len(echelon) == ncols else len(rows))
+
+
+def test_rank_profile_lists_the_independent_columns():
+    # column 2 is 3·column 0 − column 1
+    rows = [[1, 2, 1, 5], [4, -1, 13, 0], [0, 7, -7, 2], [2, 2, 4, 1]]
+    assert linalg.rank_profile(rows, 4) == [0, 1, 3]
+    full = [[2, 0, 1], [0, 3, 1], [1, 1, 10**40], [5, 5, 5]]
+    assert linalg.rank_profile(full, 3) == [0, 1, 2]
+    assert linalg.rank_profile([[0] * 3] * 4, 3) == []
+    # the rank is taken mod PRIME: these rows are independent over Q
+    assert linalg.rank_profile([[1, 1], [1, 1 + linalg.PRIME]], 2) == [0]
+
+
 def test_rank_drop_mod_prime_moves_to_the_next_prime(monkeypatch):
     p = linalg.PRIME
     primes = []
