@@ -220,16 +220,6 @@ def pdivmod_q(a, b):
     return strip(q), strip(r)
 
 
-def content_int(a):
-    g = 0
-    for c in a:
-        if c:
-            g = _igcd(g, c if c >= 0 else -c)
-            if g == 1:
-                return 1
-    return g
-
-
 def exactdiv_int(a, b):
     """Exact division of int polynomials; raises if not divisible."""
     if not b:
@@ -286,13 +276,13 @@ def primitive(a, nested):
     """(c, a/c), c the integer content of a signed to make a/c lead positive."""
     if not nested:
         a = strip(a)
-        g = content_int(a)
+        g = _igcd(*a)
         if a and a[-1] < 0:
             g = -g
         return g, (a if g in (0, 1) else [v // g for v in a])
     g = 0
     for r in a:
-        g = _igcd(g, content_int(r))
+        g = _igcd(g, *r)
     if a and a[-1][-1] < 0:
         g = -g
     return g, (a if g in (0, 1) else [[v // g for v in r] for r in a])
@@ -393,7 +383,7 @@ def gcd_int(a, b):
         while True:
             ia, ib = _eval(a, xi, nested), _eval(b, xi, nested)
             if nested:
-                g = pscale(gcd_int(ia, ib)[0], _igcd(content_int(ia), content_int(ib)))
+                g = pscale(gcd_int(ia, ib)[0], _igcd(*ia, *ib))
             else:
                 g = _igcd(ia, ib)
             h = primitive(_interpolate(g, xi, nested), nested)[1]

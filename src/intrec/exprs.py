@@ -16,7 +16,7 @@ style), polynomials in x or n print highest power first.
 """
 
 from fractions import Fraction
-from math import lcm, log2
+from math import log2
 import operator
 
 from .errors import DivisionByZeroExpr, ParseError, UnknownVariable, ZeroDenominator
@@ -216,10 +216,8 @@ def _result_size(tag, a, b):
 
 def _int_norm(p):
     """(||L·p||_1, L) with L the least common denominator of p's coefficients."""
-    leaves = []
-    P._rational_leaves(p, leaves)
-    den = lcm(*(c.denominator for c in leaves))
-    return sum(abs(c.numerator) * (den // c.denominator) for c in leaves), den
+    ints, den = P.cleared(P.leaves(p))
+    return sum(map(abs, ints)), den
 
 
 def _norms(v):
@@ -334,6 +332,9 @@ def fmt_poly(p):
     """Deterministic text form; ascending for t, descending for x and n."""
     if p.is_zero():
         return "0"
+    if len(p.coeffs) == 1 and isinstance(p.coeffs[0], Poly):
+        # a lone t^0 coefficient prints as itself, so the text reprints unchanged
+        return fmt_poly(p.coeffs[0])
     indices = range(len(p.coeffs)) if p.var == "t" else range(len(p.coeffs) - 1, -1, -1)
     parts = []
     for k in indices:

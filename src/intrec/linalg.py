@@ -48,7 +48,7 @@ with it.
 
 from fractions import Fraction
 from itertools import accumulate, count
-from math import comb, gcd as _igcd, isqrt, lcm as _ilcm
+from math import comb, gcd as _igcd, isqrt
 from operator import mul
 
 from . import _kernels as K
@@ -59,19 +59,23 @@ PRIME = 1073741789  # the largest prime below 2**30
 
 
 def canonical_scale(entries):
-    """The rational f that canonical_vector scales by; None for a zero vector."""
-    content = Fraction(0)
-    sign = 0
+    """The rational f that canonical_vector scales by; None for a zero vector.
+
+    1/f is the gcd of the entries' cleared coefficients over their common
+    denominator, signed like the first nonzero entry.
+    """
+    vals, sign = [], 0
     for e in entries:
-        c = P.rational_content(e) if isinstance(e, Poly) else abs(Fraction(e))
-        if not c:
-            continue
-        if sign == 0:
+        if isinstance(e, Poly):
+            vals += P.leaves(e)
+        else:
+            vals.append(e)
+        if not sign and e:
             sign = P.leading_sign(e) if isinstance(e, Poly) else (1 if e > 0 else -1)
-        g = _igcd(content.numerator, c.numerator)
-        l = _ilcm(content.denominator, c.denominator)
-        content = Fraction(g, l)
-    return Fraction(1, 1) / (content * sign) if sign else None
+    if not sign:
+        return None
+    ints, L = P.cleared(vals)
+    return Fraction(L, sign * _igcd(*ints))
 
 
 def canonical_vector(entries):
@@ -79,7 +83,7 @@ def canonical_vector(entries):
     f = canonical_scale(entries)
     if f is None:
         return list(entries)
-    return [P.scale_poly(e, f) if isinstance(e, Poly) else P.as_num(Fraction(e) * f)
+    return [P.scale_poly(e, f) if isinstance(e, Poly) else P.as_num(e * f)
             for e in entries]
 
 
@@ -301,9 +305,7 @@ def _rref_basis(mat, ncols, p):
 def _nullspace_frac(rows, ncols):
     mat = []
     for row in rows:
-        if not all(type(e) is int for e in row):
-            den = _ilcm(*(e.denominator for e in row))
-            row = [e.numerator * (den // e.denominator) for e in row]
+        row = P.cleared(row)[0]
         if any(row):
             mat.append(row)
     for p in _primes():
@@ -539,9 +541,8 @@ def _nullspace_tadic(rows, ncols, var):
     """
     mat = []
     for row in rows:
-        entries = [e.coeffs if isinstance(e, Poly) else ([e] if e else []) for e in row]
-        den = _ilcm(*(c.denominator for cs in entries for c in cs))
-        r = [[c.numerator * (den // c.denominator) for c in cs] for cs in entries]
+        r = P.cleared_rows([e.coeffs if isinstance(e, Poly) else ([e] if e else [])
+                            for e in row])[0]
         if any(r):
             mat.append(r)
     shape, images, m = None, None, 1

@@ -116,7 +116,7 @@ def _integer_roots(p):
     while chain[-1].degree() > 0:
         chain.append(-P.divmod_poly(chain[-2], chain[-1])[1])
     # positive rescaling to integer coefficients keeps every sign
-    chain = [P.int_coeffs(c)[0] for c in chain]
+    chain = [P.cleared(c.coeffs)[0] for c in chain]
 
     def variations(v):
         signs = [val > 0 for val in (K.peval(c, v) for c in chain) if val]
@@ -218,8 +218,6 @@ def unroll(rec, count):
         cr = rec.coeffs[-1].eval(n)
         if not cr:
             raise SingularLeadingCoefficient(n)
-        acc = Fraction(0)
-        for i in range(r):
-            acc += Fraction(rec.coeffs[i].eval(n)) * terms[n + i]
-        terms.append(P.as_num(-acc / Fraction(cr)))
-    return [P.as_num(Fraction(v)) for v in terms[:count]]
+        acc = sum(rec.coeffs[i].eval(n) * terms[n + i] for i in range(r))
+        terms.append(P.num_div(-acc, cr))
+    return terms[:count]

@@ -3,7 +3,10 @@
 Each IntegralProblem classifies its kernel once, into `form` (the
 recognized_form tag) and `factor`, the symbolic factor f of its exact values
 a(n) = f·q_n.  exact_term gives q_n as a moment sum: with
-m_k = ∫_α^β x^k w(x) dx and P_n·prefactor = Σ c_k x^k, q_n = Σ c_k m_k.  A
+m_k = ∫_α^β x^k w(x) dx, P_n = Σ c_j x^j and the prefactor Σ a_i x^i (its
+denominator is 1), q_n = Σ_j c_j Σ_i a_i m_(i+j).  The c_j, the a_i and the
+moments are each cleared to integers over one denominator, so the sum runs
+in integers and builds one Fraction per term.  A
 polynomial kernel has f = 1, w = 1 and the power rule,
 m_k = (β^(k+1) - α^(k+1))/(k+1).  The Chebyshev weight 1/sqrt(1-x^2) with a
 polynomial prefactor on [-1, 1] has f = pi and the rational parts
@@ -112,21 +115,22 @@ def _moments(prob, count):
         else:
             new = [Fraction(comb(j, j // 2) if j % 2 == 0 else 0, 2**j)
                    for j in range(k, top)]
-        den = lcm(mv.den, *(m.denominator for m in new))
-        mv.nums = [v * (den // mv.den) for v in mv.nums] + [
-            m.numerator * (den // m.denominator) for m in new
-        ]
+        ints, L = P.cleared(new)
+        den = lcm(mv.den, L)
+        mv.nums = [v * (den // mv.den) for v in mv.nums] + [v * (den // L) for v in ints]
         mv.den = den
     return mv.nums, mv.den
 
 
 def _moment_sum(prob, p):
-    """Σ c_k m_k over the coefficients c_k of p·prefactor."""
-    kern = prob.kernel
-    pre = kern.prefactor.num * P.num_div(1, kern.prefactor.den.constant())
-    cs, e = P.int_coeffs(p * pre)
-    nums, den = _moments(prob, len(cs))
-    return P.as_num(Fraction(sum(c * m for c, m in zip(cs, nums) if c), den * e))
+    """Σ_j c_j Σ_i a_i m_(i+j) over the coefficients c_j of p and a_i of the
+    prefactor, whose denominator is 1 (RatFunc makes a constant one 1)."""
+    cs, e = P.cleared(p.coeffs)
+    ws, f = P.cleared(prob.kernel.prefactor.num.coeffs)
+    nums, den = _moments(prob, len(cs) + len(ws) - 1)
+    total = sum(a * sum(c * m for c, m in zip(cs, nums[i:i + len(cs)]) if c)
+                for i, a in enumerate(ws) if a)
+    return P.as_num(Fraction(total, den * e * f))
 
 
 def exact_term(prob, n):

@@ -28,7 +28,7 @@ from .errors import (
     StageFailure,
 )
 from .genfun import generating_function, taylor_coeffs
-from .guess import guess_precursive
+from .guess import MARGIN, guess_precursive
 from . import poly as P
 from .poly import Poly
 from .ratfunc import RatFunc
@@ -70,7 +70,7 @@ class Options:
     max_order: int = 6
     max_degree: int = 4
     precision: int = 30
-    margin: int = 8
+    margin: int = MARGIN
 
 
 @dataclass(frozen=True)
@@ -540,24 +540,20 @@ def _recurrence_stage(rep, job, prob, gf, tel, want_terms):
     try:
         rhs = boundary_rhs(gf, job.kernel, tel, job.alpha, job.beta)
     except BoundaryNotEvaluable as e:
-        if prob.form is not None:
-            rep.notes.append(
-                "boundary stage failed (%s); reporting the homogeneous recurrence"
-                " under a vanishing-boundary hypothesis, checked numerically" % e
-            )
-            zero = RatFunc(Poly("t", []), Poly("t", [1]))
-            rec = _stage("ode_to_recurrence", o2r.ode_to_recurrence, tel.opcoeffs, zero)
-            rep.results["recurrence"] = _recurrence_payload(rec)
-            _numeric_consistency(rep, job, rec, prob)
-            return rec, None, None
-        raise StageFailure("boundary", e)
-
-    rep.results["boundary"] = _boundary_payload(job.alpha, job.beta, rhs)
+        if prob.form is None:
+            raise StageFailure("boundary", e)
+        rep.notes.append(
+            "boundary stage failed (%s); reporting the homogeneous recurrence"
+            " under a vanishing-boundary hypothesis, checked numerically" % e
+        )
+        rhs = RatFunc(Poly("t", []), Poly("t", [1]))
+    else:
+        rep.results["boundary"] = _boundary_payload(job.alpha, job.beta, rhs)
     rec = _stage("ode_to_recurrence", o2r.ode_to_recurrence, tel.opcoeffs, rhs)
-    need = o2r.required_initials(rec)
     # against the Chebyshev weight the boundary is zero, and pi·q_n satisfies
     # a homogeneous recurrence exactly when q_n does
     if prob.factor is not None:
+        need = o2r.required_initials(rec)
         count = max(need, want_terms)
         terms = _stage("oracle", oracle.exact_terms, prob, count)
         try:

@@ -20,6 +20,10 @@ which also divides any polynomial by a nonzero rational constant.  Q[x][t]
 polynomials are divided only inside the gcd, whose cofactors are the
 quotients.
 
+`cleared` is the one routine that turns rationals into integers over their
+least common denominator; it reads `.numerator` and `.denominator`, so it
+builds no Fraction.  `cleared_rows` applies it to rows taken together, and
+`rational_content` is the gcd of its integers over that denominator.
 `int_rows` and `from_rows` convert Q[x][t] polynomials to and from the
 integer rows of `_kernels`, on which the telescoper does its arithmetic.
 """
@@ -46,7 +50,7 @@ def as_num(v):
 def num_div(a, b):
     if not b:
         raise ZeroDivisionError("rational division by zero")
-    return as_num(Fraction(a) / Fraction(b))
+    return as_num(Fraction(a, b))
 
 
 def _canon_coeff(c):
@@ -250,27 +254,25 @@ class Poly:
 # -- scalar content ----------------------------------------------------------
 
 
-def _rational_leaves(p, out):
-    for c in p.coeffs:
-        if isinstance(c, Poly):
-            _rational_leaves(c, out)
-        else:
-            out.append(c)
+def cleared(values):
+    """(ints, L): L > 0 the least common denominator of the rationals in
+    values and ints their multiples by L.  Reads only .numerator and
+    .denominator, which ints have too, so it builds no Fraction."""
+    L = _ilcm(*[v.denominator for v in values])
+    if L == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (L // v.denominator) for v in values], L
+
+
+def leaves(p):
+    """The rational coefficients of p, those of its inner polynomials included."""
+    return [v for c in p.coeffs for v in (c.coeffs if isinstance(c, Poly) else (c,))]
 
 
 def rational_content(p):
     """Positive rational c with p/c integer-primitive (0 for the zero poly)."""
-    leaves = []
-    _rational_leaves(p, leaves)
-    gnum = 0
-    lden = 1
-    for v in leaves:
-        f = Fraction(v)
-        gnum = _igcd(gnum, abs(f.numerator))
-        lden = _ilcm(lden, f.denominator)
-    if gnum == 0:
-        return Fraction(0)
-    return Fraction(gnum, lden)
+    ints, L = cleared(leaves(p))
+    return Fraction(_igcd(*ints), L)
 
 
 def leading_sign(p):
@@ -293,16 +295,6 @@ def canonical_unit(p):
         return p
     c = rational_content(p) * leading_sign(p)
     return scale_poly(p, Fraction(1, 1) / c)
-
-
-def int_coeffs(p):
-    """(int list, denominator) with denominator * p having integer coefficients."""
-    L = 1
-    for c in p.coeffs:
-        if isinstance(c, Poly):
-            raise ValueError("univariate polynomial expected")
-        L = _ilcm(L, Fraction(c).denominator)
-    return [int(c * L) for c in p.coeffs], L
 
 
 # -- division and gcd --------------------------------------------------------
@@ -329,23 +321,25 @@ def exact_div(a, b):
     return q
 
 
+def cleared_rows(rows):
+    """(int rows, L): `cleared` on rows of rationals taken together."""
+    flat, L = cleared([v for r in rows for v in r])
+    out, i = [], 0
+    for r in rows:
+        out.append(flat[i:i + len(r)])
+        i += len(r)
+    return out, L
+
+
 def int_rows(p):
     """(rows, L): L·p as integer rows (t-list of Z[x] int lists), L > 0 the
     lcm of p's denominators.  A polynomial in x alone is one row."""
     if not p.coeffs:
         return [], 1
     if p.var == "x":
-        inner = [p.coeffs]
-    else:
-        inner = [c.coeffs if isinstance(c, Poly) else ([c] if c else []) for c in p.coeffs]
-    L = 1
-    for cs in inner:
-        for v in cs:
-            if type(v) is not int:
-                L = _ilcm(L, v.denominator)
-    if L == 1:
-        return [list(cs) for cs in inner], 1
-    return [[int(v * L) for v in cs] for cs in inner], L
+        return cleared_rows([p.coeffs])
+    return cleared_rows([c.coeffs if isinstance(c, Poly) else ([c] if c else [])
+                         for c in p.coeffs])
 
 
 def from_rows(rows, den=1):
@@ -392,8 +386,8 @@ def gcd(a, b, cofactors=False):
     if a.is_bivariate() or b.is_bivariate():
         got = _gcd_bivariate(a, b)
         return got if cofactors else got[0]
-    ia, la = int_coeffs(a)
-    ib, lb = int_coeffs(b)
+    ia, la = cleared(a.coeffs)
+    ib, lb = cleared(b.coeffs)
     h, qa, qb = K.gcd_int(ia, ib)
     g = Poly(a.var, h).monic()
     if not cofactors:

@@ -28,7 +28,7 @@ from the multiplicities and values of the integrand's factors there.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _igcd, lcm as _ilcm
+from math import gcd as _igcd
 
 from .errors import BoundaryNotEvaluable, NoTelescoperFound
 from .linalg import canonical_scale, nullspace
@@ -198,10 +198,10 @@ def verify_certificate(gf, kernel, tel):
     nr, cn, dr, cd, ln, ld = _integrand(gf, kernel)
     ws = _extend_w([nr], dr, tel.order)
     # lhs: sum a_i W_i D'^(order−i) over N'·D'^order, the a_i cleared by ca
-    ca = _ilcm(*(v.denominator for a in tel.opcoeffs for v in a.coeffs))
+    acs, ca = P.cleared_rows([a.coeffs for a in tel.opcoeffs])
     lhs_num = lhs_den = []
-    for a, w in zip(tel.opcoeffs, ws):
-        a_rows = [[int(v * ca)] if v else [] for v in a.coeffs]
+    for a, w in zip(acs, ws):
+        a_rows = [[v] if v else [] for v in a]
         lhs_num = K.radd(K.rmul(lhs_num, dr), K.rmul(a_rows, w))
         lhs_den = K.rmul(lhs_den, dr) if lhs_den else nr
     (yn, cyn), (yd, cyd) = P.int_rows(tel.certificate.num), P.int_rows(tel.certificate.den)

@@ -63,6 +63,12 @@ MORE_GOLDEN = [
      {"task": "verify", "sequence": {"builtin": "chebyshev_T"},
       "transforms": [{"product_with": {"builtin": "chebyshev_U"}}],
       "kernel": {"polynomial": "x^2+1"}, "interval": ["-1/2", "3/4"]}),
+    # stored before every exact vector was cleared by poly.cleared: a
+    # sequence with rational coefficients against a rational polynomial
+    # kernel, an order-10 recurrence and an order-5 guess
+    ("custom_rational_verify.json",
+     {"task": "verify", "sequence": {"coeffs": ["x/3+1", "-2/5"], "init": ["1", "x-1/2"]},
+      "kernel": {"polynomial": "x^2/3-1/2"}, "interval": ["-1/2", "3/4"]}),
 ]
 
 

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intrec import exprs
@@ -203,9 +203,14 @@ def ratfuncs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(ratfuncs())
+# a denominator that is a lone t^0 coefficient
+@example((RatFunc(Poly.variable("t"), Poly("t", [Poly("x", [1, 1])])), XT, "t"))
 def test_printed_ratfunc_parses_back(case):
     r, allowed, default = case
-    assert exprs.parse_ratfunc(exprs.fmt_ratfunc(r), allowed, default) == r
+    text = exprs.fmt_ratfunc(r)
+    again = exprs.parse_ratfunc(text, allowed, default)
+    assert again == r
+    assert exprs.fmt_ratfunc(again) == text
 
 
 def test_byte_fuzz_never_panics():
@@ -223,3 +228,10 @@ def test_byte_fuzz_never_panics():
             exprs.parse_ratfunc(blob.decode("latin-1"), XT, "t")
         except (ParseError, UnknownVariable, DivisionByZeroExpr):
             pass
+
+
+def test_lone_t0_coefficient_prints_without_parentheses():
+    xp1 = Poly("x", [1, 1])
+    assert exprs.fmt_poly(Poly("t", [xp1])) == "x+1"
+    r = RatFunc(Poly.variable("t"), Poly("t", [xp1]))
+    assert exprs.fmt_ratfunc(r) == "t/(x+1)"

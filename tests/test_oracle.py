@@ -187,7 +187,9 @@ def test_exact_terms_grow_one_cached_prefix(monkeypatch):
 
 
 small = st.integers(-2, 2)
-lin_polys = st.lists(small, min_size=1, max_size=2).map(lambda cs: Poly("x", cs))
+# sequence data: integers and fractions, so P_n has rational coefficients
+small_rationals = small | st.fractions(min_value=-2, max_value=2, max_denominator=3)
+lin_polys = st.lists(small_rationals, min_size=1, max_size=2).map(lambda cs: Poly("x", cs))
 
 
 @st.composite

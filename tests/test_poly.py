@@ -1,10 +1,11 @@
 """Exact coefficient arithmetic: ring axioms, gcd, and the two-variable layout."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intrec import _kernels as K
@@ -258,7 +259,7 @@ def test_gcd_int_matches_euclid_over_q(g, u, v):
     h, qa, qb = K.gcd_int(a, b)
     assert [Fraction(c, h[-1]) for c in h] == _euclid_over_q(a, b)
     assert K.pmul(h, qa) == K.strip(a) and K.pmul(h, qb) == K.strip(b)
-    assert h[-1] > 0 and K.content_int(h) == 1
+    assert h[-1] > 0 and math.gcd(*h) == 1
 
 
 def test_gcd_int_retries_after_an_unlucky_point(monkeypatch):
@@ -309,9 +310,18 @@ def test_canonical_unit_properties():
         assert P.rational_content(c) == 1
 
 
-def test_int_coeffs_clears_denominators():
-    cleared, scale = P.int_coeffs(Poly("x", [Fraction(1, 2), Fraction(1, 3)]))
-    assert cleared == [3, 2] and scale == 6
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50) | st.fractions(min_value=-50, max_value=50,
+                                                    max_denominator=12), max_size=6))
+@example([])
+@example([3, -4, 0])
+@example([2, Fraction(-3, 4), Fraction(5, 6), -1])
+@example([Fraction(-1, 2), Fraction(-1, 3)])
+def test_cleared_matches_fraction_reference(values):
+    ints, L = P.cleared(values)
+    want = math.lcm(*(Fraction(v).denominator for v in values))
+    assert L == want and all(type(v) is int for v in ints)
+    assert ints == [int(Fraction(v) * want) for v in values]
 
 
 def test_int_rows_round_trip():
