@@ -14,16 +14,18 @@ minimality is not attempted.
 
 Each sequence keeps one prefix [P_0, ..., P_m] of its terms, grown on demand
 by the recurrence: `term` indexes it and `terms` slices it, so asking for
-P_0, ..., P_{N-1} in any order costs (N - L)·L polynomial products in all,
-and asking again costs none.  The prefix lives as long as the sequence
-object, so a long-lived sequence should be copied per use (the pipeline
-copies BUILTINS for each job).
+P_0, ..., P_{N-1} in any order costs (N - L)·L products of coefficient lists
+(`_kernels.pmul`) in all, and asking again costs none.  Each step sums its L
+products as lists and builds one Poly, the new term.  The prefix lives as
+long as the sequence object, so a long-lived sequence should be copied per
+use (the pipeline copies BUILTINS for each job).
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ReverseUnsupportedDegreeProfile
+from . import _kernels as K
 from .poly import Poly
 
 
@@ -66,10 +68,10 @@ def _extend(seq, count):
     out = seq._prefix
     while len(out) < count:
         n = len(out)
-        nxt = Poly("x", [])
+        acc = []
         for i, p in enumerate(seq.coeffs):
-            nxt = nxt + p * out[n - 1 - i]
-        out.append(nxt)
+            acc = K.padd(acc, K.pmul(p.coeffs, out[n - 1 - i].coeffs))
+        out.append(Poly("x", acc))
     return out
 
 

@@ -7,17 +7,19 @@ annihilates every full window of the input, including a suffix of terms the
 solver never saw.  Everything is exact rational arithmetic; there is no
 tolerance to tune and near-fits cannot slip through.
 
-For each order r the training rows are built once, as integers, at the
-largest degree: row n is scaled by the lcm L_n of the denominators of
-a(n), …, a(n+r), so its entries are n^j·L_n·a(n+i).  Columns run degree-major,
-so cell (r, d) is the first (d + 1)(r + 1) of them.  One elimination of the
-whole order modulo a word-size prime (`linalg.rank_profile`) screens every
-degree at once: while the leading columns are independent mod p, they are
-independent over Q, and the cells within them hold no recurrence.  Only the
-cells from the first dependent column on go to `linalg.nullspace`, in
-practice just the cell that holds the recurrence; its own elimination
-starts p-adic lifting, and each basis vector is checked exactly against
-every row.  The held-out terms then gate the candidate recurrence.
+For each order r the training rows are integers at the largest degree: row
+n is scaled by the lcm L_n of the denominators of a(n), …, a(n+r), so its
+entries are n^j·L_n·a(n+i).  Columns run degree-major, so cell (r, d) is the
+first (d + 1)(r + 1) of them.  One elimination of the whole order modulo a
+word-size prime (`linalg.rank_profile`) screens every degree at once: while
+the leading columns are independent mod p, they are independent over Q, and
+the cells within them hold no recurrence.  The rows are built as the screen
+reads them, and it stops reading once every column is a pivot, which is how
+most orders end.  Only the cells from the first dependent column on go to
+`linalg.nullspace`, in practice just the cell that holds the recurrence; that
+order gets the rest of its rows, its own elimination starts p-adic lifting,
+and each basis vector is checked exactly against every row.  The held-out
+terms then gate the candidate recurrence.
 """
 
 from fractions import Fraction
@@ -34,9 +36,10 @@ MARGIN = 8
 def _training_rows(nums, dens, r, max_degree, train):
     """Integer rows for order r, degree-major: n^j·L_n·a(n+i) at column j·(r+1) + i.
 
-    nums and dens are the numerators and denominators of the terms.
+    nums and dens are the numerators and denominators of the terms.  The
+    rows are generated one at a time, so a reader that stops early builds
+    no more of them than it reads.
     """
-    rows = []
     for n in range(train):
         ds = dens[n : n + r + 1]
         den = lcm(*ds)
@@ -45,8 +48,14 @@ def _training_rows(nums, dens, r, max_degree, train):
         for _ in range(max_degree):
             v = [x * n for x in v]
             row += v
+        yield row
+
+
+def _kept(rows, source):
+    """The rows of source, each appended to rows as it is read."""
+    for row in source:
         rows.append(row)
-    return rows
+        yield row
 
 
 def _cell(terms, rows, r, d):
@@ -79,11 +88,16 @@ def guess_precursive(terms, max_order, max_degree, margin=MARGIN):
         train = len(terms) - r - margin
         if train < 1:
             continue
-        rows = _training_rows(nums, dens, r, max_degree, train)
+        source = _training_rows(nums, dens, r, max_degree, train)
+        rows = []
         # cell (r, d) is the first (d + 1)(r + 1) columns: those within the
-        # leading run of independent columns have full rank, hence no recurrence
-        pivots = rank_profile(rows, (r + 1) * (max_degree + 1))
+        # leading run of independent columns have full rank, hence no
+        # recurrence.  The screen stops reading once every column is a
+        # pivot; an order with a cell left to solve gets the rest of its rows
+        pivots = rank_profile(_kept(rows, source), (r + 1) * (max_degree + 1))
         lead = next((q for q, c in enumerate(pivots) if q != c), len(pivots))
+        if lead // (r + 1) <= max_degree:
+            rows.extend(source)
         for d in range(lead // (r + 1), max_degree + 1):
             coeffs = _cell(terms, rows, r, d)
             if coeffs is None:

@@ -7,6 +7,13 @@ a polynomial-coefficient recurrence.  The polynomial right side only touches
 finitely many equations; those low-index equations are kept verbatim (they
 pin down leading terms) and the homogeneous recurrence holds from a threshold
 onward.
+
+`first_failure` is the one exact check of a recurrence against terms.  It
+clears the terms to integers once with `poly.cleared`, and the coefficients
+to integer lists over one denominator, so each window is an integer sum of
+`_kernels.peval` values; the few exceptional equations are checked as
+rationals.  `unroll` clears each window of r terms the same way, so each new
+term costs one integer sum and one Fraction.
 """
 
 from dataclasses import dataclass, replace
@@ -179,11 +186,14 @@ def first_failure(rec, terms):
 
     Covered are the windows n ≥ threshold that fit inside the terms and the
     exceptional equations whose indices all lie below len(terms).  This is
-    the one exact check of a recurrence against terms.
+    the one exact check of a recurrence against terms.  Each window is
+    summed in integers, a positive multiple of the rational window sum.
     """
     r = rec.order
+    nums = P.cleared(terms)[0]
+    cs = P.cleared_rows([c.coeffs for c in rec.coeffs])[0]
     for n in range(rec.threshold, len(terms) - r):
-        if sum(c.eval(n) * terms[n + i] for i, c in enumerate(rec.coeffs)):
+        if sum(K.peval(c, n) * nums[n + i] for i, c in enumerate(cs)):
             return "window at n = %d fails exactly" % n
     for pairs, rhs_u in rec.exceptional:
         if any(idx >= len(terms) for idx, _ in pairs):
@@ -211,13 +221,15 @@ def unroll(rec, count):
         raise ValueError("recurrence has no initial terms attached")
     terms = list(rec.initial_terms)
     r = rec.order
+    cs = P.cleared_rows([c.coeffs for c in rec.coeffs])[0]
     while len(terms) < count:
         n = len(terms) - r
         if n < rec.threshold:
             raise ValueError("initial terms stop short of the validity threshold")
-        cr = rec.coeffs[-1].eval(n)
+        cr = K.peval(cs[-1], n)
         if not cr:
             raise SingularLeadingCoefficient(n)
-        acc = sum(rec.coeffs[i].eval(n) * terms[n + i] for i in range(r))
-        terms.append(P.num_div(-acc, cr))
+        window, den = P.cleared(terms[n:n + r])
+        acc = sum(K.peval(c, n) * v for c, v in zip(cs, window))
+        terms.append(P.num_div(-acc, cr * den))
     return terms[:count]

@@ -4,10 +4,10 @@ Each IntegralProblem classifies its kernel once, into `form` (the
 recognized_form tag) and `factor`, the symbolic factor f of its exact values
 a(n) = f·q_n.  exact_term gives q_n as a moment sum: with
 m_k = ∫_α^β x^k w(x) dx, P_n = Σ c_j x^j and the prefactor Σ a_i x^i (its
-denominator is 1), q_n = Σ_j c_j Σ_i a_i m_(i+j).  The c_j, the a_i and the
-moments are each cleared to integers over one denominator, so the sum runs
-in integers and builds one Fraction per term.  A
-polynomial kernel has f = 1, w = 1 and the power rule,
+denominator is 1), q_n = Σ_j c_j Σ_i a_i m_(i+j).  The c_j and the a_i are
+each cleared to integers over one denominator, and the moments are built as
+integers over one, so the sum runs in integers and builds one Fraction per
+term.  A polynomial kernel has f = 1, w = 1 and the power rule,
 m_k = (β^(k+1) - α^(k+1))/(k+1).  The Chebyshev weight 1/sqrt(1-x^2) with a
 polynomial prefactor on [-1, 1] has f = pi and the rational parts
 m_k = C(k, k/2)/2^k for even k, 0 for odd k.  Every other kernel has no
@@ -96,28 +96,31 @@ def _moments(prob, count):
     """(nums, den) with m_k = nums[k]/den for every k < count.
 
     Power-rule moments for factor "1", the rational parts of the
-    Chebyshev-weight moments for factor "pi".  The vector at least doubles
-    whenever it grows, so bringing it to a new common denominator costs
-    O(1) per moment overall.
+    Chebyshev-weight moments for factor "pi", both built from integers.
+    With alpha = v/g and beta = u/g over one denominator,
+    m_j = (u^(j+1) - v^(j+1))/((j+1)·g^(j+1)), and m_j for j < top share the
+    denominator lcm(1, ..., top)·g^top; the Chebyshev parts C(j, j/2)/2^j
+    share 2^(top-1).  The vector at least doubles whenever it grows, so
+    bringing it to a new common denominator costs O(1) per moment overall.
     """
     mv = prob._moments
     k = len(mv.nums)
     if k < count:
         top = max(count, 2 * k)
         if prob.factor == "1":
-            a, b = Fraction(prob.alpha), Fraction(prob.beta)
-            apow, bpow = a ** (k + 1), b ** (k + 1)
+            (v, u), g = P.cleared([Fraction(prob.alpha), Fraction(prob.beta)])
+            L = lcm(*range(1, top + 1)) * g**top
+            upow, vpow, gpow = u**k, v**k, g**k
             new = []
             for j in range(k, top):
-                new.append((bpow - apow) / (j + 1))
-                apow *= a
-                bpow *= b
+                upow, vpow, gpow = upow * u, vpow * v, gpow * g
+                new.append((upow - vpow) * (L // ((j + 1) * gpow)))
         else:
-            new = [Fraction(comb(j, j // 2) if j % 2 == 0 else 0, 2**j)
+            L = 1 << (top - 1)
+            new = [comb(j, j // 2) << (top - 1 - j) if j % 2 == 0 else 0
                    for j in range(k, top)]
-        ints, L = P.cleared(new)
         den = lcm(mv.den, L)
-        mv.nums = [v * (den // mv.den) for v in mv.nums] + [v * (den // L) for v in ints]
+        mv.nums = [x * (den // mv.den) for x in mv.nums] + [x * (den // L) for x in new]
         mv.den = den
     return mv.nums, mv.den
 

@@ -57,16 +57,17 @@ def test_terms_prefix():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_terms_cost_one_recurrence_step_each(monkeypatch, seed):
+    # a recurrence step is L products of coefficient lists, one per p_i
     rng = random.Random(seed)
     seq = rand_seq(rng, max_order=3)
     calls = []
-    mul = Poly.__mul__
+    mul = cf.K.pmul
 
     def counted(a, b):
         calls.append(1)
         return mul(a, b)
 
-    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(cf.K, "pmul", counted)
     N, L = 30, seq.order
     first = [cf.term(seq, n) for n in range(N)]
     assert len(calls) == (N - L) * L

@@ -69,6 +69,12 @@ MORE_GOLDEN = [
     ("custom_rational_verify.json",
      {"task": "verify", "sequence": {"coeffs": ["x/3+1", "-2/5"], "init": ["1", "x-1/2"]},
       "kernel": {"polynomial": "x^2/3-1/2"}, "interval": ["-1/2", "3/4"]}),
+    # stored before the oracle's moments, the terms' recurrence steps and the
+    # window check moved to integers: the guess task alone, an order-5 guess
+    # whose coefficients run to 30 digits
+    ("custom_rational_guess.json",
+     {"task": "guess", "sequence": {"coeffs": ["1/3*x+1", "-2/5"], "init": ["1", "x-1/2"]},
+      "kernel": {"polynomial": "1/3*x^2-1/2"}, "interval": ["-1/2", "3/4"]}),
 ]
 
 

@@ -211,3 +211,44 @@ def test_chebyshev_integral_needs_one_exact_solve(monkeypatch):
     # the screen rules out every cell before the hit at (order 2, degree 1),
     # the only one solved exactly
     assert calls == [6]
+
+
+def test_screen_builds_only_the_rows_it_reads(monkeypatch):
+    opts = Options()
+    terms = integral_terms(_guess_term_count(opts))
+    rows_of = G._training_rows
+    built = {}
+
+    def counted(nums, dens, r, max_degree, train):
+        built[r] = 0
+        for row in rows_of(nums, dens, r, max_degree, train):
+            built[r] += 1
+            yield row
+
+    monkeypatch.setattr(G, "_training_rows", counted)
+    solved = []
+    exact = G.nullspace
+
+    def recorded(rows, ncols):
+        solved.append(rows)
+        return exact(rows, ncols)
+
+    monkeypatch.setattr(G, "nullspace", recorded)
+    rec = guess_precursive(terms, opts.max_order, opts.max_degree, opts.margin)
+    assert rec.order == 2
+    fracs = [Fraction(v) for v in terms]
+    nums, dens = [a.numerator for a in fracs], [a.denominator for a in fracs]
+
+    def train(r):
+        return len(terms) - r - opts.margin
+
+    # orders 0 and 1 screen to full rank: the screen stops reading their
+    # rows soon after their column count
+    for r in (0, 1):
+        ncols = (r + 1) * (opts.max_degree + 1)
+        assert ncols <= built[r] < train(r)
+    # the order that reaches a cell gets every row, as if built at once
+    assert built[2] == train(2)
+    full = list(rows_of(nums, dens, 2, opts.max_degree, train(2)))
+    cols = [j * 3 + i for i in range(3) for j in range(2)]
+    assert solved == [[[row[c] for c in cols] for row in full]]

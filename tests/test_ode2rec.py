@@ -5,8 +5,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intrec import ode2rec as o2r
+from intrec import poly as P
 from intrec.errors import (
     RecurrenceRefuted,
     SingularLeadingCoefficient,
@@ -83,6 +86,64 @@ def test_first_failure_reports_a_low_index_equation():
         "low-index equation fails exactly")
 
 
+def reference_first_failure(rec, terms):
+    """first_failure with every window summed in Fraction arithmetic."""
+    r = rec.order
+    for n in range(rec.threshold, len(terms) - r):
+        if sum(c.eval(n) * terms[n + i] for i, c in enumerate(rec.coeffs)):
+            return "window at n = %d fails exactly" % n
+    for pairs, rhs_u in rec.exceptional:
+        if any(idx >= len(terms) for idx, _ in pairs):
+            continue
+        if sum(w * terms[idx] for idx, w in pairs) != rhs_u:
+            return "low-index equation fails exactly"
+    return None
+
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+NONZERO = RATIONALS.filter(bool)
+
+
+@st.composite
+def checked_recurrences(draw):
+    """A recurrence with rational coefficients in n, a threshold above 0 and
+    up to three exceptional equations, and terms it annihilates from the
+    threshold on, perturbed at one chosen window or not at all."""
+    r, deg = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    coeffs = [Poly("n", draw(st.lists(RATIONALS, min_size=1, max_size=deg + 1)))
+              for _ in range(r + 1)]
+    threshold, count = draw(st.integers(1, 4)), draw(st.integers(0, 16))
+    terms = draw(st.lists(RATIONALS, min_size=min(count, threshold + r),
+                          max_size=min(count, threshold + r)))
+    while len(terms) < count:
+        n = len(terms) - r
+        lead = coeffs[-1].eval(n)
+        acc = sum(coeffs[i].eval(n) * terms[n + i] for i in range(r))
+        # a vanishing leading coefficient leaves the next term free
+        terms.append(-Fraction(acc) / lead if lead else draw(RATIONALS))
+    if count > threshold + r and draw(st.booleans()):
+        n = draw(st.integers(threshold, count - r - 1))
+        terms[n + draw(st.integers(0, r))] += draw(NONZERO)
+    exceptional = []
+    for _ in range(draw(st.integers(0, 3))):
+        idxs = draw(st.lists(st.integers(0, count + 1), min_size=1, max_size=3, unique=True))
+        pairs = tuple(sorted((i, draw(NONZERO)) for i in idxs))
+        if all(i < count for i in idxs) and draw(st.booleans()):
+            rhs = sum(w * terms[i] for i, w in pairs)
+        else:
+            rhs = draw(RATIONALS)
+        exceptional.append((pairs, P.as_num(rhs)))
+    rec = o2r.Recurrence(tuple(coeffs), threshold, None, tuple(exceptional))
+    return rec, [P.as_num(Fraction(v)) for v in terms]
+
+
+@settings(max_examples=300, deadline=None)
+@given(checked_recurrences())
+def test_first_failure_matches_fraction_reference(case):
+    rec, terms = case
+    assert o2r.first_failure(rec, terms) == reference_first_failure(rec, terms)
+
+
 def test_exponential_operator():
     rec = o2r.ode_to_recurrence([Poly("t", [-1]), Poly("t", [1])], ZERO)
     assert list(rec.coeffs) == [Poly("n", [-1]), Poly("n", [1, 1])]
@@ -153,6 +214,39 @@ def test_required_initials_and_singular_unroll():
     short = o2r.Recurrence(rec.coeffs, 0, tuple(terms[:2]))
     with pytest.raises(SingularLeadingCoefficient):
         o2r.unroll(short, 9)
+
+
+def reference_unroll(rec, count):
+    """unroll with every window summed in Fraction arithmetic; None where a
+    leading coefficient vanishes."""
+    terms = list(rec.initial_terms)
+    r = rec.order
+    while len(terms) < count:
+        n = len(terms) - r
+        cr = rec.coeffs[-1].eval(n)
+        if not cr:
+            return None
+        acc = sum(rec.coeffs[i].eval(n) * terms[n + i] for i in range(r))
+        terms.append(P.num_div(-acc, cr))
+    return terms[:count]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_unroll_matches_fraction_reference(r, data):
+    coeffs = [Poly("n", data.draw(st.lists(RATIONALS, min_size=1, max_size=3)))
+              for _ in range(r + 1)]
+    if coeffs[-1].is_zero():
+        coeffs[-1] = Poly("n", [1])
+    init = data.draw(st.lists(RATIONALS, min_size=r, max_size=r))
+    rec = o2r.Recurrence(tuple(coeffs), 0, tuple(P.as_num(v) for v in init))
+    count = data.draw(st.integers(r, 14))
+    expected = reference_unroll(rec, count)
+    if expected is None:
+        with pytest.raises(SingularLeadingCoefficient):
+            o2r.unroll(rec, count)
+    else:
+        assert o2r.unroll(rec, count) == expected
 
 
 def test_integer_roots_far_out():
