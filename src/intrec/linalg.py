@@ -58,12 +58,10 @@ from .poly import Poly
 PRIME = 1073741789  # the largest prime below 2**30
 
 
-def canonical_scale(entries):
-    """The rational f that canonical_vector scales by; None for a zero vector.
-
-    1/f is the gcd of the entries' cleared coefficients over their common
-    denominator, signed like the first nonzero entry.
-    """
+def _signed_content(entries):
+    """(ints, L, g) with ints/L the entries' coefficients, flattened by
+    `poly.leaves`, and g the gcd of ints signed like the first nonzero
+    entry; None for a zero vector."""
     vals, sign = [], 0
     for e in entries:
         if isinstance(e, Poly):
@@ -75,16 +73,38 @@ def canonical_scale(entries):
     if not sign:
         return None
     ints, L = P.cleared(vals)
-    return Fraction(L, sign * _igcd(*ints))
+    return ints, L, sign * _igcd(*ints)
+
+
+def canonical_scale(entries):
+    """The rational f that canonical_vector scales by; None for a zero vector.
+
+    1/f is the gcd of the entries' cleared coefficients over their common
+    denominator, signed like the first nonzero entry.
+    """
+    got = _signed_content(entries)
+    return None if got is None else Fraction(got[1], got[2])
 
 
 def canonical_vector(entries):
-    """Scale a rational/poly vector to joint primitive form, first nonzero positive."""
-    f = canonical_scale(entries)
-    if f is None:
+    """Scale a rational/poly vector to joint primitive form, first nonzero positive.
+
+    The result is integral: each cleared coefficient divided exactly by the
+    signed gcd, refilled into the entries' shapes, with no Fraction built.
+    """
+    got = _signed_content(entries)
+    if got is None:
         return list(entries)
-    return [P.scale_poly(e, f) if isinstance(e, Poly) else P.as_num(e * f)
-            for e in entries]
+    ints, _, g = got
+    it = iter([v // g for v in ints])
+
+    def refill(e):
+        if not isinstance(e, Poly):
+            return next(it)
+        return Poly(e.var, [Poly(c.var, [next(it) for _ in c.coeffs])
+                            if isinstance(c, Poly) else next(it) for c in e.coeffs])
+
+    return [refill(e) for e in entries]
 
 
 _PRIMES = [PRIME]  # the primes _primes() has found so far

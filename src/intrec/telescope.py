@@ -13,6 +13,16 @@ elimination mod p.  Each order tries one ansatz for the certificate (see
 telescope), so a too-small ansatz can cause a miss.  Callers check a
 returned operator against the defining identity with verify_certificate.
 
+With a rational kernel (zero log-derivative) F is rational, and y0 = 1/F
+solves the system with a zero operator: without more, every order would
+have nullity at least 1, a miss would always be lifted t-adically, and a
+hit would lift that useless vector too.  Whether its certificate part
+Y0 = den_y/F is a polynomial in x is decided once per call; where it is,
+and fits the ansatz, one unit row pins its leading column to 0.  The
+pinned system has full column rank at a miss, which then ends after one
+elimination mod p, and it returns the same telescoper at a hit (telescope
+says why).
+
 The arithmetic runs on integer rows (`_kernels`: a polynomial in Z[x][t] as
 a t-list of Z[x] int lists, products by Kronecker substitution).  Each call
 converts its data once: N and D of the generating function R = N/D, cleared
@@ -105,7 +115,7 @@ def _extend_w(ws, dr, upto):
     return ws
 
 
-def _solve_order(ell, nd, dr, ws, ln, ld, scale):
+def _solve_order(ell, nd, dr, ws, ln, ld, scale, pin):
     """Try the ansatz at telescoper order ell; (operator, certificate) or None.
 
     nd = N'·D'^ell, and ln/ld is the reduced x-log-derivative.  The
@@ -114,6 +124,15 @@ def _solve_order(ell, nd, dr, ws, ln, ld, scale):
     are multiplied by `scale`, so the system is the one over N, D and that
     primitive ld times one factor common to every row, and has the same
     nullspace basis.
+
+    pin is deg_x Y0 for Y0 = den_y/F, the certificate part of the trivial
+    solution y0 = 1/F, or None when F is not rational or Y0 is not a
+    polynomial in x (see telescope).  When Y0 fits the ansatz (pin <= m),
+    one unit row pins column pin of Y to 0.  That removes exactly the
+    certificate-only solutions c(t)·Y0 and keeps every operator: a miss
+    then has full column rank and ends after one elimination mod p, and a
+    hit lifts one free column fewer.  The basis vector the unpinned system
+    would return is already 0 there (telescope), so the result is the same.
     """
     den_y = K.rmul(ld, nd)
     # h = Lx − (d/dx den_y)/den_y in lowest terms: its cofactors by one gcd
@@ -136,6 +155,8 @@ def _solve_order(ell, nd, dr, ws, ln, ld, scale):
         g = _igcd(*(v for e in row for v in e))
         rows.append([Poly("t", [v // g for v in e] if g > 1 else e) if e else zero
                      for e in row])
+    if pin is not None and pin <= m:
+        rows.append([Poly("t", [1]) if j == pin else zero for j in range(len(cols))])
     for vec in nullspace(rows, len(cols)):
         avec = vec[m + 1 :]
         if all(not a for a in avec):
@@ -147,6 +168,24 @@ def _solve_order(ell, nd, dr, ws, ln, ld, scale):
     return None
 
 
+def _trivial_degree(ld, dr, prefactor):
+    """deg_x Y0 at order 0, or None when Y0 is not a polynomial in x.
+
+    Y0 = ld·D'·pd/pn up to a constant, with pn/pd the prefactor's integer
+    rows.  It is a polynomial in x exactly when the primitive pn divides
+    every t-coefficient of ld·D'·pd in Z[x] (Gauss's lemma).
+    `RatFunc.is_polynomial` would not do: it tests the outer variable t and
+    misses a denominator in x.
+    """
+    pn, pd = _x_rows(prefactor)
+    pn = K.primitive(pn[0], False)[1]
+    try:
+        y0 = [K.exactdiv_int(r, pn) for r in K.rmul(K.rmul(ld, dr), pd)]
+    except ArithmeticError:
+        return None
+    return max(map(len, y0)) - 1
+
+
 def telescope(gf, kernel, max_order):
     """Smallest-order telescoper for the integrand, searching orders 0..max_order.
 
@@ -156,17 +195,37 @@ def telescope(gf, kernel, max_order):
     polynomial whose x-degree is at most two above that of the cleared
     right-hand sides.  Raises NoTelescoperFound if that ansatz has only
     trivial solutions at every order up to max_order.
+
+    With a zero log-derivative F is rational, and y0 = 1/F solves the
+    system with a zero operator; every certificate-only solution is c(t)·y0.
+    Its Y part, Y0 = den_y/F = den_l·D^(ell+1)/prefactor up to a constant,
+    lies in the ansatz when it is a polynomial in x of x-degree at most the
+    ansatz's.  _trivial_degree decides that once, at order 0; deg_x Y0 then
+    grows by deg_x D per order.  Order 0 decides every order when D has no
+    factor in x alone, as for every generating function of a sequence
+    (D(x, 0) is a constant).  For any other D a later order can hold y0
+    unpinned, and _solve_order skips solutions with a zero operator.  Where
+    Y0 fits, _solve_order pins column deg_x Y0, its leading one, to 0.  In
+    the reduced row echelon basis of the unpinned system that column is
+    free and y0 is its vector: a solution supported below it would have a
+    zero operator, so it would be c(t)·y0, which is not 0 there.  Every
+    other basis vector is 0 at a free column not its own, so the pinned
+    basis is the unpinned one without y0, and the returned telescoper is
+    unchanged.
     """
     if gf.value.num.is_zero():
         return Telescoper((Poly("t", [1]),), RatFunc(Poly("t", []), Poly("t", [1])))
     nr, cn, dr, cd, ln, ld = _integrand(gf, kernel)
     _, ln, ld = K.gcd_int(ln, ld)
     base = cn * K.primitive(ld, True)[0]
+    pin = _trivial_degree(ld, dr, kernel.prefactor) if kernel.logderiv.is_zero() else None
+    step = max(map(len, dr)) - 1
     ws, nd = [nr], nr
     for ell in range(max_order + 1):
         if ell:
             nd = K.rmul(nd, dr)
-        got = _solve_order(ell, nd, dr, _extend_w(ws, dr, ell), ln, ld, base * cd**ell)
+        got = _solve_order(ell, nd, dr, _extend_w(ws, dr, ell), ln, ld, base * cd**ell,
+                           None if pin is None else pin + ell * step)
         if got is None:
             continue
         avec, y = _reduce_content(*got)

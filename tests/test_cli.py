@@ -175,7 +175,10 @@ def test_no_guess_exits_3(tmp_path, capsys):
 def test_quadrature_short_of_its_digits_exits_3(tmp_path, monkeypatch, capsys):
     from intrec import oracle
 
-    monkeypatch.setattr(oracle.mp, "quad", lambda *a, **k: (oracle.mp.mpf(1), oracle.mp.mpf(1)))
+    # patched on mpmath's context class: undoing a patch on the instance
+    # would leave a bound `quad` in vars(mpmath.mp)
+    monkeypatch.setattr(type(oracle.mp), "quad",
+                        lambda *a, **k: (oracle.mp.mpf(1), oracle.mp.mpf(1)))
     doc = {"task": "recurrence", "sequence": {"builtin": "chebyshev_T"},
            "kernel": {"logderiv": "x/(1-x^2)", "form": "chebyshev_weight"},
            "interval": ["-1", "1"]}

@@ -131,6 +131,31 @@ def test_canonical_vector_normalization():
     ) == [Poly("t", [0, 1]), Poly("t", [-2])]
 
 
+scalars = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+inner_polys = st.lists(scalars, max_size=3).map(lambda cs: Poly("x", cs))
+entries = st.one_of(
+    scalars,
+    st.integers(-50, 50),
+    st.lists(scalars, max_size=4).map(lambda cs: Poly("t", cs)),
+    st.lists(st.one_of(scalars, inner_polys), max_size=3).map(lambda cs: Poly("t", cs)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(entries, max_size=5))
+def test_canonical_vector_matches_fraction_scaling(vec):
+    # integer division by the signed gcd gives the vector that scaling every
+    # coefficient by the Fraction canonical_scale gives, type for type
+    f = linalg.canonical_scale(vec)
+    got = linalg.canonical_vector(vec)
+    if f is None:
+        assert got == list(vec)
+        return
+    want = [P.scale_poly(e, f) if isinstance(e, Poly) else P.as_num(e * f) for e in vec]
+    assert repr(got) == repr(want)
+    assert all(type(v) is int for e in got for v in (P.leaves(e) if isinstance(e, Poly) else [e]))
+
+
 # -- the rational solver: p-adic lifting against a Gauss-Jordan reference -----
 
 

@@ -16,7 +16,7 @@ from intrec import oracle
 from intrec import poly as P
 from intrec import telescope as telescope_module
 from intrec.errors import BoundaryNotEvaluable, NoTelescoperFound
-from intrec.genfun import generating_function
+from intrec.genfun import BivariateGF, generating_function
 from intrec.poly import Poly
 from intrec.ratfunc import RatFunc
 from intrec.telescope import (
@@ -394,40 +394,155 @@ def proportional(row, ref):
     return True
 
 
-@pytest.mark.parametrize("seq,kern,order", [c[1:] for c in MINIMAL_ORDERS],
-                         ids=[c[0] for c in MINIMAL_ORDERS])
-def test_integer_rows_match_poly_reference(monkeypatch, seq, kern, order):
+def reference_pin(gf, kern, ell, ncols):
+    """The column the search pins at order ell, from the reference's data:
+    deg_x Y0 for Y0 = den_y/F = den_l·D^(ell+1)·prefactor⁻¹, or None when
+    the kernel has a log-derivative, Y0 keeps a denominator in x, or Y0
+    exceeds the ansatz's x-degree m = ncols − ell − 2."""
+    if not kern.logderiv.is_zero():
+        return None
+    den_l = _bivar_part(_log_deriv_x(gf, kern).den)
+    pre = kern.prefactor
+    y0 = RatFunc(den_l * gf.value.den ** (ell + 1) * _bivar(pre.den), _bivar(pre.num))
+    if P.x_degree(y0.den) > 0:
+        return None
+    q = P.x_degree(y0.num)
+    return q if q <= ncols - ell - 2 else None
+
+
+def recorded_systems(monkeypatch):
+    """{module name: [(rows, ncols), …]}: the systems that the search
+    (intrec.telescope) and the reference (intrec.linalg) pass to nullspace."""
     systems = {}
     for mod in (telescope_module, linalg):
         def recorded(rows, ncols, solve=mod.nullspace, key=mod.__name__):
-            systems.setdefault(key, []).append(rows)
+            systems.setdefault(key, []).append((rows, ncols))
             return solve(rows, ncols)
 
         monkeypatch.setattr(mod, "nullspace", recorded)
-    assert "Telescoper" in same_search(generating_function(seq), kern, order)
-    # each order's system is the reference's, up to one factor per row
+    return systems
+
+
+@pytest.mark.parametrize("seq,kern,order", [c[1:] for c in MINIMAL_ORDERS],
+                         ids=[c[0] for c in MINIMAL_ORDERS])
+def test_integer_rows_match_poly_reference(monkeypatch, seq, kern, order):
+    systems = recorded_systems(monkeypatch)
+    gf = generating_function(seq)
+    assert "Telescoper" in same_search(gf, kern, order)
+    # each order's system is the reference's, up to one factor per row, and
+    # one more row wherever the trivial certificate is pinned out: the unit
+    # row at column deg_x Y0
     new, ref = systems["intrec.telescope"], systems["intrec.linalg"]
     assert len(new) == len(ref) == order + 1
-    for rows, ref_rows in zip(new, ref):
+    pinned = 0
+    for ell, ((rows, ncols), (ref_rows, ref_ncols)) in enumerate(zip(new, ref)):
+        assert ncols == ref_ncols
+        pin = reference_pin(gf, kern, ell, ncols)
+        if pin is not None:
+            *rows, last = rows
+            assert last == [Poly("t", [1] if j == pin else []) for j in range(ncols)]
+            pinned += 1
         assert len(rows) == len(ref_rows)
         assert all(proportional(r, f) for r, f in zip(rows, ref_rows))
+    # every rational kernel here has its trivial certificate pinned at every order
+    assert pinned == (order + 1 if kern.logderiv.is_zero() else 0)
+
+
+RATIONAL_ORDERS = [c for c in MINIMAL_ORDERS if c[2].logderiv.is_zero()]
+
+
+@pytest.mark.parametrize("seq,kern,order", [c[1:] for c in RATIONAL_ORDERS],
+                         ids=[c[0] for c in RATIONAL_ORDERS])
+def test_rational_kernel_misses_lift_nothing(monkeypatch, seq, kern, order):
+    # with the trivial certificate pinned out, a miss has full column rank,
+    # so its one elimination mod p ends it before any t-adic lifting
+    lifts, per_order = [], []
+    lift, solve = linalg._lift_series, telescope_module.nullspace
+
+    def counted_lift(*args):
+        lifts.append(args)
+        return lift(*args)
+
+    def counted_solve(rows, ncols):
+        before = len(lifts)
+        basis = solve(rows, ncols)
+        per_order.append(len(lifts) - before)
+        return basis
+
+    monkeypatch.setattr(linalg, "_lift_series", counted_lift)
+    monkeypatch.setattr(telescope_module, "nullspace", counted_solve)
+    assert telescope(generating_function(seq), kern, order).order == order
+    assert per_order[:-1] == [0] * order
+    assert per_order[-1] > 0
+
+
+def zero_operator_vectors(monkeypatch):
+    """[(order, count)]: per telescope nullspace solve, how many basis vectors
+    have a zero operator part and so reach the skip in _solve_order."""
+    seen, solve = [], telescope_module.nullspace
+
+    def recorded(rows, ncols):
+        basis = solve(rows, ncols)
+        ell = len(seen)
+        seen.append((ell, sum(all(not a for a in v[ncols - ell - 1:]) for v in basis)))
+        return basis
+
+    monkeypatch.setattr(telescope_module, "nullspace", recorded)
+    return seen
+
+
+def test_unpinnable_kernel_adds_no_row(monkeypatch):
+    # T against x^2: ld has the factor x once, so pn = x^2 divides no
+    # ld·D'^(ell+1)·pd and 1/F never fits the ansatz.  No row is added, and
+    # no certificate-only vector reaches the skip in _solve_order
+    systems = recorded_systems(monkeypatch)
+    seen = zero_operator_vectors(monkeypatch)
+    gf, kern = generating_function(T), kernel("x^2")
+    assert "Telescoper" in same_search(gf, kern, 3)
+    new, ref = systems["intrec.telescope"], systems["intrec.linalg"]
+    assert [len(r) for r, _ in new] == [len(r) for r, _ in ref]
+    assert all(reference_pin(gf, kern, ell, n) is None for ell, (_, n) in enumerate(new))
+    assert all(count == 0 for _, count in seen)
+
+
+def test_skip_keeps_a_trivial_certificate_the_order_0_test_missed(monkeypatch):
+    # A denominator with a factor in x alone, which no generating function of
+    # a sequence has (D(x, 0) is a constant): R = 1/((x−3)(1−xt)) against
+    # (x−3)^3.  ld = (x−3)(1−xt), so Y0 = ld·D'^(ell+1)/(x−3)^3 is (1−xt)^3
+    # at order 1 but not a polynomial at order 0, which is the one test the
+    # search makes.  The order-1 basis then holds c(t)·y0, which the skip in
+    # _solve_order passes over, and both searches agree.
+    x = Poly.variable("x")
+    gf = BivariateGF(RatFunc(Poly("t", [1]), Poly("t", [x - 3, -x * (x - 3)])))
+    kern = Kernel(RatFunc((x - 3) ** 3), RatFunc(Poly("x", [])))
+    seen = zero_operator_vectors(monkeypatch)
+    tel = telescope(gf, kern, 3)
+    assert tel.order == 1 and verify_certificate(gf, kern, tel)
+    assert seen == [(0, 0), (1, 1)]
+    monkeypatch.undo()
+    assert same_search(gf, kern, 3) == repr(tel)
 
 
 xpolys = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda cs: Poly("x", cs))
 
 
 @st.composite
-def integrands(draw):
-    """A short C-finite sequence against a rational or hyperexponential kernel."""
+def integrands(draw, hyperexponential=True):
+    """A short C-finite sequence against a rational or hyperexponential kernel
+    (only rational ones, polynomial kernels included, if not hyperexponential)."""
     order = draw(st.integers(1, 2))
     coeffs = draw(st.lists(xpolys, min_size=order, max_size=order))
     init = draw(st.lists(xpolys, min_size=order, max_size=order))
     if coeffs[-1].is_zero():
         coeffs[-1] = Poly("x", [1])
     pre_num, pre_den, rho_num, rho_den = (draw(xpolys) for _ in range(4))
+    if not hyperexponential and draw(st.booleans()):
+        # a repeated root, which the x-log-derivative has once: 1/F then
+        # keeps an x-denominator in the ansatz, and nothing is pinned
+        pre_num = pre_num * pre_num
     prefactor = RatFunc(pre_num if pre_num else Poly("x", [1]),
                         pre_den if pre_den else Poly("x", [1]))
-    rho = RatFunc(rho_num if draw(st.booleans()) else Poly("x", []),
+    rho = RatFunc(rho_num if hyperexponential and draw(st.booleans()) else Poly("x", []),
                   rho_den if rho_den else Poly("x", [1]))
     seq = cf.CFiniteSeq(tuple(coeffs), tuple(init))
     return generating_function(seq), Kernel(prefactor, rho)
@@ -436,6 +551,17 @@ def integrands(draw):
 @settings(max_examples=40, deadline=None)
 @given(integrands())
 def test_integer_rows_match_poly_reference_on_random_integrands(case):
+    gf, kern = case
+    if gf.value.num.is_zero():
+        return
+    same_search(gf, kern, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integrands(hyperexponential=False))
+def test_pinned_search_matches_reference_on_rational_kernels(case):
+    # the pin row removes only the certificate-only solutions: hit order,
+    # operator and certificate are those of the unpinned reference search
     gf, kern = case
     if gf.value.num.is_zero():
         return
