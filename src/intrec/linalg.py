@@ -30,9 +30,12 @@ series in t − t0, one coefficient per triangular solve, and a Padé
 approximant (extended Euclid, one shared denominator) is tried first at
 twice the degree of the system plus one coefficients, below which it could
 certify only solutions of lower degree, and then whenever the count has
-grown by a fixed factor; Cramer's rule bounds the count needed.  Shifted
-back to t, the images of successive primes are combined by CRT and
-rational reconstruction.  A basis is returned only when
+grown by a fixed factor; Cramer's rule bounds the count needed.  A
+candidate found too early to certify is checked against each further
+coefficient instead of being recomputed.  Shifted back to t, the images of
+successive primes are combined by CRT and rational reconstruction; after
+the first prime, one Padé bounded by the degrees of the kept image is
+tried first.  A basis is returned only when
 it annihilates every row exactly over Z[t] and leans on no pivot column
 after its own.  Only finitely many pairs (p, t0) fail, so the loop ends.
 
@@ -399,17 +402,18 @@ def _ratrecon_series(u, n, bound_n, bound_d, p):
     return [x * c % p for x in r1], [x * c % p for x in s1]
 
 
-def _pade(series, n, p):
+def _pade(series, n, p, bounds=None):
     """Polynomials (nums, den) mod p with den·s ≡ num mod t^n for each series s, or None.
 
     The Padé analogue of _reconstruct: entries share one denominator, with
     den(0) = 1.  Each entry is multiplied by the denominator found so far
     before its own reconstruction, whose denominator bound shrinks to match,
-    so numerators stay within degree (n − 1)//2 and den within the rest of
-    n − 1.  A solution within those bounds is therefore the one found.
+    so numerators stay within degree bound_n and den within bound_d:
+    `bounds`, by default (n − 1)//2 and the rest of n − 1.  While
+    bound_n + bound_d < n, a solution within those bounds is therefore the
+    one found.
     """
-    bound_n = (n - 1) // 2
-    bound_d = n - 1 - bound_n
+    bound_n, bound_d = bounds or ((n - 1) // 2, n - 1 - (n - 1) // 2)
     nums, den = [], [1]
     for s in series:
         u = _pmul_mod(s, den, p, n) if len(den) > 1 else K.strip(list(s))
@@ -424,7 +428,16 @@ def _pade(series, n, p):
     return nums, den
 
 
-def _lift_series(block, cols, solve, d, p):
+def _extends(cand, xs, p):
+    """Whether den·x_s ≡ num_s still holds at the newest coefficient of each series."""
+    nums, den = cand
+    k = len(xs) - 1
+    window = xs[k - min(k, len(den) - 1):][::-1]
+    return all((sum(c * x[s] for c, x in zip(den, window)) - (num[k] if k < len(num) else 0))
+               % p == 0 for s, num in enumerate(nums))
+
+
+def _lift_series(block, cols, solve, d, p, degrees=None):
     """(nums, den) over F_p[t] with block·nums = −den·cols, by t-adic lifting.
 
     block is an r×r matrix of coefficient lists whose constant term is
@@ -435,9 +448,16 @@ def _lift_series(block, cols, solve, d, p):
     mod t^n.  Padé at n coefficients aims at numerators of degree (n − 1)/2,
     so below 2·d + 1 coefficients it could certify only a solution of degree
     below d: it is tried first at 2·d + 1, then whenever the count has grown
-    by 5/4, or at d + k + 1 after a candidate of degree k came too early to
-    certify.  By Cramer's rule the solution has degree at most r·d, so by
-    2·r·d + 1 coefficients it is found and certified.
+    by 5/4.  A candidate of degree k that comes too early to certify is kept
+    and checked against each further coefficient, at O(r·deg den) a step,
+    until it is certified at d + k + 1 or fails.  By Cramer's rule the
+    solution has degree at most r·d, so by 2·r·d + 1 coefficients it is
+    found and certified.
+
+    `degrees` = (a, b), the degrees of nums and den that another prime gave,
+    replaces the first attempt with one Padé at max(a + b + 1, d + max(a, b) + 1)
+    coefficients bounded by them, which finds and certifies any solution of
+    those degrees; when it fails, the search goes on as above.
     """
     r = len(block)
     # the last coefficients of the solution, column by column, newest first,
@@ -450,22 +470,33 @@ def _lift_series(block, cols, solve, d, p):
     hist = [0] * sum(widths)
     xs = []
     n, check, last = 0, 2 * d + 1, 2 * r * d + 1
+    if degrees is not None:
+        a, b = degrees
+        check = min(max(a + b + 1, d + max(a, b) + 1), last)
+    cand = None  # a candidate that came too early to certify, of degree top
     while True:
         x = solve([(-(g[n] if n < len(g) else 0) - sum(map(mul, fl, hist))) % p
                    for fl, g in zip(flats, cols)])
         xs.append(x)
         hist = [v for s, o, w in spans for v in (x[s], *hist[o:o + w - 1])]
         n += 1
+        if cand is not None:
+            if not _extends(cand, xs, p):
+                cand = None
+            elif n > d + top:
+                return cand
+            elif n < last:
+                continue
         if n >= check or n >= last:
             check = n + (n + 3) // 4
-            cand = _pade(list(zip(*xs)), n, p)
+            cand = _pade(list(zip(*xs)), n, p, degrees)
             if cand is not None:
                 top = max(map(len, cand[0] + [cand[1]])) - 1
                 if n > d + top:
                     return cand
-                check = min(check, d + top + 1)
-            if n >= last:
+            if n >= last and degrees is None:
                 raise ArithmeticError("t-adic lifting passed the Cramer bound")
+            degrees = None
 
 
 def _vanishes_mod(row, vec, p):
@@ -476,7 +507,7 @@ def _vanishes_mod(row, vec, p):
     return not any(c % p for c in acc)
 
 
-def _basis_mod_p(mat, ncols, p, t0):
+def _basis_mod_p(mat, ncols, p, t0, shape=None):
     """(pivot columns, basis) of the nullspace over F_p(t), or None when t0 is unlucky.
 
     The basis has one vector per free column f of the reduced row echelon
@@ -488,6 +519,9 @@ def _basis_mod_p(mat, ncols, p, t0):
     basis is empty.  A vector must hold on every row mod p and lean on no
     pivot after f; otherwise the rank of a leading block of columns dropped
     at t0, which happens at finitely many points for each prime.
+
+    `shape` is the image shape another prime gave (see _nullspace_tadic);
+    when its pivot columns are these, its entry degrees guide the lifting.
     """
     d = max((len(e) for r in mat for e in r), default=1) - 1
     pw = [pow(t0, j, p) for j in range(d + 1)]
@@ -503,13 +537,16 @@ def _basis_mod_p(mat, ncols, p, t0):
     pblock = [[r[c] for c in pcols] for r in block]
     db = max((len(e) for r in pblock for e in r), default=1) - 1
     solve = _solver_mod_p(echelon, p)
+    hints = iter(shape[1] if shape is not None and shape[0] == pcols else ())
     basis = []
     for f in range(ncols):
         if f in pcols:
             continue
         cols = [r[f] for r in block]
         deg = max(db, max(map(len, cols), default=1) - 1)
-        nums, den = _lift_series(pblock, cols, solve, deg, p)
+        lens = next(hints, None)
+        degrees = None if lens is None else (max([lens[c] - 1 for c in pcols] + [0]), lens[f] - 1)
+        nums, den = _lift_series(pblock, cols, solve, deg, p, degrees)
         v = [[] for _ in range(ncols)]
         v[f] = den
         for c, x in zip(pcols, nums):
@@ -545,9 +582,10 @@ def _nullspace_tadic(rows, ncols, var):
     """The canonical nullspace basis over Q(t) of rows with Q[t] entries.
 
     Each prime p in turn gives the basis over F_p(t) (_basis_mod_p, at the
-    first lucky shift point).  Images of equal shape, meaning equal pivot
-    columns and entry degrees, are combined by CRT and rebuilt by rational
-    reconstruction, one shared denominator per vector.  An image whose shape
+    first lucky shift point, guided by the entry degrees of the kept shape).
+    Images of equal shape, meaning equal pivot columns and entry degrees, are
+    combined by CRT and rebuilt by rational reconstruction, one shared
+    denominator per vector.  An image whose shape
     sorts higher (_shape_key) replaces those kept: where the Q(t) basis
     reduces badly mod p, pivots move later or degrees drop, so the true shape
     sorts above every other.  A rebuilt basis is returned only if every
@@ -568,7 +606,7 @@ def _nullspace_tadic(rows, ncols, var):
     shape, images, m = None, None, 1
     for p in _primes():
         for t0 in _points():
-            got = _basis_mod_p(mat, ncols, p, t0 % p)
+            got = _basis_mod_p(mat, ncols, p, t0 % p, shape)
             if got is not None:
                 break
         pcols, basis = got

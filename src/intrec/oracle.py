@@ -17,13 +17,18 @@ value costs one recurrence step and one dot product: the first N values
 cost time linear in N, not quadratic.  exact_terms keeps that prefix of
 values on the problem.
 
-Everything else goes through adaptive tanh-sinh quadrature at a requested
-decimal precision.  The Chebyshev weight is integrated after x = cos(theta),
-which leaves a smooth integrand, so only intervals within [-1, 1] are
-supported.  Other kernels are integrated in x as they stand; there a strong
-endpoint singularity of |x-a|^c can exhaust the subdivision cap, so
-quadrature_digits caps their precision.  Only these two non-rational kernel
-shapes are recognized numerically; anything else raises UnsupportedKernel.
+numeric_term gives numeric values at a requested decimal precision.  A
+problem with factor "pi" is a polynomial of degree D against 1/sqrt(1-x^2)
+on [-1, 1], which the Gauss–Chebyshev rule with D//2 + 1 nodes integrates
+exactly: it needs no error estimate, and it evaluates P_n at the nodes
+instead of summing moments, so it stays independent of exact_term.
+Everything else goes through adaptive tanh-sinh quadrature.  The Chebyshev
+weight on a sub-interval is integrated after x = cos(theta), which leaves a
+smooth integrand, so only intervals within [-1, 1] are supported.  Other
+kernels are integrated in x as they stand; there a strong endpoint
+singularity of |x-a|^c can exhaust the subdivision cap, so quadrature_digits
+caps their precision.  Only these two non-rational kernel shapes are
+recognized numerically; anything else raises UnsupportedKernel.
 """
 
 from dataclasses import dataclass, field
@@ -208,15 +213,37 @@ def quadrature_digits(prob, precision):
     return min(precision, _X_DIGITS_CAP)
 
 
-def numeric_term(prob, n, precision):
-    """Tanh-sinh quadrature of P_n·K to `precision` decimal digits.
+def _gauss_chebyshev(prob, p):
+    """∫_-1^1 p(x)·prefactor(x)/sqrt(1-x^2) dx by the M-point Gauss–Chebyshev rule.
 
-    The Chebyshev weight on [alpha, beta] within [-1, 1] is integrated as
-    P_n(cos θ)·prefactor(cos θ) over [acos beta, acos alpha]; outside
-    [-1, 1] it raises UnsupportedKernel.
+    π/M·Σ_k f(cos((2k+1)π/2M)) is exact for every polynomial f of degree
+    below 2M (Abramowitz–Stegun 25.4.38), so with M = deg f//2 + 1 nodes
+    only rounding separates it from the integral.  The prefactor is a
+    polynomial with denominator 1 (RatFunc makes a constant one 1).
+    """
+    pre = prob.kernel.prefactor.num
+    pf, pn = _poly_mpf(p), _poly_mpf(pre)
+    m = max(p.degree() + pre.degree(), 0) // 2 + 1
+    h = mp.pi / (2 * m)
+    xs = [mp.cos((2 * k + 1) * h) for k in range(m)]
+    return mp.pi / m * mp.fsum(pf(x) * pn(x) for x in xs)
+
+
+def numeric_term(prob, n, precision):
+    """P_n·K integrated numerically to `precision` decimal digits.
+
+    A problem with factor "pi" (the Chebyshev weight with a polynomial
+    prefactor on exactly [-1, 1]) is integrated by the Gauss–Chebyshev rule,
+    which is exact for it and so needs no error estimate.  Everything else
+    goes through tanh-sinh quadrature: the Chebyshev weight on [alpha, beta]
+    within [-1, 1] as P_n(cos θ)·prefactor(cos θ) over
+    [acos beta, acos alpha] (outside [-1, 1] it raises UnsupportedKernel),
+    other kernels in x as they stand.
     """
     kern, form = prob.kernel, prob.form
     with mp.workdps(precision + 10):
+        if prob.factor == "pi":
+            return _gauss_chebyshev(prob, term(prob.seq, n))
         pf = _poly_mpf(term(prob.seq, n))
         a, b = as_mpf(prob.alpha), as_mpf(prob.beta)
         if form == "chebyshev_weight":

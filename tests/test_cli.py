@@ -172,18 +172,36 @@ def test_no_guess_exits_3(tmp_path, capsys):
     assert "no recurrence" in capsys.readouterr().err
 
 
-def test_quadrature_short_of_its_digits_exits_3(tmp_path, monkeypatch, capsys):
+def _patch_quad(monkeypatch, fake):
     from intrec import oracle
 
     # patched on mpmath's context class: undoing a patch on the instance
     # would leave a bound `quad` in vars(mpmath.mp)
-    monkeypatch.setattr(type(oracle.mp), "quad",
-                        lambda *a, **k: (oracle.mp.mpf(1), oracle.mp.mpf(1)))
+    monkeypatch.setattr(type(oracle.mp), "quad", fake)
+
+
+def test_quadrature_short_of_its_digits_exits_3(tmp_path, monkeypatch, capsys):
+    from intrec import oracle
+
+    _patch_quad(monkeypatch, lambda *a, **k: (oracle.mp.mpf(1), oracle.mp.mpf(1)))
+    # on [0, 1] the Chebyshev weight has no exact rule: tanh-sinh checks it
+    doc = {"task": "recurrence", "sequence": {"builtin": "chebyshev_T"},
+           "kernel": {"logderiv": "x/(1-x^2)", "form": "chebyshev_weight"},
+           "interval": ["0", "1"]}
+    assert cli.main(["run", "--job", write_job(tmp_path, doc)]) == 3
+    assert "within its limit of tanh-sinh degree" in capsys.readouterr().err
+
+
+def test_pi_factored_job_runs_no_quadrature(tmp_path, monkeypatch, capsys):
+    def refuse(*a, **k):
+        raise AssertionError("tanh-sinh quadrature called")
+
+    _patch_quad(monkeypatch, refuse)
     doc = {"task": "recurrence", "sequence": {"builtin": "chebyshev_T"},
            "kernel": {"logderiv": "x/(1-x^2)", "form": "chebyshev_weight"},
            "interval": ["-1", "1"]}
-    assert cli.main(["run", "--job", write_job(tmp_path, doc)]) == 3
-    assert "within its limit of tanh-sinh degree" in capsys.readouterr().err
+    assert cli.main(["run", "--job", write_job(tmp_path, doc)]) == 0
+    assert "[PASS] quadrature_spot_check" in capsys.readouterr().out
 
 
 def test_failed_verification_exits_1(tmp_path, monkeypatch, capsys):

@@ -401,8 +401,8 @@ def recorded_pairs(monkeypatch):
     pairs = []
     solve = linalg._basis_mod_p
 
-    def recorded(mat, ncols, p, t0):
-        got = solve(mat, ncols, p, t0)
+    def recorded(mat, ncols, p, t0, shape=None):
+        got = solve(mat, ncols, p, t0, shape)
         pairs.append((p, t0, got is not None))
         return got
 
@@ -473,35 +473,71 @@ def test_primes_are_found_once():
     assert list(itertools.islice(linalg._primes(), 3)) == expected
 
 
+def test_kept_candidate_is_checked_at_the_newest_coefficient():
+    p = linalg.PRIME
+    # 1/(1 - t) and (1 + t)/(1 - t): coefficients 1, 1, 1, … and 1, 2, 2, …
+    cand = ([[1], [1, 1]], [1, p - 1])
+    xs = [[1, 1]] + [[1, 2]] * 4
+    assert linalg._extends(cand, xs, p)
+    assert not linalg._extends(cand, xs[:-1] + [[1, 3]], p)
+    assert not linalg._extends(cand, xs[:-1] + [[2, 2]], p)
+
+
 def test_pade_starts_at_2d_plus_1_and_returns_only_certified_candidates(monkeypatch):
     # below 2·d + 1 coefficients Padé could certify only a solution of degree
     # below d, so no attempt is made there; a candidate whose degree k leaves
     # n <= d + k is not certified and lifting goes on (returning it sends the
-    # second matrix below into an endless search over primes)
+    # second matrix below into an endless search over primes).  Given the
+    # degrees (a, b) of another prime's image, one bounded Padé at
+    # max(a + b + 1, d + max(a, b) + 1) coefficients finds an image of those
+    # degrees.
     from intrec import cfinite as cf
     from intrec.genfun import generating_function
-    from intrec.telescope import telescope, trivial_kernel
+    from intrec.ratfunc import RatFunc
+    from intrec.telescope import Kernel, telescope, trivial_kernel
 
     pade, lift = linalg._pade, linalg._lift_series
     lifts = []
 
-    def checked_lift(block, cols, solve, d, p):
-        calls = []
+    def checked_lift(block, cols, solve, d, p, degrees=None):
+        calls, steps = [], []
 
-        def recorded_pade(series, n, p):
+        def recorded_pade(series, n, p, bounds=None):
             calls.append(n)
-            return pade(series, n, p)
+            return pade(series, n, p, bounds)
+
+        def counted_solve(b):
+            steps.append(b)
+            return solve(b)
 
         monkeypatch.setattr(linalg, "_pade", recorded_pade)
-        nums, den = lift(block, cols, solve, d, p)
-        assert calls[0] == min(2 * d + 1, 2 * len(block) * d + 1)
-        assert calls[-1] > d + max(map(len, nums + [den])) - 1
-        lifts.append(d)
+        nums, den = lift(block, cols, counted_solve, d, p, degrees)
+        last = 2 * len(block) * d + 1
+        a, b = max(max(map(len, nums)) - 1, 0), len(den) - 1
+        if degrees is None:
+            assert calls[0] == min(2 * d + 1, last)
+        else:
+            assert calls[0] == min(max(sum(degrees) + 1, d + max(degrees) + 1), last)
+            if degrees == (a, b):
+                assert len(calls) == 1
+        # one solve per coefficient: the candidate returned was certified
+        assert len(steps) > d + max(a, b)
+        lifts.append((d, degrees))
         return nums, den
 
     monkeypatch.setattr(linalg, "_lift_series", checked_lift)
     telescope(generating_function(cf.power(cf.BUILTINS["chebyshev_T"], 2)), trivial_kernel(), 6)
+    # against exp(-x^2/2) a degree-10 candidate of a d = 8 system turns up at
+    # 17 coefficients: it is kept, and certified only at 19
+    gauss = Kernel(RatFunc(Poly("x", [1])), RatFunc(Poly("x", [0, -1])))
+    telescope(generating_function(cf.BUILTINS["chebyshev_U"]), gauss, 2)
     rows = [[tpoly(0, -1), tpoly(), tpoly(), tpoly(), tpoly(-1), tpoly()],
             [tpoly(-1), tpoly(), tpoly(), tpoly(), tpoly(), tpoly(0, -1)]]
     assert linalg.nullspace(rows, 6) == qt_rref_basis(rows, 6)
     assert len(lifts) > 4
+    # entries near 10^25 need several primes; the later ones are hinted
+    big = 10**25 + 7
+    rows = [[tpoly(1, big), tpoly(2, 3, big), tpoly(0, 5)],
+            [tpoly(big, 1), tpoly(1, 0, 2), tpoly(big, 0, 1)]]
+    assert linalg.nullspace(rows, 3) == qt_rref_basis(rows, 3)
+    assert any(degrees is not None for _, degrees in lifts)

@@ -1,11 +1,12 @@
-"""Ground-truth integral values: exact power rule and tanh-sinh quadrature."""
+"""Ground-truth integral values: exact moment sums, the Gauss–Chebyshev rule and
+tanh-sinh quadrature."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -190,15 +191,16 @@ small = st.integers(-2, 2)
 # sequence data: integers and fractions, so P_n has rational coefficients
 small_rationals = small | st.fractions(min_value=-2, max_value=2, max_denominator=3)
 lin_polys = st.lists(small_rationals, min_size=1, max_size=2).map(lambda cs: Poly("x", cs))
+int_polys = st.lists(small, min_size=1, max_size=2).map(lambda cs: Poly("x", cs))
 
 
 @st.composite
-def sequences(draw):
+def sequences(draw, polys=lin_polys):
     order = draw(st.integers(1, 2))
-    coeffs = draw(st.lists(lin_polys, min_size=order, max_size=order))
+    coeffs = draw(st.lists(polys, min_size=order, max_size=order))
     if coeffs[-1].is_zero():
         coeffs[-1] = Poly("x", [1])
-    init = draw(st.lists(lin_polys, min_size=order, max_size=order))
+    init = draw(st.lists(polys, min_size=order, max_size=order))
     return cf.CFiniteSeq(tuple(coeffs), tuple(init))
 
 
@@ -212,6 +214,25 @@ def test_pi_parts_match_quadrature(seq, pre, n):
     with mp.workdps(40):
         got = oracle.numeric_term(prob, n, 30)
         assert abs(mp.pi * float_free(Fraction(q)) - got) < mp.mpf(10) ** -29
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even_degree", "odd_degree"])
+@settings(max_examples=30, deadline=None)
+@given(sequences(int_polys), st.lists(small, min_size=1, max_size=3), st.integers(0, 12))
+def test_gauss_chebyshev_rule_is_exact(parity, seq, pre, n):
+    # M = D//2 + 1 nodes for D = deg(P_n·prefactor): even D = 2M-2, and odd
+    # D = 2M-1, the largest degree that M nodes integrate exactly
+    prefactor = Poly("x", pre) if any(pre) else Poly("x", [1])
+    p = reference_term(seq, n)
+    assume(p)
+    if (p.degree() + prefactor.degree()) % 2 != parity:
+        prefactor = prefactor * Poly("x", [0, 1])
+    prob = IntegralProblem(seq, Kernel(RatFunc(prefactor), chebyshev_weight().logderiv),
+                           Fraction(-1), Fraction(1))
+    got = oracle.numeric_term(prob, n, 30)
+    with mp.workdps(60):
+        want = mp.pi * float_free(Fraction(oracle.exact_term(prob, n)))
+        assert abs(got - want) < mp.mpf(10) ** -30
 
 
 def reference_term(seq, n):
