@@ -30,14 +30,13 @@ series in t − t0, one coefficient per triangular solve, and a Padé
 approximant (extended Euclid, one shared denominator) is tried first at
 twice the degree of the system plus one coefficients, below which it could
 certify only solutions of lower degree, and then whenever the count has
-grown by a fixed factor; Cramer's rule bounds the count needed.  A
-candidate found too early to certify is checked against each further
-coefficient instead of being recomputed.  Shifted back to t, the images of
-successive primes are combined by CRT and rational reconstruction; after
-the first prime, one Padé bounded by the degrees of the kept image is
-tried first.  A basis is returned only when
-it annihilates every row exactly over Z[t] and leans on no pivot column
-after its own.  Only finitely many pairs (p, t0) fail, so the loop ends.
+grown by a fixed factor, or sooner, at the first count that can certify a
+candidate found too early; Cramer's rule bounds the count needed.  Shifted
+back to t, the images of successive primes are combined by CRT and rational
+reconstruction; after the first prime, one Padé bounded by the degrees of
+the kept image is tried first.  A basis is returned only when it
+annihilates every row exactly over Z[t] and leans on no pivot column after
+its own.  Only finitely many pairs (p, t0) fail, so the loop ends.
 
 Both solvers eliminate mod p with `echelon_mod_p`, which takes residues in
 [0, p) and keeps each row packed in one integer, a slot of w bits per
@@ -428,15 +427,6 @@ def _pade(series, n, p, bounds=None):
     return nums, den
 
 
-def _extends(cand, xs, p):
-    """Whether den·x_s ≡ num_s still holds at the newest coefficient of each series."""
-    nums, den = cand
-    k = len(xs) - 1
-    window = xs[k - min(k, len(den) - 1):][::-1]
-    return all((sum(c * x[s] for c, x in zip(den, window)) - (num[k] if k < len(num) else 0))
-               % p == 0 for s, num in enumerate(nums))
-
-
 def _lift_series(block, cols, solve, d, p, degrees=None):
     """(nums, den) over F_p[t] with block·nums = −den·cols, by t-adic lifting.
 
@@ -448,11 +438,9 @@ def _lift_series(block, cols, solve, d, p, degrees=None):
     mod t^n.  Padé at n coefficients aims at numerators of degree (n − 1)/2,
     so below 2·d + 1 coefficients it could certify only a solution of degree
     below d: it is tried first at 2·d + 1, then whenever the count has grown
-    by 5/4.  A candidate of degree k that comes too early to certify is kept
-    and checked against each further coefficient, at O(r·deg den) a step,
-    until it is certified at d + k + 1 or fails.  By Cramer's rule the
-    solution has degree at most r·d, so by 2·r·d + 1 coefficients it is
-    found and certified.
+    by 5/4, or at d + k + 1 after a candidate of degree k came too early to
+    certify.  By Cramer's rule the solution has degree at most r·d, so by
+    2·r·d + 1 coefficients it is found and certified.
 
     `degrees` = (a, b), the degrees of nums and den that another prime gave,
     replaces the first attempt with one Padé at max(a + b + 1, d + max(a, b) + 1)
@@ -473,20 +461,12 @@ def _lift_series(block, cols, solve, d, p, degrees=None):
     if degrees is not None:
         a, b = degrees
         check = min(max(a + b + 1, d + max(a, b) + 1), last)
-    cand = None  # a candidate that came too early to certify, of degree top
     while True:
         x = solve([(-(g[n] if n < len(g) else 0) - sum(map(mul, fl, hist))) % p
                    for fl, g in zip(flats, cols)])
         xs.append(x)
         hist = [v for s, o, w in spans for v in (x[s], *hist[o:o + w - 1])]
         n += 1
-        if cand is not None:
-            if not _extends(cand, xs, p):
-                cand = None
-            elif n > d + top:
-                return cand
-            elif n < last:
-                continue
         if n >= check or n >= last:
             check = n + (n + 3) // 4
             cand = _pade(list(zip(*xs)), n, p, degrees)
@@ -494,6 +474,7 @@ def _lift_series(block, cols, solve, d, p, degrees=None):
                 top = max(map(len, cand[0] + [cand[1]])) - 1
                 if n > d + top:
                     return cand
+                check = min(check, d + top + 1)
             if n >= last and degrees is None:
                 raise ArithmeticError("t-adic lifting passed the Cramer bound")
             degrees = None
@@ -638,16 +619,7 @@ def _nullspace_tadic(rows, ncols, var):
 
 def nullspace(rows, ncols):
     """Canonical basis of the right nullspace of a rational or Q[t]-entry matrix."""
-    var = None
-    for row in rows:
-        for e in row:
-            if isinstance(e, Poly):
-                var = e.var
-                if not e.is_constant():
-                    break
-        else:
-            continue
-        break
+    var = next((e.var for row in rows for e in row if isinstance(e, Poly)), None)
     if var is None:
         return _nullspace_frac(rows, ncols)
     return _nullspace_tadic(rows, ncols, var)

@@ -101,8 +101,8 @@ def convert_raw(opcoeffs, rhs):
 def _integer_roots(p):
     """All integer roots of a polynomial in n, without factorization.
 
-    A Sturm sequence of the squarefree part counts the distinct real roots in
-    any interval (lo, hi].  Bisecting the integer range inside the Cauchy
+    The Sturm sequence of `poly.sturm` counts the distinct real roots in any
+    interval (lo, hi].  Bisecting the integer range inside the Cauchy
     bound, and dropping every piece that holds no root, takes about
     log2(bound) steps per real root: the cost grows with the bit size of the
     coefficients, not with their magnitude.
@@ -117,19 +117,7 @@ def _integer_roots(p):
         cs = cs[k:]
     if len(cs) <= 1:
         return roots
-    q = Poly("n", cs)
-    q = P.exact_div(q, P.gcd(q, q.deriv()))
-    chain = [q, q.deriv()]
-    while chain[-1].degree() > 0:
-        chain.append(-P.divmod_poly(chain[-2], chain[-1])[1])
-    # positive rescaling to integer coefficients keeps every sign
-    chain = [P.cleared(c.coeffs)[0] for c in chain]
-
-    def variations(v):
-        signs = [val > 0 for val in (K.peval(c, v) for c in chain) if val]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    top = chain[0]
+    top, variations = P.sturm(Poly("n", cs))
     bound = max(abs(c) for c in top[:-1]) // abs(top[-1]) + 2
     stack = [(-bound, variations(-bound), bound, variations(bound))]
     while stack:

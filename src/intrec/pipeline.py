@@ -113,6 +113,11 @@ class Report:
 # -- job construction --------------------------------------------------------
 
 
+def _is_int(v):
+    """Whether v is an integer; JSON true and false load as bools, which are ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _rational(v, what):
     if isinstance(v, float):
         raise InvalidJob("%s: floats are not accepted, use a rational string" % what)
@@ -168,6 +173,8 @@ def _build_sequence(doc, what="sequence"):
     init = tuple(
         _expr_poly(s, "%s.init[%d]" % (what, i)) for i, s in enumerate(doc["init"])
     )
+    if "order" in doc and not _is_int(doc["order"]):
+        raise InvalidJob("%s.order: expected an integer" % what)
     if "order" in doc and doc["order"] != len(coeffs):
         raise InvalidJob(
             "%s: order %r does not match %d coefficients"
@@ -203,7 +210,7 @@ def _apply_transforms(seq, items):
                 echo.append("reverse")
             elif isinstance(item, dict) and set(item) == {"power"}:
                 r = item["power"]
-                if not isinstance(r, int) or r < 0:
+                if not _is_int(r) or r < 0:
                     raise InvalidJob("%s: power must be a nonnegative integer" % what)
                 # bound r itself: order 1 stays order 1, but the terms' degrees grow with r
                 if r > MAX_SEQUENCE_ORDER:
@@ -262,6 +269,29 @@ def _build_kernel(doc):
     return kern, echo
 
 
+def _check_no_pole(kern, alpha, beta):
+    """Refuse a kernel that is singular on the interval of integration.
+
+    A pole of the prefactor in [alpha, beta] and a pole of the
+    log-derivative inside (alpha, beta) are out of scope; a log-derivative
+    pole at an endpoint, as in the Chebyshev weight, is accepted.  Roots are
+    counted exactly with a Sturm sequence.
+    """
+    ends = _fmt_value(alpha), _fmt_value(beta)
+    for what, den, closed in (("kernel.rational", kern.prefactor.den, True),
+                              ("kernel.logderiv", kern.logderiv.den, False)):
+        if den.is_constant():
+            continue
+        _, variations = P.sturm(den)
+        # roots in (alpha, beta], then alpha in or beta out
+        roots = variations(alpha) - variations(beta)
+        roots += (not den.eval(alpha)) if closed else -(not den.eval(beta))
+        if roots:
+            raise InvalidJob(
+                "%s: a pole %s; kernels singular on the interval are out of scope"
+                % (what, ("in [%s, %s]" if closed else "inside (%s, %s)") % ends))
+
+
 def build_job(doc, defaults=None):
     """Validate a job document against the schema; raises InvalidJob."""
     defaults = defaults or Options()
@@ -300,11 +330,13 @@ def build_job(doc, defaults=None):
             raise InvalidJob("interval: endpoints must satisfy alpha < beta")
     elif task in ("recurrence", "guess", "verify"):
         raise InvalidJob("interval: required for task %r" % task)
+    if task in ("recurrence", "guess", "verify"):
+        _check_no_pole(kern, alpha, beta)
 
     count = None
     if task == "terms":
         count = doc.get("count")
-        if not isinstance(count, int) or count < 1:
+        if not _is_int(count) or count < 1:
             raise InvalidJob("count: a positive integer is required for task terms")
         if count > MAX_COUNT:
             raise InvalidJob("count: at most %d" % MAX_COUNT)
@@ -318,7 +350,7 @@ def build_job(doc, defaults=None):
     merged = {}
     for key, low in (("max_order", 0), ("max_degree", 0), ("precision", 1), ("margin", 0)):
         v = opts.get(key, getattr(defaults, key))
-        if not isinstance(v, int) or v < low:
+        if not _is_int(v) or v < low:
             raise InvalidJob("options.%s: expected an integer >= %d" % (key, low))
         if v > MAX_OPTIONS[key]:
             raise InvalidJob("options.%s: at most %d" % (key, MAX_OPTIONS[key]))

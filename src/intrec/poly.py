@@ -26,6 +26,10 @@ builds no Fraction.  `cleared_rows` applies it to rows taken together, and
 `rational_content` is the gcd of its integers over that denominator.
 `int_rows` and `from_rows` convert Q[x][t] polynomials to and from the
 integer rows of `_kernels`, on which the telescoper does its arithmetic.
+
+`sturm` counts the distinct real roots of a univariate polynomial in an
+interval exactly, with a Sturm sequence: `ode2rec` finds integer roots by
+bisecting with it, and job validation finds kernel poles on the interval.
 """
 
 from fractions import Fraction
@@ -408,6 +412,53 @@ def content(polys):
         if g.is_constant():
             break
     return g
+
+
+# -- real roots --------------------------------------------------------------
+
+
+def sturm(p):
+    """(q, variations) for a nonconstant univariate p over Q.
+
+    q is the squarefree part of p, as integer coefficients; variations(v)
+    counts the sign changes of its Sturm sequence at a rational v, zeros
+    dropped.  For lo < hi, variations(lo) − variations(hi) is the number of
+    distinct real roots of p in (lo, hi] (Sturm's theorem).
+
+    The sequence is built over Z: each remainder is taken after scaling by a
+    power of |lc| and made primitive, so it is a positive multiple of the
+    one over Q, with the same signs, and its coefficients stay as small as
+    those of the subresultants instead of growing with every division.
+    """
+    a = cleared(exact_div(p, gcd(p, p.deriv())).coeffs)[0]
+    chain = [a, [k * c for k, c in enumerate(a)][1:]]
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        db, m, s = len(b) - 1, abs(b[-1]), 1 if b[-1] > 0 else -1
+        for off in range(len(r) - 1 - db, -1, -1):
+            # m·r − c·x^off·b with c = s·(top of r): the top cancels
+            c = s * r.pop()
+            r = [m * v for v in r]
+            for j in range(db):
+                r[off + j] -= c * b[j]
+        r = K.strip(r)
+        g = _igcd(*r) if r else 1
+        chain.append([-v // g for v in r])
+
+    def variations(v):
+        # the sign of c(n/m) is that of m^deg·c(n/m), m > 0: Horner in integers
+        n, m = v.numerator, v.denominator
+        signs = []
+        for c in chain:
+            acc, w = 0, 1
+            for x in reversed(c):
+                acc = acc * n + x * w
+                w *= m
+            if acc:
+                signs.append(acc > 0)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return chain[0], variations
 
 
 # -- bivariate helpers -------------------------------------------------------

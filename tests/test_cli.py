@@ -145,6 +145,26 @@ def test_size_limits_exit_2_at_once(tmp_path, capsys, doc, needle):
     assert needle in capsys.readouterr().err
 
 
+SINGULAR_KERNELS = [
+    ({"rational": "1/x"}, ["-1", "1"], "kernel.rational: a pole in [-1, 1]"),
+    ({"rational": "1/(2*x-1)"}, ["0", "1"], "kernel.rational: a pole in [0, 1]"),
+    ({"logderiv": "(-1/2)/x", "form": "linear_power"}, ["-1", "1"],
+     "kernel.logderiv: a pole inside (-1, 1)"),
+    ({"rational": "1/(x+1)"}, ["-1", "1"], "kernel.rational: a pole in [-1, 1]"),
+    ({"logderiv": "(1/2)/x"}, ["-1", "1"], "kernel.logderiv: a pole inside (-1, 1)"),
+]
+
+
+@pytest.mark.parametrize("kernel,interval,needle", SINGULAR_KERNELS)
+@pytest.mark.parametrize("task", ["recurrence", "guess", "verify"])
+def test_kernel_singular_on_the_interval_exits_2(tmp_path, capsys, task, kernel, interval, needle):
+    doc = {"task": task, "sequence": {"builtin": "chebyshev_T"}, "kernel": kernel,
+           "interval": interval}
+    assert cli.main(["run", "--job", write_job(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--job", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()

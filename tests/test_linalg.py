@@ -473,21 +473,12 @@ def test_primes_are_found_once():
     assert list(itertools.islice(linalg._primes(), 3)) == expected
 
 
-def test_kept_candidate_is_checked_at_the_newest_coefficient():
-    p = linalg.PRIME
-    # 1/(1 - t) and (1 + t)/(1 - t): coefficients 1, 1, 1, … and 1, 2, 2, …
-    cand = ([[1], [1, 1]], [1, p - 1])
-    xs = [[1, 1]] + [[1, 2]] * 4
-    assert linalg._extends(cand, xs, p)
-    assert not linalg._extends(cand, xs[:-1] + [[1, 3]], p)
-    assert not linalg._extends(cand, xs[:-1] + [[2, 2]], p)
-
-
 def test_pade_starts_at_2d_plus_1_and_returns_only_certified_candidates(monkeypatch):
     # below 2·d + 1 coefficients Padé could certify only a solution of degree
     # below d, so no attempt is made there; a candidate whose degree k leaves
     # n <= d + k is not certified and lifting goes on (returning it sends the
-    # second matrix below into an endless search over primes).  Given the
+    # second matrix below into an endless search over primes), with the next
+    # attempt at d + k + 1 coefficients at the latest.  Given the
     # degrees (a, b) of another prime's image, one bounded Padé at
     # max(a + b + 1, d + max(a, b) + 1) coefficients finds an image of those
     # degrees.
@@ -503,8 +494,9 @@ def test_pade_starts_at_2d_plus_1_and_returns_only_certified_candidates(monkeypa
         calls, steps = [], []
 
         def recorded_pade(series, n, p, bounds=None):
-            calls.append(n)
-            return pade(series, n, p, bounds)
+            cand = pade(series, n, p, bounds)
+            calls.append((n, None if cand is None else max(map(len, cand[0] + [cand[1]])) - 1))
+            return cand
 
         def counted_solve(b):
             steps.append(b)
@@ -515,11 +507,16 @@ def test_pade_starts_at_2d_plus_1_and_returns_only_certified_candidates(monkeypa
         last = 2 * len(block) * d + 1
         a, b = max(max(map(len, nums)) - 1, 0), len(den) - 1
         if degrees is None:
-            assert calls[0] == min(2 * d + 1, last)
+            assert calls[0][0] == min(2 * d + 1, last)
         else:
-            assert calls[0] == min(max(sum(degrees) + 1, d + max(degrees) + 1), last)
+            assert calls[0][0] == min(max(sum(degrees) + 1, d + max(degrees) + 1), last)
             if degrees == (a, b):
                 assert len(calls) == 1
+        # a candidate that is not returned came too early, and the next
+        # attempt comes by the first count that can certify it
+        for (n, k), (later, _) in zip(calls, calls[1:]):
+            if k is not None:
+                assert n <= d + k and later <= d + k + 1
         # one solve per coefficient: the candidate returned was certified
         assert len(steps) > d + max(a, b)
         lifts.append((d, degrees))
@@ -528,7 +525,7 @@ def test_pade_starts_at_2d_plus_1_and_returns_only_certified_candidates(monkeypa
     monkeypatch.setattr(linalg, "_lift_series", checked_lift)
     telescope(generating_function(cf.power(cf.BUILTINS["chebyshev_T"], 2)), trivial_kernel(), 6)
     # against exp(-x^2/2) a degree-10 candidate of a d = 8 system turns up at
-    # 17 coefficients: it is kept, and certified only at 19
+    # 17 coefficients, too early to certify: Padé is tried again at 19
     gauss = Kernel(RatFunc(Poly("x", [1])), RatFunc(Poly("x", [0, -1])))
     telescope(generating_function(cf.BUILTINS["chebyshev_U"]), gauss, 2)
     rows = [[tpoly(0, -1), tpoly(), tpoly(), tpoly(), tpoly(-1), tpoly()],

@@ -475,6 +475,33 @@ def test_load_job_errors(tmp_path):
             pipeline.load_job(str(bad))
 
 
+TERMS_T = {"task": "terms", "count": 3, "sequence": {"builtin": "chebyshev_T"}}
+
+
+@pytest.mark.parametrize("doc,needle", [
+    (dict(TERMS_T, count=True), "count:"),
+    (dict(TERMS_T, transforms=[{"power": True}]), "transforms[0]: power"),
+    (dict(TERMS_T, transforms=[{"power": False}]), "transforms[0]: power"),
+    (dict(TERMS_T, sequence={"coeffs": ["x"], "init": ["1"], "order": True}), "sequence.order"),
+    (dict(TERMS_T, transforms=[{"product_with": {"coeffs": ["x"], "init": ["1"], "order": True}}]),
+     "transforms[0].order"),
+] + [(dict(TERMS_T, options={key: True}), "options.%s" % key) for key in pipeline.MAX_OPTIONS])
+def test_booleans_are_not_integers(doc, needle):
+    with pytest.raises(InvalidJob, match=re.escape(needle)):
+        pipeline.build_job(doc)
+
+
+@pytest.mark.parametrize("logderiv,interval", [
+    ("x/(1-x^2)", ["-1", "1"]),
+    ("x/(1-x^2)", ["0", "1"]),
+    ("(1/2)/(x-1)", ["-1", "1"]),
+])
+def test_logderiv_poles_at_an_endpoint_are_accepted(logderiv, interval):
+    for task in ("recurrence", "guess", "verify"):
+        pipeline.build_job({"task": task, "sequence": {"builtin": "chebyshev_T"},
+                            "kernel": {"logderiv": logderiv}, "interval": interval})
+
+
 # -- job-document fuzzing: every document builds or is refused with exit 2 ----
 
 EXPRESSIONS = ["1", "0", "x", "-x", "2*x", "2*x^2-1", "1-x^2", "x^2+1", "1/(2-x)",

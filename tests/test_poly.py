@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from intrec import _kernels as K
@@ -352,3 +352,25 @@ def test_cross_variable_product_stays_flat():
 def test_eval_bivariate_worked():
     bp = Poly("t", [Poly("x", [1, 2]), Poly("x", [0, 3])])
     assert bp.eval(Fraction(5)).eval(Fraction(2)) == 35
+
+
+small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(small_fracs, st.integers(1, 3)), min_size=0, max_size=4),
+       small_fracs, small_fracs, st.fractions(min_value=-3, max_value=3))
+@example([(Fraction(1, 2), 2), (Fraction(-1), 1)], Fraction(-1), Fraction(1, 2), Fraction(1))
+def test_sturm_counts_distinct_roots_in_half_open_interval(planted, a, b, lead):
+    # linear factors with rational, possibly repeated, roots, times x^2 + 1,
+    # which has no real root
+    assume(a != b and lead)
+    lo, hi = min(a, b), max(a, b)
+    p = Poly("x", [1, 0, 1]) * lead
+    for root, mult in planted:
+        p = p * Poly("x", [-root, 1]) ** mult
+    q, variations = P.sturm(p)
+    # q is squarefree: one linear factor per distinct root, times x^2 + 1
+    assert len(q) - 1 == len({r for r, _ in planted}) + 2
+    assert all(not K.peval(q, r) for r, _ in planted)
+    assert variations(lo) - variations(hi) == len({r for r, _ in planted if lo < r <= hi})
