@@ -19,6 +19,9 @@ inside (−2^(B−1), 2^(B−1)), so its digit spells it exactly.
 row arithmetic; on transposed rows (x-columns), x^k times a polynomial is a
 prefix of k empty columns.
 
+Division is exact and over Z only: `exactdiv_int` on Z[x] int lists, which
+`poly.exact_div` runs on primitive parts, and its row form inside the gcd.
+
 `gcd_int` is the one polynomial gcd: a heuristic gcd (GCDHEU) over Z[x] and,
 on integer rows, over Z[x][t].  A candidate counts only after exact division
 shows it divides both inputs; see its docstring for why that makes it the
@@ -29,7 +32,6 @@ division.
 `BACKEND_NAME` names this implementation in benchmark output.
 """
 
-from fractions import Fraction
 from math import gcd as _igcd, isqrt
 
 BACKEND_NAME = "pure"
@@ -197,27 +199,6 @@ def peval(cs, v):
     for c in reversed(cs):
         acc = acc * v + c
     return acc
-
-
-def pdivmod_q(a, b):
-    """Quotient and remainder over the rationals (coefficients int/Fraction)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    q = [0] * (len(a) - db) if len(a) > db else []
-    while len(r) > db:
-        r = strip(r)
-        if len(r) <= db:
-            break
-        lead = Fraction(r[-1], 1) / Fraction(lb, 1)
-        s = len(r) - 1 - db
-        q[s] = lead
-        for i in range(db + 1):
-            r[s + i] = r[s + i] - lead * b[i]
-        del r[-1]
-    return strip(q), strip(r)
 
 
 def exactdiv_int(a, b):

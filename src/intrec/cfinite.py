@@ -169,20 +169,6 @@ def reverse(seq):
     return CFiniteSeq(tuple(new_coeffs), tuple(new_init))
 
 
-def verify_annihilation(seq, term_list):
-    """Exact check that the recurrence holds across a supplied term list."""
-    L = seq.order
-    if len(term_list) <= L:
-        raise ValueError("need more terms than the order to check anything")
-    for n in range(L, len(term_list)):
-        acc = Poly("x", [])
-        for i, p in enumerate(seq.coeffs):
-            acc = acc + p * term_list[n - 1 - i]
-        if not (_as_xpoly(term_list[n]) == acc):
-            return False
-    return True
-
-
 x = Poly.variable("x")
 
 BUILTINS = {

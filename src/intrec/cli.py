@@ -5,8 +5,8 @@
 
 Exit codes: 0 all verifications passed; 1 a verification failed; 2 invalid
 input (job file, schema, or expressions); 3 search exhausted (no telescoper,
-no guess, boundary not evaluable with no fallback, or quadrature short of
-its digits at its degree limit).
+no guess, boundary not evaluable with no fallback, quadrature short of its
+digits at its degree limit, or a value too long to print).
 """
 
 import argparse
@@ -21,9 +21,11 @@ from .errors import (
     NoTelescoperFound,
     QuadratureFailed,
     StageFailure,
+    ValueTooLarge,
 )
 
-_EXHAUSTED = (NoTelescoperFound, NoGuessFound, BoundaryNotEvaluable, QuadratureFailed)
+_EXHAUSTED = (NoTelescoperFound, NoGuessFound, BoundaryNotEvaluable, QuadratureFailed,
+              ValueTooLarge)
 
 
 def _error_exit_code(err):

@@ -49,6 +49,10 @@ class QuadratureFailed(IntrecError):
     """Numeric quadrature did not reach the requested accuracy."""
 
 
+class ValueTooLarge(IntrecError):
+    """A value has more digits than Python converts to a string."""
+
+
 class UnsupportedKernel(IntrecError):
     """Kernel form not recognized, so it cannot be evaluated numerically."""
 

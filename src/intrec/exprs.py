@@ -18,8 +18,10 @@ style), polynomials in x or n print highest power first.
 from fractions import Fraction
 from math import log2
 import operator
+import sys
 
-from .errors import DivisionByZeroExpr, ParseError, UnknownVariable, ZeroDenominator
+from .errors import (DivisionByZeroExpr, ParseError, UnknownVariable, ValueTooLarge,
+                     ZeroDenominator)
 from . import poly as P
 from .poly import Poly
 from .ratfunc import RatFunc
@@ -304,7 +306,13 @@ def parse_ratfunc(text, allowed_vars, default_var="x"):
 
 
 def fmt_rational(v):
-    return str(v)
+    try:
+        return str(v)
+    except ValueError:
+        # Python refuses to print an int of more than 4300 digits by default
+        raise ValueTooLarge("a value has more digits than the limit of %d for integer"
+                            " string conversion (PYTHONINTMAXSTRDIGITS raises it)"
+                            % sys.get_int_max_str_digits())
 
 
 def _fmt_monomial(coeff, var, k, inner=None):

@@ -3,10 +3,10 @@
 For a sequence with recurrence P_n = sum p_i P_{n-i} the series
 R(x,t) = sum P_n(x) t^n collapses to N/D with D = 1 - sum p_i t^i and a
 numerator read off the initial terms.  Expansion back out runs the
-denominator-driven recursion, so the round trip is exact and cheap.
+denominator-driven recursion, so the round trip is exact and cheap.  The
+generating function is the normalized `RatFunc` itself; `taylor_coeffs`
+raises NotExpandable when its denominator vanishes at t = 0.
 """
-
-from dataclasses import dataclass
 
 from .errors import NotExpandable
 from . import poly as P
@@ -14,19 +14,8 @@ from .poly import Poly
 from .ratfunc import RatFunc
 
 
-@dataclass(frozen=True)
-class BivariateGF:
-    """A rational function of (x, t) intended as a Taylor series at t = 0."""
-
-    value: RatFunc
-
-    def expandable(self):
-        # a Poly coefficient is never zero: canonical form demotes constants
-        return bool(self.value.den.coeff(0))
-
-
 def generating_function(seq):
-    """R(x,t) = sum_n P_n(x) t^n as a normalized rational function."""
+    """R(x,t) = sum_n P_n(x) t^n as a normalized RatFunc."""
     L = seq.order
     den = Poly("t", [1] + [-p for p in seq.coeffs])
     num_coeffs = []
@@ -36,7 +25,7 @@ def generating_function(seq):
             c = c - seq.coeffs[i - 1] * seq.init[n - i]
         num_coeffs.append(c)
     num = Poly("t", num_coeffs)
-    return BivariateGF(RatFunc(num, den))
+    return RatFunc(num, den)
 
 
 def _to_xpoly(v):
@@ -44,11 +33,13 @@ def _to_xpoly(v):
 
 
 def taylor_coeffs(gf, count):
-    """First `count` series coefficients at t = 0, as polynomials in x."""
-    if not gf.expandable():
-        raise NotExpandable("denominator vanishes at t = 0")
-    num, den = gf.value.num, gf.value.den
+    """First `count` series coefficients at t = 0 of the RatFunc gf, as
+    polynomials in x."""
+    num, den = gf.num, gf.den
+    # a Poly coefficient is never zero: canonical form demotes constants
     d0 = den.coeff(0)
+    if not d0:
+        raise NotExpandable("denominator vanishes at t = 0")
     out = []
     for n in range(count):
         acc = _to_xpoly(num.coeff(n))

@@ -11,11 +11,11 @@ term.  A polynomial kernel has f = 1, w = 1 and the power rule,
 m_k = (β^(k+1) - α^(k+1))/(k+1).  The Chebyshev weight 1/sqrt(1-x^2) with a
 polynomial prefactor on [-1, 1] has f = pi and the rational parts
 m_k = C(k, k/2)/2^k for even k, 0 for odd k.  Every other kernel has no
-exact values.  Each problem computes its moment vector once and extends it
-on demand, and P_n comes from the sequence's cached prefix, so each further
-value costs one recurrence step and one dot product: the first N values
-cost time linear in N, not quadratic.  exact_terms keeps that prefix of
-values on the problem.
+exact values.  An IntegralProblem owns its moment vector, computed once and
+extended on demand, and P_n comes from the sequence's cached prefix, so each
+further value costs one recurrence step and one dot product: the first N
+values cost time linear in N, not quadratic.  exact_terms keeps that prefix
+of values on the problem too.
 
 numeric_term gives numeric values at a requested decimal precision.  A
 problem with factor "pi" is a polynomial of degree D against 1/sqrt(1-x^2)
@@ -31,7 +31,6 @@ caps their precision.  Only these two non-rational kernel shapes are
 recognized numerically; anything else raises UnsupportedKernel.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 
@@ -50,16 +49,6 @@ _MAXDEGREE = 12
 _X_DIGITS_CAP = 12
 
 
-class _Moments:
-    """Moments m_k = nums[k]/den over one common denominator."""
-
-    __slots__ = ("nums", "den")
-
-    def __init__(self):
-        self.nums, self.den = [], 1
-
-
-@dataclass(frozen=True)
 class IntegralProblem:
     """a(n) = ∫_alpha^beta P_n(x)·kernel(x) dx, with its kernel classified once.
 
@@ -68,33 +57,23 @@ class IntegralProblem:
     polynomial kernel, "pi" for the Chebyshev weight with a polynomial
     prefactor on exactly [-1, 1], None when there are no exact values.
     Linear recurrences and their checks carry over unchanged from a(n) to
-    q_n whenever the right-hand sides vanish.
+    q_n whenever the right-hand sides vanish.  The problem owns its moments
+    m_k = _nums[k]/_den and its cached prefix of exact terms.
     """
 
-    seq: object
-    kernel: object
-    alpha: object
-    beta: object
-    form: object = field(init=False, compare=False)
-    factor: object = field(init=False, compare=False)
-    _moments: _Moments = field(
-        default_factory=_Moments, init=False, repr=False, compare=False
-    )
-    _terms: list = field(default_factory=list, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        alpha, beta = Fraction(self.alpha), Fraction(self.beta)
-        if not alpha < beta:
+    def __init__(self, seq, kernel, alpha, beta):
+        lo, hi = Fraction(alpha), Fraction(beta)
+        if not lo < hi:
             raise ValueError("interval endpoints must satisfy alpha < beta")
-        form = recognized_form(self.kernel)
-        factor = None
-        if self.kernel.prefactor.is_polynomial():
-            if form == "rational":
-                factor = "1"
-            elif form == "chebyshev_weight" and (alpha, beta) == (-1, 1):
-                factor = "pi"
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "factor", factor)
+        self.seq, self.kernel, self.alpha, self.beta = seq, kernel, alpha, beta
+        self.form = recognized_form(kernel)
+        self.factor = None
+        if kernel.prefactor.is_polynomial():
+            if self.form == "rational":
+                self.factor = "1"
+            elif self.form == "chebyshev_weight" and (lo, hi) == (-1, 1):
+                self.factor = "pi"
+        self._nums, self._den, self._terms = [], 1, []
 
 
 def _moments(prob, count):
@@ -108,8 +87,7 @@ def _moments(prob, count):
     share 2^(top-1).  The vector at least doubles whenever it grows, so
     bringing it to a new common denominator costs O(1) per moment overall.
     """
-    mv = prob._moments
-    k = len(mv.nums)
+    k = len(prob._nums)
     if k < count:
         top = max(count, 2 * k)
         if prob.factor == "1":
@@ -124,10 +102,10 @@ def _moments(prob, count):
             L = 1 << (top - 1)
             new = [comb(j, j // 2) << (top - 1 - j) if j % 2 == 0 else 0
                    for j in range(k, top)]
-        den = lcm(mv.den, L)
-        mv.nums = [x * (den // mv.den) for x in mv.nums] + [x * (den // L) for x in new]
-        mv.den = den
-    return mv.nums, mv.den
+        den = lcm(prob._den, L)
+        old = [x * (den // prob._den) for x in prob._nums]
+        prob._nums, prob._den = old + [x * (den // L) for x in new], den
+    return prob._nums, prob._den
 
 
 def _moment_sum(prob, p):

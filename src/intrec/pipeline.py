@@ -122,9 +122,12 @@ def _rational(v, what):
     if isinstance(v, float):
         raise InvalidJob("%s: floats are not accepted, use a rational string" % what)
     try:
-        return Fraction(str(v))
+        r = Fraction(str(v))
     except (ValueError, ZeroDivisionError):
         raise InvalidJob("%s: not a rational: %r" % (what, v))
+    if max(r.numerator.bit_length(), r.denominator.bit_length()) > exprs.MAX_BITS:
+        raise InvalidJob("%s: exceeds the limit of %d bits" % (what, exprs.MAX_BITS))
+    return r
 
 
 def _expr(v, what, allowed):
@@ -545,7 +548,7 @@ def _quadrature_spot_check(rep, job, prob, parts):
 
 def _telescoper_stage(rep, job):
     gf = _stage("genfun", generating_function, job.sequence)
-    rep.results["genfun"] = exprs.fmt_ratfunc(gf.value)
+    rep.results["genfun"] = exprs.fmt_ratfunc(gf)
     tel = _stage("telescope", telescope, gf, job.kernel, job.options.max_order)
     rep.results["telescoper"] = _telescoper_payload(tel)
     rep.check(
@@ -631,7 +634,7 @@ def run(job):
 
     if job.task == "genfun":
         gf = _stage("genfun", generating_function, seq)
-        rep.results["genfun"] = exprs.fmt_ratfunc(gf.value)
+        rep.results["genfun"] = exprs.fmt_ratfunc(gf)
         probe = 8
         back = _stage("genfun", taylor_coeffs, gf, probe)
         rep.check(

@@ -15,10 +15,11 @@ that gate makes the result the gcd and why the loop ends.  `gcd` can return
 the two quotients of that division as cofactors, which is how `RatFunc`
 reduces a fraction.  No factorization is used anywhere.
 
-Division is univariate over Q: `divmod_poly`, and `exact_div` on top of it,
-which also divides any polynomial by a nonzero rational constant.  Q[x][t]
-polynomials are divided only inside the gcd, whose cofactors are the
-quotients.
+Division is exact only: `exact_div` divides the primitive parts of two
+univariate polynomials over Z with `_kernels.exactdiv_int` and scales by the
+ratio of their contents, and it divides any polynomial by a nonzero rational
+constant.  Q[x][t] polynomials are divided only inside the gcd, whose
+cofactors are the quotients.
 
 `cleared` is the one routine that turns rationals into integers over their
 least common denominator; it reads `.numerator` and `.denominator`, so it
@@ -304,25 +305,23 @@ def canonical_unit(p):
 # -- division and gcd --------------------------------------------------------
 
 
-def divmod_poly(a, b):
-    """Quotient/remainder for univariate polynomials over Q."""
-    if a.is_bivariate() or b.is_bivariate():
-        raise ValueError("divmod_poly is univariate-only")
-    if a.var != b.var and not b.is_constant():
-        raise ValueError("variable mismatch in polynomial division")
-    q, r = K.pdivmod_q(a.coeffs, b.coeffs)
-    return Poly(a.var, q), Poly(a.var, r)
-
-
 def exact_div(a, b):
-    """a / b when b divides a exactly: univariate over Q, or any polynomial
-    over a nonzero rational constant."""
+    """a / b when b divides a exactly: univariate, or any polynomial over a
+    nonzero rational constant.
+
+    By Gauss's lemma the quotient of the primitive parts lies in Z[x], so
+    it is one integer division, scaled by the ratio of the contents.
+    """
     if b.is_constant() and not b.is_bivariate():
         return a * num_div(1, b.constant())
-    q, r = divmod_poly(a, b)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
+    if a.is_bivariate() or b.is_bivariate():
+        raise ValueError("exact_div is univariate-only")
+    if a.var != b.var:
+        raise ValueError("variable mismatch in polynomial division")
+    (ia, la), (ib, lb) = cleared(a.coeffs), cleared(b.coeffs)
+    ca, cb = _igcd(*ia) or 1, _igcd(*ib)
+    q = K.exactdiv_int([v // ca for v in ia], [v // cb for v in ib])
+    return Poly(a.var, q) * Fraction(ca * lb, la * cb)
 
 
 def cleared_rows(rows):

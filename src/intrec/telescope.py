@@ -99,7 +99,7 @@ def _integrand(gf, kernel):
     function, and ln/ld is its x-log-derivative (dN/dx)/N − (dD/dx)/D + K'/K,
     not reduced.
     """
-    (nr, cn), (dr, cd) = P.int_rows(gf.value.num), P.int_rows(gf.value.den)
+    (nr, cn), (dr, cd) = P.int_rows(gf.num), P.int_rows(gf.den)
     kn, kd = _x_rows(kernel.logderiv + _pre_logderiv(kernel))
     nd = K.rmul(nr, dr)
     wron = K.rsub(K.rmul(K.rdx(nr), dr), K.rmul(nr, K.rdx(dr)))
@@ -213,7 +213,7 @@ def telescope(gf, kernel, max_order):
     basis is the unpinned one without y0, and the returned telescoper is
     unchanged.
     """
-    if gf.value.num.is_zero():
+    if gf.num.is_zero():
         return Telescoper((Poly("t", [1]),), RatFunc(Poly("t", []), Poly("t", [1])))
     nr, cn, dr, cd, ln, ld = _integrand(gf, kernel)
     _, ln, ld = K.gcd_int(ln, ld)
@@ -252,7 +252,7 @@ def verify_certificate(gf, kernel, tel):
     integer rows, and its two products are compared as packed integers, so
     the check never normalizes an intermediate rational function.
     """
-    if gf.value.num.is_zero():
+    if gf.num.is_zero():
         return True
     nr, cn, dr, cd, ln, ld = _integrand(gf, kernel)
     ws = _extend_w([nr], dr, tel.order)
@@ -333,7 +333,7 @@ def boundary_rhs(gf, kernel, tel, alpha, beta):
     values there.
     """
     (yn, cyn), (yd, cyd) = P.int_rows(tel.certificate.num), P.int_rows(tel.certificate.den)
-    (nr, cn), (dr, cd) = P.int_rows(gf.value.num), P.int_rows(gf.value.den)
+    (nr, cn), (dr, cd) = P.int_rows(gf.num), P.int_rows(gf.den)
     pn, pd = _x_rows(kernel.prefactor)
     nums, dens = (yn, nr, pn), (yd, dr, pd)
     if not all(nums):

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import re
+import sys
 import time
 
 import pytest
@@ -130,6 +131,8 @@ SIZE_LIMITS = [
                        "transforms": [{"power": 3}, {"product_with": ORDER_5}]}, "order 40"),
     ("count", {"task": "terms", "count": pipeline.MAX_COUNT + 1, "sequence": T},
      "count: at most"),
+    ("endpoint", dict(CHEB_JOB, interval=["0", "1/" + "3" * 4000]),
+     "interval[1]: exceeds the limit of 2048 bits"),
 ] + [
     (key, dict(CHEB_JOB, options={key: limit + 1}), "options.%s: at most" % key)
     for key, limit in pipeline.MAX_OPTIONS.items()
@@ -190,6 +193,22 @@ def test_no_guess_exits_3(tmp_path, capsys):
            "options": {"max_order": 1, "max_degree": 0}}
     assert cli.main(["run", "--job", write_job(tmp_path, doc)]) == 3
     assert "no recurrence" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints ints of any length")
+def test_value_too_long_to_print_exits_3(tmp_path, capsys):
+    # a 300-digit endpoint is within the 2048-bit limit, but the guess's 51
+    # initial terms then outgrow Python's limit on printing an int
+    doc = {"task": "verify", "sequence": {"builtin": "chebyshev_T"},
+           "kernel": {"polynomial": "1"}, "interval": ["0", "1/" + "3" * 300]}
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert cli.main(["run", "--job", write_job(tmp_path, doc), "--format", "json"]) == 3
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert "limit of 4300 for integer string conversion" in capsys.readouterr().err
 
 
 def _patch_quad(monkeypatch, fake):

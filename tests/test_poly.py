@@ -79,13 +79,18 @@ def test_derivative_product_rule():
         assert (a * b).deriv() == a.deriv() * b + a * b.deriv()
 
 
-def test_divmod_inverts_multiplication():
-    rng = random.Random(404)
-    for _ in range(200):
-        a, b = rand_poly(rng, maxdeg=5), nonzero_poly(rng, maxdeg=3)
-        q, r = P.divmod_poly(a, b)
-        assert a == q * b + r
-        assert r.is_zero() or r.degree() < b.degree()
+def divmod_reference(a, b):
+    """(q, r) with a = q·b + r and deg r < deg b, for univariate a and b:
+    schoolbook long division over Q in Fractions, the reference for
+    `P.exact_div`."""
+    r = [Fraction(c) for c in a.coeffs]
+    db, lb = b.degree(), Fraction(b.lc())
+    q = [Fraction(0)] * max(len(r) - db, 0)
+    for s in range(len(r) - 1 - db, -1, -1):
+        q[s] = r[s + db] / lb
+        for i, c in enumerate(b.coeffs):
+            r[s + i] -= q[s] * c
+    return Poly(a.var, q), Poly(a.var, r[:db])
 
 
 def test_exact_div_inverts_product():
@@ -93,6 +98,35 @@ def test_exact_div_inverts_product():
     for _ in range(120):
         a, b = rand_poly(rng), nonzero_poly(rng)
         assert P.exact_div(a * b, b) == a
+
+
+def frac_polys(min_size):
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    return st.lists(coeffs, min_size=min_size, max_size=6).map(lambda cs: Poly("x", cs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frac_polys(0), frac_polys(2), frac_polys(0),
+       st.fractions(min_value=-30, max_value=30, max_denominator=30).filter(bool))
+def test_exact_div_matches_long_division(q, b, r, content):
+    # content is a rational of either sign: b gets a nontrivial content and,
+    # half the time, a negative leading coefficient
+    b = b * content
+    assume(b.degree() >= 1)
+    r = Poly("x", r.coeffs[:b.degree()])
+    a = q * b + r
+    ref_q, ref_r = divmod_reference(a, b)
+    assert ref_q == q and ref_r == r
+    if r:
+        with pytest.raises(ArithmeticError):
+            P.exact_div(a, b)
+    else:
+        assert P.exact_div(a, b) == q
+    assert P.exact_div(a, Poly("x", [content])) == P.scale_poly(a, 1 / content)
+    with pytest.raises(ValueError):
+        P.exact_div(a, Poly("t", b.coeffs))
+    with pytest.raises(ValueError):
+        P.exact_div(Poly("t", [a, 1]), b)
 
 
 def test_kernel_api_surface():
@@ -137,9 +171,7 @@ def test_gcd_divides_both_inputs():
     for _ in range(200):
         a, b = nonzero_poly(rng), nonzero_poly(rng)
         g = P.gcd(a, b)
-        _, ra = P.divmod_poly(a, g)
-        _, rb = P.divmod_poly(b, g)
-        assert ra.is_zero() and rb.is_zero()
+        assert P.exact_div(a, g) * g == a and P.exact_div(b, g) * g == b
 
 
 def test_gcd_cofactors_multiply_back():
@@ -165,8 +197,7 @@ def test_gcd_recovers_planted_factor():
         g = nonzero_poly(rng, maxdeg=2)
         u, v = nonzero_poly(rng, maxdeg=2), nonzero_poly(rng, maxdeg=2)
         d = P.gcd(g * u, g * v)
-        _, r = P.divmod_poly(d, g.monic())
-        assert r.is_zero()
+        assert P.exact_div(d, g) * g == d
 
 
 ROOTS = sorted({Fraction(k, p) for k in range(-30, 31) for p in (1, 2, 3, 5)})
