@@ -6,10 +6,12 @@
 Exit codes: 0 all verifications passed; 1 a verification failed; 2 invalid
 input (job file, schema, or expressions); 3 search exhausted (no telescoper,
 no guess, boundary not evaluable with no fallback, quadrature short of its
-digits at its degree limit, or a value too long to print).
+digits at its degree limit, or a value too long to print).  A telescoper
+search that exits 3 names the largest system it solved.
 """
 
 import argparse
+import functools
 import sys
 
 from . import acceptance
@@ -105,8 +107,15 @@ def _cmd_selftest(args):
     return 0 if passed == len(results) else 1
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser, built on the first call: parse_args leaves it unchanged,
+    so every later call in the process reuses it."""
+    return _build_parser()
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_selftest(args)

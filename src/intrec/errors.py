@@ -18,9 +18,19 @@ class NotExpandable(IntrecError):
 
 
 class NoTelescoperFound(IntrecError):
-    def __init__(self, max_order):
-        super().__init__("no telescoper up to order %d" % max_order)
+    """No order up to max_order has a telescoper in the search's ansatz.
+
+    largest is (rows, columns, t-degree) of the largest system solved, the
+    one with the most entries, or None when unknown; the message names it.
+    """
+
+    def __init__(self, max_order, largest=None):
+        text = "no telescoper up to order %d" % max_order
+        if largest is not None:
+            text += " (largest system %dx%d at t-degree %d)" % largest
+        super().__init__(text)
         self.max_order = max_order
+        self.largest = largest
 
 
 class BoundaryNotEvaluable(IntrecError):

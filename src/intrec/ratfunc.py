@@ -33,13 +33,18 @@ def _pair(num, den, var):
     pair = P._xt_promote(num, den)
     if pair is not None:
         num, den = pair
-    if num.var == "t" and den.var == "t" and num.is_constant() and den.is_constant():
-        nc, dc = num.constant(), den.constant()
-        # t-free bivariate pair: drop the wrapper so equality stays structural
-        if isinstance(nc, Poly) or isinstance(dc, Poly):
-            num, den = _as_poly(nc, "x"), _as_poly(dc, "x")
     if den.is_zero():
         raise ZeroDenominator("zero denominator")
+    return _unwrap(num, den)
+
+
+def _unwrap(num, den):
+    """A t-free bivariate pair as its x-polynomials, so that equal values
+    have one structure and one repr; any other pair as it is."""
+    if num.var == "t" and den.var == "t" and num.is_constant() and den.is_constant():
+        nc, dc = num.constant(), den.constant()
+        if isinstance(nc, Poly) or isinstance(dc, Poly):
+            return _as_poly(nc, "x"), _as_poly(dc, "x")
     return num, den
 
 
@@ -51,7 +56,9 @@ class RatFunc:
     def __init__(self, num, den=1, var=None):
         num, den = _pair(num, den, var)
         if not num.is_zero():
+            # the reduced pair can be t-free where the input was not
             _, num, den = P.gcd(num, den, cofactors=True)
+            num, den = _unwrap(num, den)
         self._finish(num, den)
 
     @classmethod

@@ -10,27 +10,35 @@ primes by t-adic lifting and Padé reconstruction, and returns a basis only
 after checking it exactly against every row; when the system has full
 column rank at its first evaluation point, the order is rejected after one
 elimination mod p.  Each order tries one ansatz for the certificate (see
-telescope), so a too-small ansatz can cause a miss.  Callers check a
-returned operator against the defining identity with verify_certificate.
+telescope), so a too-small ansatz can cause a miss.  The ansatz holds each
+pole of K'/K once.  Where K'/K has a pole whose residue is an integer
+above 1, a certificate can need that factor more than once, and its order
+is missed: T against (x−3)^2·e^x has a telescoper of order 1, and the
+search returns one of order 2.  Callers check a returned operator against
+the defining identity with verify_certificate.
 
 With a rational kernel (zero log-derivative) F is rational, and y0 = 1/F
 solves the system with a zero operator: without more, every order would
 have nullity at least 1, a miss would always be lifted t-adically, and a
 hit would lift that useless vector too.  Whether its certificate part
-Y0 = den_y/F is a polynomial in x is decided once per call; where it is,
-and fits the ansatz, one unit row pins its leading column to 0.  The
-pinned system has full column rank at a miss, which then ends after one
+Y0 = den_y/F is a polynomial in x is decided at each order; where it is,
+one row pins one linear combination of its columns to 0.  The pinned
+system has full column rank at a miss, which then ends after one
 elimination mod p, and it returns the same telescoper at a hit (telescope
-says why).
+says why).  F can also be rational through its log-derivative; then y0
+stays in the basis, and the returned vector is moved along it to the same
+certificate.
 
 The arithmetic runs on integer rows (`_kernels`: a polynomial in Z[x][t] as
 a t-list of Z[x] int lists, products by Kronecker substitution).  Each call
 converts its data once: N and D of the generating function R = N/D, cleared
-to integers; the kernel's x-log-derivative and prefactor.  The search
-builds on rows the W-sequence, each order's h = Lx − (d/dx den_y)/den_y in
-lowest terms (one `gcd_int`, whose cofactors are h's numerator and
-denominator) and the system's columns; the system differs from the one over
-R's own coefficients only by one factor common to every row.
+to integers; the kernel's x-log-derivative and prefactor; and the factor g
+of the log-derivative's denominator that the certificate does not need
+(two `gcd_int` calls or a few more).  The search builds on rows the
+W-sequence, each order's h = Lx − (d/dx den_y)/den_y in lowest terms (one
+`gcd_int`, whose cofactors are h's numerator and denominator) and the
+system's columns; the system differs from the one over R's own
+coefficients only by one factor common to every row.
 verify_certificate compares the two sides of the cross-multiplied identity
 as two packed-integer products, and boundary_rhs takes each endpoint limit
 from the multiplicities and values of the integrand's factors there.
@@ -38,7 +46,9 @@ from the multiplicities and values of the integrand's factors there.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as _igcd
+from operator import mul
 
 from .errors import BoundaryNotEvaluable, NoTelescoperFound
 from .linalg import canonical_scale, nullspace
@@ -93,17 +103,18 @@ def _x_rows(r):
 
 
 def _integrand(gf, kernel):
-    """Integer rows of F = (N/D)·K: (N', cN, D', cD, ln, ld).
+    """Integer rows of F = (N/D)·K: (N', cN, D', cD, ln, ld, kd).
 
     N' = cN·N and D' = cD·D clear the denominators of the generating
-    function, and ln/ld is its x-log-derivative (dN/dx)/N − (dD/dx)/D + K'/K,
-    not reduced.
+    function, ln/ld is its x-log-derivative (dN/dx)/N − (dD/dx)/D + K'/K,
+    not reduced, and kd is the denominator of κ = K'/K in lowest terms.
     """
     (nr, cn), (dr, cd) = P.int_rows(gf.num), P.int_rows(gf.den)
     kn, kd = _x_rows(kernel.logderiv + _pre_logderiv(kernel))
     nd = K.rmul(nr, dr)
     wron = K.rsub(K.rmul(K.rdx(nr), dr), K.rmul(nr, K.rdx(dr)))
-    return nr, cn, dr, cd, K.radd(K.rmul(wron, kd), K.rmul(nd, kn)), K.rmul(nd, kd)
+    return (nr, cn, dr, cd, K.radd(K.rmul(wron, kd), K.rmul(nd, kn)), K.rmul(nd, kd),
+            kd)
 
 
 def _extend_w(ws, dr, upto):
@@ -115,122 +126,210 @@ def _extend_w(ws, dr, upto):
     return ws
 
 
-def _solve_order(ell, nd, dr, ws, ln, ld, scale, pin):
-    """Try the ansatz at telescoper order ell; (operator, certificate) or None.
+def _regular_part(ld, nd, kd):
+    """(g, ld/g): g the part of gcd(ld, N'·D') at which κ is regular.
 
-    nd = N'·D'^ell, and ln/ld is the reduced x-log-derivative.  The
-    certificate is Y/den_y with den_y = ld·nd, which is `scale` times the
-    den_y built from N, D and ld made primitive.  The certificate columns
-    are multiplied by `scale`, so the system is the one over N, D and that
-    primitive ld times one factor common to every row, and has the same
-    nullspace basis.
+    g starts as that gcd, and each pass divides out its gcd with kd, the
+    denominator of κ, until that gcd is 1.  A pass that divides lowers
+    deg_x g, so the loop ends.
+    """
+    g, rest, _ = K.gcd_int(ld, nd)
+    while True:
+        c, q, _ = K.gcd_int(g, kd)
+        if c == [[1]]:
+            return g, rest
+        g, rest = q, K.rmul(rest, c)
+
+
+def _degree_bound(hn, hd, deg_r):
+    """The largest x-degree of a polynomial Y over Q(t) with hd·Y' + hn·Y of
+    x-degree at most deg_r; hn and hd are integer rows, hd nonzero.
+
+    A constant Y gives Y·hn, so it fits when deg hn <= deg_r (hn = 0
+    included).  For deg Y >= 1 let s = max(deg hn, deg hd − 1).  The
+    x^(deg Y + s) coefficient of hd·Y' + hn·Y is lc(Y)·(lc(hn) + deg Y·lc(hd))
+    when deg hn = deg hd − 1, and lc(Y) times the one leading coefficient
+    otherwise.  So deg Y is at most deg_r − s, unless deg Y = j with
+    lc(hn) + j·lc(hd) = 0.  That j has to be a nonnegative integer, so the
+    ratio of the two leading coefficients has to be constant in t.  The
+    bound is −1, no Y but 0, when none of these allows one.
+    """
+    dn, dd = max(map(len, hn), default=0) - 1, max(map(len, hd)) - 1
+    j = 0 if dn <= deg_r else -1
+    if hn and dn == dd - 1:
+        # (lc(hn), lc(hd)) at each power of t
+        lcs = list(zip_longest([r[dn] if len(r) > dn else 0 for r in hn],
+                               [r[dd] if len(r) > dd else 0 for r in hd], fillvalue=0))
+        u, v = next(p for p in lcs if p[1])
+        q, rem = divmod(-u, v)
+        if not rem and q >= 0 and all(u + q * v == 0 for u, v in lcs):
+            j = max(j, q)
+    return max(deg_r - max(dn, dd - 1), j)
+
+
+def _solve_order(ell, nd, dr, ws, ln, g, lq, scale, pin):
+    """Try the ansatz at telescoper order ell: (size, found).
+
+    size is (rows, columns, t-degree) of the system solved, and found is
+    (operator, certificate), or None at a miss.  nd = N'·D'^ell, ln/ld is
+    the reduced x-log-derivative, and ld = g·lq with g from _regular_part.
+    The certificate is Y/den_y with den_y = lq·nd, which is `scale` times
+    the den_y built from N, D and lq made primitive.  The certificate
+    columns are multiplied by `scale`, so the system is the one over N, D
+    and that primitive lq times one factor common to every row, and has the
+    same nullspace basis.  Y has x-degree at most m from _degree_bound,
+    which every solution meets, so the ansatz holds every certificate with
+    this denominator.
 
     pin is deg_x Y0 for Y0 = den_y/F, the certificate part of the trivial
-    solution y0 = 1/F, or None when F is not rational or Y0 is not a
-    polynomial in x (see telescope).  When Y0 fits the ansatz (pin <= m),
-    one unit row pins column pin of Y to 0.  That removes exactly the
-    certificate-only solutions c(t)·Y0 and keeps every operator: a miss
-    then has full column rank and ends after one elimination mod p, and a
-    hit lifts one free column fewer.  The basis vector the unpinned system
-    would return is already 0 there (telescope), so the result is the same.
+    solution y0 = 1/F, or None when the kernel has a log-derivative or Y0
+    is not a polynomial in x (see telescope).  Y0 solves hd·Y' + hn·Y = 0,
+    so pin <= m.  One row then requires the coefficient of x^(pin + deg g)
+    in Y·g to be 0.  That removes exactly the certificate-only solutions
+    c(t)·Y0 and keeps every operator: a miss then has full column rank and
+    ends after one elimination mod p, and a hit lifts one free column
+    fewer.  Y·g is the Y of the ansatz Y/(ld·nd), and the coefficient the
+    row sets to 0 is its leading column for y0, so the returned vector is
+    the one that ansatz, pinned there, returns (telescope).  Where F is
+    rational through its log-derivative, nothing is pinned and the basis
+    holds c(t)·y0, the one vector with a zero operator.  The returned
+    vector is then moved along it until the same coefficient is 0, which
+    gives the same vector.
     """
-    den_y = K.rmul(ld, nd)
-    # h = Lx − (d/dx den_y)/den_y in lowest terms: its cofactors by one gcd
-    _, hn, hd = K.gcd_int(K.rsub(K.rmul(ln, nd), K.rdx(den_y)), den_y)
-    # right-hand side i: W_i·D'^(ell−i)·ld·hd
-    rhs, lh = [None] * (ell + 1), K.rmul(ld, hd)
+    den_y = K.rmul(lq, nd)
+    # h = Lx − (d/dx den_y)/den_y, over g·den_y = ld·nd, in lowest terms:
+    # its cofactors by one gcd
+    _, hn, hd = K.gcd_int(K.rsub(K.rmul(ln, nd), K.rmul(g, K.rdx(den_y))),
+                          K.rmul(g, den_y))
+    # right-hand side i: W_i·D'^(ell−i)·lq·hd
+    rhs, lh = [None] * (ell + 1), K.rmul(lq, hd)
     for i in range(ell, -1, -1):
         rhs[i] = K.rmul(ws[i], lh)
         if i:
             lh = K.rmul(lh, dr)
-    m = max(len(r) for q in rhs for r in q) + 1
+    m = _degree_bound(hn, hd, max(len(r) for q in rhs for r in q) - 1)
     # column j: coefficients in x of x^j·hn + j·x^(j−1)·hd, as t-lists
     hnx, hdx = K.rscale(K.transpose(hn), scale), K.rscale(K.transpose(hd), scale)
-    cols = [hnx] + [K.radd([[]] * j + hnx, K.rscale([[]] * (j - 1) + hdx, j))
-                    for j in range(1, m + 1)]
+    cols = [K.radd([[]] * j + hnx, K.rscale([[]] * (j - 1) + hdx, j)) for j in range(m + 1)]
     cols += [K.rscale(K.transpose(q), -1) for q in rhs]
     rows, zero = [], Poly("t", [])
     for k in range(max(map(len, cols))):
         row = [c[k] if k < len(c) else [] for c in cols]
-        g = _igcd(*(v for e in row for v in e))
-        rows.append([Poly("t", [v // g for v in e] if g > 1 else e) if e else zero
+        c = _igcd(*(v for e in row for v in e))
+        rows.append([Poly("t", [v // c for v in e] if c > 1 else e) if e else zero
                      for e in row])
-    if pin is not None and pin <= m:
-        rows.append([Poly("t", [1]) if j == pin else zero for j in range(len(cols))])
-    for vec in nullspace(rows, len(cols)):
+    if pin is not None:
+        rows.append(_leading_column(g, pin, m) + [zero] * (ell + 1))
+    size = (len(rows), len(cols), max(e.degree() for r in rows for e in r))
+    basis = nullspace(rows, len(cols))
+    # c(t)·y0 where F is rational but nothing was pinned (telescope)
+    y0 = next((v for v in basis if not any(v[m + 1 :])), None)
+    if y0 is not None:
+        lead = _leading_column(g, max(j for j in range(m + 1) if y0[j]), m)
+        c0 = sum(map(mul, lead, y0), zero)
+    for vec in basis:
         avec = vec[m + 1 :]
         if all(not a for a in avec):
             continue
+        if y0 is not None:
+            c = sum(map(mul, lead, vec), zero)
+            vec = [c0 * e - c * f for e, f in zip(vec, y0)]
+            avec = vec[m + 1 :]
         while not avec[-1]:
             avec = avec[:-1]
         y = K.transpose([e.coeffs for e in vec[: m + 1]])
-        return list(avec), RatFunc(P.from_rows(y), P.from_rows(den_y, scale))
-    return None
+        return size, (list(avec), RatFunc(P.from_rows(y), P.from_rows(den_y, scale)))
+    return size, None
 
 
-def _trivial_degree(ld, dr, prefactor):
-    """deg_x Y0 at order 0, or None when Y0 is not a polynomial in x.
+def _leading_column(g, q, m):
+    """The coefficient of x^(q + deg g) in Y·g as a row over Y's columns
+    0..m: the column of x^q in Y, where the ansatz Y/(ld·nd) has Y·g."""
+    gx, zero = K.transpose(g), Poly("t", [])
+    top = q + len(gx) - 1
+    return [Poly("t", gx[top - j]) if 0 <= top - j < len(gx) else zero for j in range(m + 1)]
 
-    Y0 = ld·D'·pd/pn up to a constant, with pn/pd the prefactor's integer
-    rows.  It is a polynomial in x exactly when the primitive pn divides
-    every t-coefficient of ld·D'·pd in Z[x] (Gauss's lemma).
-    `RatFunc.is_polynomial` would not do: it tests the outer variable t and
-    misses a denominator in x.
+
+def _quotient_degree(rows, pn):
+    """deg_x of rows/pn for integer rows and a primitive Z[x] list pn, or
+    None when pn does not divide them.
+
+    pn is free of t, so it divides rows exactly when it divides every
+    t-coefficient in Z[x] (Gauss's lemma).  `RatFunc.is_polynomial` would
+    not do: it tests the outer variable t and misses a denominator in x.
     """
-    pn, pd = _x_rows(prefactor)
-    pn = K.primitive(pn[0], False)[1]
     try:
-        y0 = [K.exactdiv_int(r, pn) for r in K.rmul(K.rmul(ld, dr), pd)]
+        return max(len(K.exactdiv_int(r, pn)) for r in rows) - 1
     except ArithmeticError:
         return None
-    return max(map(len, y0)) - 1
 
 
 def telescope(gf, kernel, max_order):
     """Smallest-order telescoper for the integrand, searching orders 0..max_order.
 
     Each order ell tries one ansatz, with one nullspace solve: the
-    certificate is Y/(den_l·N·D^ell), where N/D is the generating function,
-    den_l the denominator of the integrand's x-log-derivative, and Y a
-    polynomial whose x-degree is at most two above that of the cleared
-    right-hand sides.  Raises NoTelescoperFound if that ansatz has only
-    trivial solutions at every order up to max_order.
+    certificate is Y/((L/g)·N·D^ell), where N/D is the generating function,
+    L the denominator of the integrand's x-log-derivative, g the part of
+    gcd(L, N·D) at which κ = K'/K is regular (_regular_part), and Y a
+    polynomial of x-degree at most the bound of _degree_bound.  Raises
+    NoTelescoperFound, naming the largest system tried, if that ansatz has
+    only trivial solutions at every order up to max_order.
+
+    Why g can go: write the certificate as C = y·F = G·K, so G = y·N/D and
+    G' + κG = sum a_i W_i D^(ell−i)/D^(ell+1), with (d/dt)^i (N/D) =
+    W_i/D^(i+1).  Wherever κ is regular, a pole of G of order k makes one
+    of order k + 1 on the left, so G's pole order is one less than the
+    right side's.  At a root of D of multiplicity e that is at most
+    e·(ell + 1) − 1, and elsewhere G has no pole.  So y·N·D^ell = G·D^(ell+1)
+    has no pole where κ is regular, the roots of g included, and
+    y·(L/g)·N·D^ell is a polynomial for every certificate y that the ansatz
+    Y/(L·N·D^ell) admits.  The degree bound admits every polynomial
+    solution Y.  So this ansatz holds every solution of that one, whose Y
+    is Y·g here.  It can hold more, a Y of x-degree j (_degree_bound) above
+    that ansatz's bound of two above the right-hand sides, and then find a
+    lower order.
 
     With a zero log-derivative F is rational, and y0 = 1/F solves the
     system with a zero operator; every certificate-only solution is c(t)·y0.
-    Its Y part, Y0 = den_y/F = den_l·D^(ell+1)/prefactor up to a constant,
-    lies in the ansatz when it is a polynomial in x of x-degree at most the
-    ansatz's.  _trivial_degree decides that once, at order 0; deg_x Y0 then
-    grows by deg_x D per order.  Order 0 decides every order when D has no
-    factor in x alone, as for every generating function of a sequence
-    (D(x, 0) is a constant).  For any other D a later order can hold y0
-    unpinned, and _solve_order skips solutions with a zero operator.  Where
-    Y0 fits, _solve_order pins column deg_x Y0, its leading one, to 0.  In
-    the reduced row echelon basis of the unpinned system that column is
-    free and y0 is its vector: a solution supported below it would have a
-    zero operator, so it would be c(t)·y0, which is not 0 there.  Every
-    other basis vector is 0 at a free column not its own, so the pinned
-    basis is the unpinned one without y0, and the returned telescoper is
-    unchanged.
+    Its Y part, Y0 = den_y/F = (L/g)·D^(ell+1)/prefactor up to a constant,
+    is decided at each order: where it is a polynomial in x, _solve_order
+    pins the coefficient of x^(deg Y0 + deg g) of Y·g, the leading column
+    of y0 in the coordinates of Y/(L·N·D^ell), to 0.  In the reduced row
+    echelon basis of that ansatz unpinned, this column is free and y0 is
+    its vector: a solution supported below it would have a zero operator,
+    so it would be c(t)·y0, which is not 0 there.  Every other basis vector
+    is 0 at a free column not its own, so the pinned basis is the unpinned
+    one without y0, and the returned telescoper is unchanged.  F can also
+    be rational through its log-derivative, with no pin decided ahead.
+    Then _solve_order skips the basis vector with a zero operator, c(t)·y0,
+    and moves the returned vector along it to the same certificate.
     """
     if gf.num.is_zero():
         return Telescoper((Poly("t", [1]),), RatFunc(Poly("t", []), Poly("t", [1])))
-    nr, cn, dr, cd, ln, ld = _integrand(gf, kernel)
+    nr, cn, dr, cd, ln, ld, kd = _integrand(gf, kernel)
     _, ln, ld = K.gcd_int(ln, ld)
-    base = cn * K.primitive(ld, True)[0]
-    pin = _trivial_degree(ld, dr, kernel.prefactor) if kernel.logderiv.is_zero() else None
-    step = max(map(len, dr)) - 1
-    ws, nd = [nr], nr
+    g, lq = _regular_part(ld, K.rmul(nr, dr), kd)
+    base = cn * K.primitive(lq, True)[0]
+    y0 = pn = None
+    if kernel.logderiv.is_zero():
+        # Y0 = lq·D'^(ell+1)·pd/pn up to a constant, pn/pd the prefactor
+        pn, pd = _x_rows(kernel.prefactor)
+        pn, y0 = K.primitive(pn[0], False)[1], K.rmul(lq, pd)
+    ws, nd, largest = [nr], nr, (0, 0, 0)
     for ell in range(max_order + 1):
         if ell:
             nd = K.rmul(nd, dr)
-        got = _solve_order(ell, nd, dr, _extend_w(ws, dr, ell), ln, ld, base * cd**ell,
-                           None if pin is None else pin + ell * step)
-        if got is None:
-            continue
-        avec, y = _reduce_content(*got)
-        return Telescoper(tuple(avec), y)
-    raise NoTelescoperFound(max_order)
+        pin = None
+        if y0 is not None:
+            y0 = K.rmul(y0, dr)
+            pin = _quotient_degree(y0, pn)
+        size, got = _solve_order(ell, nd, dr, _extend_w(ws, dr, ell), ln, g, lq,
+                                 base * cd**ell, pin)
+        largest = max(largest, size, key=lambda s: s[0] * s[1])
+        if got is not None:
+            avec, y = _reduce_content(*got)
+            return Telescoper(tuple(avec), y)
+    raise NoTelescoperFound(max_order, largest)
 
 
 def _reduce_content(avec, y):
@@ -254,7 +353,7 @@ def verify_certificate(gf, kernel, tel):
     """
     if gf.num.is_zero():
         return True
-    nr, cn, dr, cd, ln, ld = _integrand(gf, kernel)
+    nr, cn, dr, cd, ln, ld, _ = _integrand(gf, kernel)
     ws = _extend_w([nr], dr, tel.order)
     # lhs: sum a_i W_i D'^(order−i) over N'·D'^order, the a_i cleared by ca
     acs, ca = P.cleared_rows([a.coeffs for a in tel.opcoeffs])

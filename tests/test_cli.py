@@ -187,6 +187,17 @@ def test_search_exhaustion_exits_3(tmp_path, capsys):
     assert "no telescoper" in capsys.readouterr().err
 
 
+def test_exhausted_telescoper_names_its_largest_system(tmp_path, capsys):
+    # T^3 needs order 3; orders 0 to 2 miss, and stderr names the largest
+    # of their systems: rows x columns at its largest t-degree
+    doc = dict(CHEB_JOB, transforms=[{"power": 3}], options={"max_order": 2})
+    assert cli.main(["run", "--job", write_job(tmp_path, doc), "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: stage telescope: no telescoper up to order 2"
+                   " (largest system 18x17 at t-degree 15)\n")
+
+
 def test_no_guess_exits_3(tmp_path, capsys):
     doc = {"task": "guess", "sequence": {"builtin": "chebyshev_T"},
            "kernel": {"polynomial": "1"}, "interval": ["-1", "1"],
@@ -285,3 +296,19 @@ def test_option_flags_reach_the_pipeline(tmp_path, capsys):
     assert cli.main(["run", "--job", write_job(tmp_path, doc),
                      "--max-order", "0"]) == 0
     capsys.readouterr()
+
+
+def test_each_call_parses_its_own_options(tmp_path, monkeypatch):
+    # the parser is built once per process; each call still gets its own values
+    seen, built, build = [], [], cli._build_parser
+    monkeypatch.setattr(cli, "_cmd_run", lambda args: seen.append(vars(args)) or 0)
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    path = write_job(tmp_path, CHEB_JOB)
+    assert cli.main(["run", "--job", path, "--max-order", "2"]) == 0
+    assert cli.main(["run", "--job", path, "--format", "json", "--precision", "30"]) == 0
+    cli._parser.cache_clear()
+    defaults = pipeline.Options()
+    assert len(built) == 1
+    assert [(a["max_order"], a["precision"], a["format"]) for a in seen] == [
+        (2, defaults.precision, "text"), (defaults.max_order, 30, "json")]

@@ -94,3 +94,12 @@ def test_chebyshev_pair_already_reduced():
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDenominator):
         RatFunc(Poly("x", [1]), Poly("x", []))
+
+
+def test_t_free_quotient_has_one_form():
+    # x·(1−t)/(1−t) reduces to x: the same structure, and repr, as RatFunc(x)
+    x = Poly.variable("x")
+    r = RatFunc(Poly("t", [x, -x]), Poly("t", [1, -1]))
+    assert repr(r) == repr(RatFunc(x)) == "RatFunc(Poly('x', [0, 1]), Poly('x', [1]))"
+    q = RatFunc(Poly("t", [x * x + 1, -x * x - 1]), Poly("t", [x - 3, 3 - x]))
+    assert repr(q) == repr(RatFunc(x * x + 1, x - 3))

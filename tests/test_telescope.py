@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intrec import _kernels as K
 from intrec import cfinite as cf
 from intrec import exprs
 from intrec import linalg
@@ -147,6 +148,9 @@ def test_order_minimality_rerun():
     with pytest.raises(NoTelescoperFound) as exc:
         telescope(gf, trivial_kernel(), tel.order - 1)
     assert exc.value.max_order == tel.order - 1
+    # the error names the largest system it solved: rows, columns, t-degree
+    assert exc.value.largest == (4, 4, 3)
+    assert str(exc.value) == "no telescoper up to order 0 (largest system 4x4 at t-degree 3)"
 
 
 def test_chebyshev_recurrence_annihilates_oracle_terms():
@@ -264,10 +268,13 @@ def test_minimal_order_one_solve_per_order(monkeypatch, seq, kern, order):
     assert verify_certificate(gf, kern, tel)
 
 
-# -- reference: the telescoper built on nested Poly objects ------------------
-# The system of each order, built with Q[x][t] Poly and RatFunc arithmetic as
-# the search did before it moved to integer rows.  The integer-row search
-# must return the identical Telescoper.
+# -- references built on nested Poly objects ---------------------------------
+# reference_telescope is the search as it was before its ansatz shrank: the
+# certificate Y/(den_l·N·D^ell), with Y of x-degree up to two above the
+# right-hand sides, solved with Q[x][t] Poly and RatFunc arithmetic.  It is
+# the oracle: the integer-row search must return the identical Telescoper.
+# reference_system builds the search's own, smaller system the same way, so
+# that its rows can be compared with the integer rows.
 
 
 def _bivar(p):
@@ -328,13 +335,10 @@ def _log_deriv_x(gf, kernel):
     return r_part + RatFunc(_bivar(k_part.num), _bivar(k_part.den))
 
 
-def _reference_solve_order(num, den, ws, lx, ell):
-    den_l = _bivar_part(lx.den)
-    den_y = den_l * num * den**ell
-    h = lx - RatFunc(dx(den_y), den_y)
+def _system_rows(h, rhs, m):
+    """Rows (one per power of x) of hd·Y' + hn·Y = sum a_i rhs_i, Y = sum
+    y_j x^j for j <= m, h = hn/hd; columns y_0..y_m, then a_0, a_1, …"""
     den_h, num_h = _bivar_part(h.den), _bivar_part(h.num)
-    rhs = [ws[i] * den_l * den ** (ell - i) * den_h for i in range(ell + 1)]
-    m = max(P.x_degree(q) for q in rhs) + 2
     mults = []
     for j in range(m + 1):
         mj = _xshift(num_h, j)
@@ -344,8 +348,17 @@ def _reference_solve_order(num, den, ws, lx, ell):
     cols = [_x_coefficients(q) for q in mults] + [_x_coefficients(-q) for q in rhs]
     zero_t = Poly("t", [])
     depth = max((len(c) for c in cols), default=0)
-    rows = [[c[k] if k < len(c) else zero_t for c in cols] for k in range(depth)]
-    for vec in linalg.nullspace(rows, len(cols)):
+    return [[c[k] if k < len(c) else zero_t for c in cols] for k in range(depth)]
+
+
+def _reference_solve_order(num, den, ws, lx, ell):
+    den_l = _bivar_part(lx.den)
+    den_y = den_l * num * den**ell
+    h = lx - RatFunc(dx(den_y), den_y)
+    rhs = [ws[i] * den_l * den ** (ell - i) * _bivar_part(h.den) for i in range(ell + 1)]
+    m = max(P.x_degree(q) for q in rhs) + 2
+    rows = _system_rows(h, rhs, m)
+    for vec in linalg.nullspace(rows, len(rows[0])):
         avec = vec[m + 1:]
         if all(not a for a in avec):
             continue
@@ -394,53 +407,92 @@ def proportional(row, ref):
     return True
 
 
-def reference_pin(gf, kern, ell, ncols):
-    """The column the search pins at order ell, from the reference's data:
-    deg_x Y0 for Y0 = den_y/F = den_l·D^(ell+1)·prefactor⁻¹, or None when
-    the kernel has a log-derivative, Y0 keeps a denominator in x, or Y0
-    exceeds the ansatz's x-degree m = ncols − ell − 2."""
-    if not kern.logderiv.is_zero():
-        return None
+def reference_degree_bound(hn, hd, deg_r):
+    """The x-degree bound on Y in hd·Y' + hn·Y = R, deg_x R <= deg_r, for
+    Q[x][t] polynomials: deg_r − max(deg hn, deg hd − 1); or j where
+    lc(hn) + j·lc(hd) = 0 for an integer j >= 0; or 0 when deg hn <= deg_r."""
+    dn, dd = (P.x_degree(hn) if hn else -1), P.x_degree(hd)
+    j = 0 if dn <= deg_r else -1
+    if hn and dn == dd - 1:
+        ratio = RatFunc(-_x_coefficients(hn)[dn], _x_coefficients(hd)[dd])
+        if ratio.num.degree() <= 0 and ratio.den.degree() == 0:
+            r = Fraction(ratio.num.constant()) / Fraction(ratio.den.constant())
+            if r.denominator == 1 and r >= 0:
+                j = max(j, int(r))
+    return max(deg_r - max(dn, dd - 1), j)
+
+
+def reference_regular_part(gf, kern):
+    """(g, den_l/g) as Q[x][t] polynomials: g the part of gcd(den_l, N·D)
+    at which K'/K is regular, den_l/g integer-primitive with a positive
+    leading coefficient."""
     den_l = _bivar_part(_log_deriv_x(gf, kern).den)
-    pre = kern.prefactor
-    y0 = RatFunc(den_l * gf.den ** (ell + 1) * _bivar(pre.den), _bivar(pre.num))
+    kappa = kern.logderiv + telescope_module._pre_logderiv(kern)
+    g = P.gcd(den_l, gf.num * gf.den)
+    while True:
+        c = P.gcd(g, _bivar(kappa.den))
+        if P.x_degree(c) == 0:
+            break
+        g = RatFunc(g, c).num
+    lq = RatFunc(den_l, g).num
+    return g, P.scale_poly(lq, 1 / (P.rational_content(lq) * P.leading_sign(lq)))
+
+
+def reference_system(gf, kern, ell):
+    """(rows, pin): the search's system at order ell without its pin row,
+    and that row or None.  The certificate is Y/(lq·N·D^ell), lq = den_l/g;
+    Y has x-degree at most reference_degree_bound.  With a zero
+    log-derivative, where Y0 = lq·D^(ell+1)/prefactor is a polynomial in x
+    the pin row sets the coefficient of x^(deg Y0 + deg g) in Y·g to 0."""
+    num, den = gf.num, gf.den
+    g, lq = reference_regular_part(gf, kern)
+    den_y = lq * num * den**ell
+    h = _log_deriv_x(gf, kern) - RatFunc(dx(den_y), den_y)
+    ws = _w_sequence(num, den, ell)
+    rhs = [ws[i] * lq * den ** (ell - i) * _bivar_part(h.den) for i in range(ell + 1)]
+    m = reference_degree_bound(_bivar_part(h.num) if h.num else None, _bivar_part(h.den),
+                               max(P.x_degree(q) for q in rhs))
+    rows = _system_rows(h, rhs, m)
+    pre, zero_t = kern.prefactor, Poly("t", [])
+    if not kern.logderiv.is_zero():
+        return rows, None
+    y0 = RatFunc(lq * den ** (ell + 1) * _bivar(pre.den), _bivar(pre.num))
     if P.x_degree(y0.den) > 0:
-        return None
-    q = P.x_degree(y0.num)
-    return q if q <= ncols - ell - 2 else None
+        return rows, None
+    gx = _x_coefficients(g)
+    top = P.x_degree(y0.num) + len(gx) - 1
+    pin = [gx[top - j] if 0 <= top - j < len(gx) else zero_t for j in range(m + 1)]
+    return rows, pin + [zero_t] * (ell + 1)
 
 
-def recorded_systems(monkeypatch):
-    """{module name: [(rows, ncols), …]}: the systems that the search
-    (intrec.telescope) and the reference (intrec.linalg) pass to nullspace."""
-    systems = {}
-    for mod in (telescope_module, linalg):
-        def recorded(rows, ncols, solve=mod.nullspace, key=mod.__name__):
-            systems.setdefault(key, []).append((rows, ncols))
-            return solve(rows, ncols)
+def telescope_systems(monkeypatch):
+    """[(rows, ncols), …]: the systems the search passes to nullspace."""
+    systems, solve = [], telescope_module.nullspace
 
-        monkeypatch.setattr(mod, "nullspace", recorded)
+    def recorded(rows, ncols):
+        systems.append((rows, ncols))
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(telescope_module, "nullspace", recorded)
     return systems
 
 
 @pytest.mark.parametrize("seq,kern,order", [c[1:] for c in MINIMAL_ORDERS],
                          ids=[c[0] for c in MINIMAL_ORDERS])
 def test_integer_rows_match_poly_reference(monkeypatch, seq, kern, order):
-    systems = recorded_systems(monkeypatch)
+    systems = telescope_systems(monkeypatch)
     gf = generating_function(seq)
     assert "Telescoper" in same_search(gf, kern, order)
-    # each order's system is the reference's, up to one factor per row, and
-    # one more row wherever the trivial certificate is pinned out: the unit
-    # row at column deg_x Y0
-    new, ref = systems["intrec.telescope"], systems["intrec.linalg"]
-    assert len(new) == len(ref) == order + 1
+    # each order's system is the Poly-built one, up to one factor per row,
+    # and one more row wherever the trivial certificate is pinned out
+    assert len(systems) == order + 1
     pinned = 0
-    for ell, ((rows, ncols), (ref_rows, ref_ncols)) in enumerate(zip(new, ref)):
-        assert ncols == ref_ncols
-        pin = reference_pin(gf, kern, ell, ncols)
+    for ell, (rows, ncols) in enumerate(systems):
+        ref_rows, pin = reference_system(gf, kern, ell)
+        assert ncols == len(ref_rows[0])
         if pin is not None:
             *rows, last = rows
-            assert last == [Poly("t", [1] if j == pin else []) for j in range(ncols)]
+            assert proportional(last, pin)
             pinned += 1
         assert len(rows) == len(ref_rows)
         assert all(proportional(r, f) for r, f in zip(rows, ref_rows))
@@ -492,35 +544,130 @@ def zero_operator_vectors(monkeypatch):
 
 
 def test_unpinnable_kernel_adds_no_row(monkeypatch):
-    # T against x^2: ld has the factor x once, so pn = x^2 divides no
-    # ld·D'^(ell+1)·pd and 1/F never fits the ansatz.  No row is added, and
-    # no certificate-only vector reaches the skip in _solve_order
-    systems = recorded_systems(monkeypatch)
+    # T against x^2: den_l/g has the factor x once, so pn = x^2 divides no
+    # (den_l/g)·D'^(ell+1)·pd and 1/F is never in the ansatz.  No row is
+    # added, and no certificate-only vector reaches the skip in _solve_order
+    systems = telescope_systems(monkeypatch)
     seen = zero_operator_vectors(monkeypatch)
     gf, kern = generating_function(T), kernel("x^2")
     assert "Telescoper" in same_search(gf, kern, 3)
-    new, ref = systems["intrec.telescope"], systems["intrec.linalg"]
-    assert [len(r) for r, _ in new] == [len(r) for r, _ in ref]
-    assert all(reference_pin(gf, kern, ell, n) is None for ell, (_, n) in enumerate(new))
+    for ell, (rows, ncols) in enumerate(systems):
+        ref_rows, pin = reference_system(gf, kern, ell)
+        assert pin is None
+        assert len(rows) == len(ref_rows) and ncols == len(ref_rows[0])
     assert all(count == 0 for _, count in seen)
 
 
 def test_skip_keeps_a_trivial_certificate_the_order_0_test_missed(monkeypatch):
     # A denominator with a factor in x alone, which no generating function of
     # a sequence has (D(x, 0) is a constant): R = 1/((x−3)(1−xt)) against
-    # (x−3)^3.  ld = (x−3)(1−xt), so Y0 = ld·D'^(ell+1)/(x−3)^3 is (1−xt)^3
-    # at order 1 but not a polynomial at order 0, which is the one test the
-    # search makes.  The order-1 basis then holds c(t)·y0, which the skip in
-    # _solve_order passes over, and both searches agree.
+    # (x−3)^3.  Y0 = (den_l/g)·D'^(ell+1)/(x−3)^3 is not a polynomial at
+    # order 0 but is one at order 1, where the search, deciding each order
+    # on its own, pins it out: no vector with a zero operator reaches the
+    # skip in _solve_order.  A search that decided at order 0 only would
+    # hold c(t)·y0 unpinned at order 1; both searches agree
     x = Poly.variable("x")
     gf = RatFunc(Poly("t", [1]), Poly("t", [x - 3, -x * (x - 3)]))
     kern = Kernel(RatFunc((x - 3) ** 3), RatFunc(Poly("x", [])))
     seen = zero_operator_vectors(monkeypatch)
     tel = telescope(gf, kern, 3)
     assert tel.order == 1 and verify_certificate(gf, kern, tel)
-    assert seen == [(0, 0), (1, 1)]
+    assert seen == [(0, 0), (1, 0)]
     monkeypatch.undo()
     assert same_search(gf, kern, 3) == repr(tel)
+
+
+@pytest.mark.parametrize("seq,logderiv", [(T, "1/(x-3)"), (cf.power(T, 2), "1/(x-3)"),
+                                            (U, "1/(x-1)+1/(x+2)")],
+                         ids=["T", "T2", "U"])
+def test_rational_through_its_log_derivative_keeps_the_certificate(monkeypatch, seq, logderiv):
+    # K = exp(∫ρ) is a polynomial, so F is rational, but only the prefactor
+    # decides a pin: c(t)·y0 stays in the basis with a zero operator.  The
+    # certificate returned is then moved along y0 to the one the ansatz
+    # Y/(den_l·N·D^ell) returns, which is 0 at y0's leading column there
+    gf, kern = generating_function(seq), kernel(logderiv=logderiv)
+    seen = zero_operator_vectors(monkeypatch)
+    tel = telescope(gf, kern, 3)
+    assert seen[-1] == (tel.order, 1)
+    monkeypatch.undo()
+    assert same_search(gf, kern, 3) == repr(tel)
+
+
+@pytest.mark.parametrize("hn,hd,deg_r,bound", [
+    ([[0, 0, 1]], [[0, 1]], 5, 3),  # deg hn > deg hd − 1: deg R − deg hn
+    ([[1]], [[0, 0, 0, 1]], 5, 3),  # deg hn < deg hd − 1: deg R − deg hd + 1
+    # deg hn = deg hd − 1 and lc(hn) + 3·lc(hd) = 0: 3(1+t)·x against
+    # (1+t)(1−x^2), as the Chebyshev weight's 1 − x^2 gives
+    ([[0, 3], [0, 3]], [[1, 0, -1], [1, 0, -1]], 1, 3),
+    ([[0, 1]], [[1, 0, -2]], 4, 3),  # -lc(hn)/lc(hd) = 1/2
+    ([[0, -3]], [[1, 0, -1]], 4, 3),  # -lc(hn)/lc(hd) = -3
+    ([[0, 3], [0, 1]], [[1, 0, -1]], 4, 3),  # -lc(hn)/lc(hd) = 3 + t
+    ([], [[0, 0, 1]], 0, 0),  # hn = 0: a constant Y gives 0
+    ([], [[1]], 2, 3),
+    ([[1]], [[0, 0, 1]], 0, 0),  # a constant Y gives hn
+], ids=["hn-leads", "hd-leads", "integer-root", "half", "negative", "t-dependent",
+        "hn-zero", "hn-zero-constant-hd", "constant"])
+def test_degree_bound_cases(hn, hd, deg_r, bound):
+    assert telescope_module._degree_bound(hn, hd, deg_r) == bound
+
+
+int_rows = st.lists(st.lists(st.integers(-2, 2), max_size=4), min_size=1, max_size=3).map(
+    lambda rows: K._rstrip([K.strip(r) for r in rows]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_rows, int_rows.filter(bool), int_rows.filter(bool), st.booleans())
+def test_degree_bound_admits_every_solution(hn, hd, y, plant):
+    # any nonzero Y solves hd·Y' + hn·Y = R for its own R, and the bound
+    # taken from deg R must admit it.  A planted case makes the leading
+    # terms cancel: deg hn = deg hd − 1 and lc(hn) = −deg Y·lc(hd)
+    dd, j = max(map(len, hd)) - 1, max(map(len, y)) - 1
+    if plant and dd >= 1:
+        lead = [[0] * (dd - 1) + [-j * r[dd]] if len(r) > dd else [] for r in hd]
+        hn = K._rstrip([K.strip(r) for r in K.radd([r[:dd - 1] for r in hn], lead)])
+    lhs = K.radd(K.rmul(hd, K.rdx(y)), K.rmul(hn, y))
+    assert j <= telescope_module._degree_bound(hn, hd, max(map(len, lhs), default=0) - 1)
+
+
+def test_kappa_pole_shared_with_the_denominator_stays():
+    # R = 1/((x−3)(1−xt)) against (x−3)^3: den_l = (x−3)(1−xt) divides
+    # N·D, but K'/K = 3/(x−3) has its pole at x = 3, so only 1 − xt goes
+    # and x − 3 stays in the certificate's denominator
+    x = Poly.variable("x")
+    gf = RatFunc(Poly("t", [1]), Poly("t", [x - 3, -x * (x - 3)]))
+    kern = Kernel(RatFunc((x - 3) ** 3), RatFunc(Poly("x", [])))
+    nr, _, dr, _, ln, ld, kd = telescope_module._integrand(gf, kern)
+    _, ln, ld = K.gcd_int(ln, ld)
+    g, lq = telescope_module._regular_part(ld, K.rmul(nr, dr), kd)
+    assert g == P.int_rows(Poly("t", [-1, x]))[0]
+    assert K.primitive(lq, True)[1] == P.int_rows(x - 3)[0]
+    ref_g, ref_lq = reference_regular_part(gf, kern)
+    assert K.primitive(P.int_rows(ref_g)[0], True)[1] == g and ref_lq == x - 3
+    assert "Telescoper" in same_search(gf, kern, 3)
+
+
+def test_x_free_generating_function():
+    # F = 1/(1−t): den_l is a constant, so g = 1 and h = 0 at every order;
+    # Y = x solves the order-0 system, d/dx (x·F) = F
+    gf = generating_function(ones_sequence())
+    nr, _, dr, _, ln, ld, kd = telescope_module._integrand(gf, trivial_kernel())
+    _, ln, ld = K.gcd_int(ln, ld)
+    assert (ln, max(map(len, ld))) == ([], 1)
+    assert telescope_module._regular_part(ld, K.rmul(nr, dr), kd)[0] == [[1]]
+    tel = telescope(gf, trivial_kernel(), 3)
+    assert tel.order == 0 and tel.certificate == RatFunc(Poly("x", [0, 1]))
+    assert same_search(gf, trivial_kernel(), 3) == repr(tel)
+
+
+def test_chebyshev_weight_system_sizes(monkeypatch):
+    # T against 1/sqrt(1−x^2) on [−1, 1]: order 1, found by an 8×8 system
+    # of t-degree 5 (rows × columns; the ansatz Y/(den_l·N·D^ell) with its
+    # degree slack needed 16×15 at t-degree 9)
+    systems = telescope_systems(monkeypatch)
+    assert telescope(generating_function(T), chebyshev_weight(), 3).order == 1
+    sizes = [(len(rows), ncols, max(e.degree() for r in rows for e in r))
+             for rows, ncols in systems]
+    assert sizes == [(7, 6, 3), (8, 8, 5)]
 
 
 xpolys = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda cs: Poly("x", cs))
