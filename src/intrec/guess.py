@@ -18,8 +18,9 @@ reads them, and it stops reading once every column is a pivot, which is how
 most orders end.  Only the cells from the first dependent column on go to
 `linalg.nullspace`, in practice just the cell that holds the recurrence; that
 order gets the rest of its rows, its own elimination starts p-adic lifting,
-and each basis vector is checked exactly against every row.  The held-out
-terms then gate the candidate recurrence.
+and each basis vector is checked exactly against every row, which is the
+exact check of each training window n < train scaled by L_n.  The held-out
+windows n ≥ train then gate the candidate recurrence.
 """
 
 from fractions import Fraction
@@ -58,18 +59,20 @@ def _kept(rows, source):
         yield row
 
 
-def _cell(terms, rows, r, d):
+def _cell(terms, rows, r, d, train):
     """Best canonical recurrence of order r, coefficient degree ≤ d, or None.
 
     The cell's columns are the first (d + 1)(r + 1) of the rows, passed to
     the solver block by block: coefficient i's degrees 0..d at i·(d + 1) + j.
+    The solver has checked each vector exactly on the training windows
+    n < train, so `first_failure` sums only the windows from train on.
     """
     cols = [j * (r + 1) + i for i in range(r + 1) for j in range(d + 1)]
     for vec in nullspace([[row[c] for c in cols] for row in rows], len(cols)):
         coeffs = [Poly("n", vec[i * (d + 1) : (i + 1) * (d + 1)]) for i in range(r + 1)]
         if coeffs[-1].is_zero():
             continue
-        if first_failure(Recurrence(tuple(coeffs), 0), terms) is None:
+        if first_failure(Recurrence(tuple(coeffs), train), terms) is None:
             return coeffs
     return None
 
@@ -99,7 +102,7 @@ def guess_precursive(terms, max_order, max_degree, margin=MARGIN):
         if lead // (r + 1) <= max_degree:
             rows.extend(source)
         for d in range(lead // (r + 1), max_degree + 1):
-            coeffs = _cell(terms, rows, r, d)
+            coeffs = _cell(terms, rows, r, d, train)
             if coeffs is None:
                 continue
             return Recurrence(tuple(canonical_coeffs(coeffs)), 0, tuple(terms))

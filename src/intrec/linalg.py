@@ -31,12 +31,12 @@ approximant (extended Euclid, one shared denominator) is tried first at
 twice the degree of the system plus one coefficients, below which it could
 certify only solutions of lower degree, and then whenever the count has
 grown by a fixed factor, or sooner, at the first count that can certify a
-candidate found too early; Cramer's rule bounds the count needed.  Shifted
-back to t, the images of successive primes are combined by CRT and rational
-reconstruction; after the first prime, one Padé bounded by the degrees of
-the kept image is tried first.  A basis is returned only when it
-annihilates every row exactly over Z[t] and leans on no pivot column after
-its own.  Only finitely many pairs (p, t0) fail, so the loop ends.
+candidate found too early; Cramer's rule bounds the count needed.  Each
+prime's image depends only on that prime and its shift point.  Shifted back
+to t, the images of successive primes are combined by CRT and rational
+reconstruction.  A basis is returned only when it annihilates every row
+exactly over Z[t] and leans on no pivot column after its own.  Only
+finitely many pairs (p, t0) fail, so the loop ends.
 
 Both solvers eliminate mod p with `echelon_mod_p`, which takes residues in
 [0, p) and keeps each row packed in one integer, a slot of w bits per
@@ -401,18 +401,17 @@ def _ratrecon_series(u, n, bound_n, bound_d, p):
     return [x * c % p for x in r1], [x * c % p for x in s1]
 
 
-def _pade(series, n, p, bounds=None):
+def _pade(series, n, p):
     """Polynomials (nums, den) mod p with den·s ≡ num mod t^n for each series s, or None.
 
     The Padé analogue of _reconstruct: entries share one denominator, with
     den(0) = 1.  Each entry is multiplied by the denominator found so far
     before its own reconstruction, whose denominator bound shrinks to match,
-    so numerators stay within degree bound_n and den within bound_d:
-    `bounds`, by default (n − 1)//2 and the rest of n − 1.  While
-    bound_n + bound_d < n, a solution within those bounds is therefore the
-    one found.
+    so numerators stay within degree bound_n = (n − 1)//2 and den within
+    bound_d, the rest of n − 1.  As bound_n + bound_d < n, a solution within
+    those bounds is the one found.
     """
-    bound_n, bound_d = bounds or ((n - 1) // 2, n - 1 - (n - 1) // 2)
+    bound_n, bound_d = (n - 1) // 2, n - 1 - (n - 1) // 2
     nums, den = [], [1]
     for s in series:
         u = _pmul_mod(s, den, p, n) if len(den) > 1 else K.strip(list(s))
@@ -427,7 +426,7 @@ def _pade(series, n, p, bounds=None):
     return nums, den
 
 
-def _lift_series(block, cols, solve, d, p, degrees=None):
+def _lift_series(block, cols, solve, d, p):
     """(nums, den) over F_p[t] with block·nums = −den·cols, by t-adic lifting.
 
     block is an r×r matrix of coefficient lists whose constant term is
@@ -441,11 +440,6 @@ def _lift_series(block, cols, solve, d, p, degrees=None):
     by 5/4, or at d + k + 1 after a candidate of degree k came too early to
     certify.  By Cramer's rule the solution has degree at most r·d, so by
     2·r·d + 1 coefficients it is found and certified.
-
-    `degrees` = (a, b), the degrees of nums and den that another prime gave,
-    replaces the first attempt with one Padé at max(a + b + 1, d + max(a, b) + 1)
-    coefficients bounded by them, which finds and certifies any solution of
-    those degrees; when it fails, the search goes on as above.
     """
     r = len(block)
     # the last coefficients of the solution, column by column, newest first,
@@ -458,9 +452,6 @@ def _lift_series(block, cols, solve, d, p, degrees=None):
     hist = [0] * sum(widths)
     xs = []
     n, check, last = 0, 2 * d + 1, 2 * r * d + 1
-    if degrees is not None:
-        a, b = degrees
-        check = min(max(a + b + 1, d + max(a, b) + 1), last)
     while True:
         x = solve([(-(g[n] if n < len(g) else 0) - sum(map(mul, fl, hist))) % p
                    for fl, g in zip(flats, cols)])
@@ -469,15 +460,14 @@ def _lift_series(block, cols, solve, d, p, degrees=None):
         n += 1
         if n >= check or n >= last:
             check = n + (n + 3) // 4
-            cand = _pade(list(zip(*xs)), n, p, degrees)
+            cand = _pade(list(zip(*xs)), n, p)
             if cand is not None:
                 top = max(map(len, cand[0] + [cand[1]])) - 1
                 if n > d + top:
                     return cand
                 check = min(check, d + top + 1)
-            if n >= last and degrees is None:
+            if n >= last:
                 raise ArithmeticError("t-adic lifting passed the Cramer bound")
-            degrees = None
 
 
 def _vanishes_mod(row, vec, p):
@@ -488,7 +478,7 @@ def _vanishes_mod(row, vec, p):
     return not any(c % p for c in acc)
 
 
-def _basis_mod_p(mat, ncols, p, t0, shape=None):
+def _basis_mod_p(mat, ncols, p, t0):
     """(pivot columns, basis) of the nullspace over F_p(t), or None when t0 is unlucky.
 
     The basis has one vector per free column f of the reduced row echelon
@@ -500,9 +490,6 @@ def _basis_mod_p(mat, ncols, p, t0, shape=None):
     basis is empty.  A vector must hold on every row mod p and lean on no
     pivot after f; otherwise the rank of a leading block of columns dropped
     at t0, which happens at finitely many points for each prime.
-
-    `shape` is the image shape another prime gave (see _nullspace_tadic);
-    when its pivot columns are these, its entry degrees guide the lifting.
     """
     d = max((len(e) for r in mat for e in r), default=1) - 1
     pw = [pow(t0, j, p) for j in range(d + 1)]
@@ -518,16 +505,13 @@ def _basis_mod_p(mat, ncols, p, t0, shape=None):
     pblock = [[r[c] for c in pcols] for r in block]
     db = max((len(e) for r in pblock for e in r), default=1) - 1
     solve = _solver_mod_p(echelon, p)
-    hints = iter(shape[1] if shape is not None and shape[0] == pcols else ())
     basis = []
     for f in range(ncols):
         if f in pcols:
             continue
         cols = [r[f] for r in block]
         deg = max(db, max(map(len, cols), default=1) - 1)
-        lens = next(hints, None)
-        degrees = None if lens is None else (max([lens[c] - 1 for c in pcols] + [0]), lens[f] - 1)
-        nums, den = _lift_series(pblock, cols, solve, deg, p, degrees)
+        nums, den = _lift_series(pblock, cols, solve, deg, p)
         v = [[] for _ in range(ncols)]
         v[f] = den
         for c, x in zip(pcols, nums):
@@ -563,10 +547,9 @@ def _nullspace_tadic(rows, ncols, var):
     """The canonical nullspace basis over Q(t) of rows with Q[t] entries.
 
     Each prime p in turn gives the basis over F_p(t) (_basis_mod_p, at the
-    first lucky shift point, guided by the entry degrees of the kept shape).
-    Images of equal shape, meaning equal pivot columns and entry degrees, are
-    combined by CRT and rebuilt by rational reconstruction, one shared
-    denominator per vector.  An image whose shape
+    first lucky shift point).  Images of equal shape, meaning equal pivot
+    columns and entry degrees, are combined by CRT and rebuilt by rational
+    reconstruction, one shared denominator per vector.  An image whose shape
     sorts higher (_shape_key) replaces those kept: where the Q(t) basis
     reduces badly mod p, pivots move later or degrees drop, so the true shape
     sorts above every other.  A rebuilt basis is returned only if every
@@ -587,7 +570,7 @@ def _nullspace_tadic(rows, ncols, var):
     shape, images, m = None, None, 1
     for p in _primes():
         for t0 in _points():
-            got = _basis_mod_p(mat, ncols, p, t0 % p, shape)
+            got = _basis_mod_p(mat, ncols, p, t0 % p)
             if got is not None:
                 break
         pcols, basis = got

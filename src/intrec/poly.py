@@ -294,14 +294,6 @@ def scale_poly(p, c):
     return p.map_coeffs(lambda v: v * c if not isinstance(v, Poly) else v.map_coeffs(lambda w: w * c))
 
 
-def canonical_unit(p):
-    """p divided by its signed rational content: integer-primitive, positive lead."""
-    if p.is_zero():
-        return p
-    c = rational_content(p) * leading_sign(p)
-    return scale_poly(p, Fraction(1, 1) / c)
-
-
 # -- division and gcd --------------------------------------------------------
 
 

@@ -89,6 +89,22 @@ def test_held_out_corruption_blocks_candidates():
     assert guess_precursive(terms, 2, 0, margin=G.MARGIN) is None
 
 
+def test_only_the_held_out_windows_are_summed_again(monkeypatch):
+    # the solver has checked every training window n < train exactly, so the
+    # candidate's window check starts at train
+    terms = integral_terms(30)
+    thresholds = []
+
+    def spied(rec, terms):
+        thresholds.append(rec.threshold)
+        return first_failure(rec, terms)
+
+    monkeypatch.setattr(G, "first_failure", spied)
+    rec = guess_precursive(terms, 4, 4)
+    assert rec.order == 2 and rec.threshold == 0
+    assert thresholds == [len(terms) - rec.order - G.MARGIN]
+
+
 def test_too_few_terms_is_absence_not_error():
     assert guess_precursive([Fraction(1), Fraction(2), Fraction(3)], 2, 2) is None
 
