@@ -17,26 +17,36 @@ further value costs one recurrence step and one dot product: the first N
 values cost time linear in N, not quadratic.  exact_terms keeps that prefix
 of values on the problem too.
 
-numeric_term gives numeric values at a requested decimal precision.  A
-problem with factor "pi" is a polynomial of degree D against 1/sqrt(1-x^2)
-on [-1, 1], which the Gauss–Chebyshev rule with D//2 + 1 nodes integrates
-exactly: it needs no error estimate, and it evaluates P_n at the nodes
-instead of summing moments, so it stays independent of exact_term.
-Everything else goes through adaptive tanh-sinh quadrature.  The Chebyshev
-weight on a sub-interval is integrated after x = cos(theta), which leaves a
-smooth integrand, so only intervals within [-1, 1] are supported.  Other
-kernels are integrated in x as they stand; there a strong endpoint
-singularity of |x-a|^c can exhaust the subdivision cap, so quadrature_digits
-caps their precision.  Only these two non-rational kernel shapes are
-recognized numerically; anything else raises UnsupportedKernel.
+numeric_term gives one numeric value at a requested decimal precision and
+numeric_terms the first `count`.  A problem with factor "pi" is a polynomial
+of degree D against 1/sqrt(1-x^2) on [-1, 1], which the Gauss–Chebyshev rule
+with D//2 + 1 nodes integrates exactly: it needs no error estimate, and it
+evaluates P_n at the nodes instead of summing moments, so it stays
+independent of exact_term.  Everything else goes through one tanh-sinh pass
+over degrees 1 to _MAXDEGREE of mpmath's TanhSinh rule, with mp.quad's
+epsilon and error estimate.  At each node the kernel is evaluated once and
+P_0, ..., P_(count-1) by the sequence's recurrence, in integers scaled by
+2^B, with B enough bits for the growth of the recurrence's dominant
+solution; every term still running adds to its own exact step sum, and each
+term stops at the degree where its own estimate passes.  Scaled integers
+keep every bit of large intermediate values, which mpf rounds relative to
+their size: to 96 bits, T_29(x)^3 at x = 0.999999 comes out within 1e-21
+instead of 4e-17.  The Chebyshev weight on a sub-interval is integrated
+after x = cos(theta), which leaves a smooth integrand, so only intervals
+within [-1, 1] are supported.  Other kernels are integrated in x as they
+stand; there a strong endpoint singularity of |x-a|^c can exhaust the
+subdivision cap, so quadrature_digits caps their precision.  Only these two
+non-rational kernel shapes are recognized numerically; anything else raises
+UnsupportedKernel.
 """
 
 from fractions import Fraction
-from math import comb, lcm
+from math import ceil, comb, lcm
 
 from mpmath import mp
+from mpmath.calculus.quadrature import TanhSinh
 
-from .cfinite import term
+from .cfinite import term, terms
 from .errors import ExactOracleUnavailable, QuadratureFailed, UnsupportedKernel
 from . import _kernels as K
 from . import poly as P
@@ -44,6 +54,8 @@ from .poly import Poly
 from .ratfunc import RatFunc
 
 _MAXDEGREE = 12
+# the tanh-sinh rule of every numeric pass, with its cache of nodes
+_RULE = TanhSinh(mp)
 # decimal digits for kernels integrated in x: beyond them an endpoint
 # singularity |x-a|^c exhausts the subdivision cap (with c <= -2/3 even at 12)
 _X_DIGITS_CAP = 12
@@ -167,8 +179,11 @@ def recognized_form(kern):
 
 
 def _kernel_evaluator(kern, form):
+    """The kernel's factor of the integrand as a function of x.  The
+    Chebyshev weight is integrated after x = cos θ, which leaves its
+    prefactor alone."""
     pn, pd = _poly_mpf(kern.prefactor.num), _poly_mpf(kern.prefactor.den)
-    if form == "rational":
+    if form in ("rational", "chebyshev_weight"):
         return lambda x: pn(x) / pd(x)
     if form == "linear_power":
         rho = kern.logderiv
@@ -213,41 +228,136 @@ def numeric_term(prob, n, precision):
     A problem with factor "pi" (the Chebyshev weight with a polynomial
     prefactor on exactly [-1, 1]) is integrated by the Gauss–Chebyshev rule,
     which is exact for it and so needs no error estimate.  Everything else
-    goes through tanh-sinh quadrature: the Chebyshev weight on [alpha, beta]
-    within [-1, 1] as P_n(cos θ)·prefactor(cos θ) over
-    [acos beta, acos alpha] (outside [-1, 1] it raises UnsupportedKernel),
-    other kernels in x as they stand.
+    is term n of a tanh-sinh pass (see numeric_terms), run for that term
+    alone.
     """
-    kern, form = prob.kernel, prob.form
     with mp.workdps(precision + 10):
         if prob.factor == "pi":
             return _gauss_chebyshev(prob, term(prob.seq, n))
-        pf = _poly_mpf(term(prob.seq, n))
-        a, b = as_mpf(prob.alpha), as_mpf(prob.beta)
-        if form == "chebyshev_weight":
-            if Fraction(prob.alpha) < -1 or Fraction(prob.beta) > 1:
-                raise UnsupportedKernel(
-                    "the Chebyshev weight is real only on intervals within [-1, 1]"
-                )
-            pn, pd = _poly_mpf(kern.prefactor.num), _poly_mpf(kern.prefactor.den)
+        return _tanh_sinh(prob, n, n + 1, precision)[0]
 
-            def f(theta):
-                x = mp.cos(theta)
-                return pf(x) * pn(x) / pd(x)
 
-            a, b = mp.acos(b), mp.acos(a)
-        else:
-            kf = _kernel_evaluator(kern, form)
-            f = lambda x: pf(x) * kf(x)
-        val, err = mp.quad(
-            f, [a, b], method="tanh-sinh", maxdegree=_MAXDEGREE, error=True
+def numeric_terms(prob, count, precision):
+    """[numeric_term(prob, n, precision) for n < count], in one pass.
+
+    Off the Gauss–Chebyshev rule, one tanh-sinh pass integrates every term:
+    the nodes of each degree are visited once, the kernel is evaluated once
+    per node and P_0, ..., P_(count-1) there by the sequence's recurrence,
+    and each term stops at the degree where its own error estimate passes.
+    """
+    with mp.workdps(precision + 10):
+        if prob.factor == "pi":
+            return [_gauss_chebyshev(prob, p) for p in terms(prob.seq, count)]
+        return _tanh_sinh(prob, 0, count, precision)
+
+
+def _fixed(v, bits):
+    """A rational or a finite mpf as a multiple of 2^-bits, rounded down."""
+    if isinstance(v, (int, Fraction)):
+        f = Fraction(v)
+        return (f.numerator << bits) // f.denominator
+    return int(mp.floor(mp.ldexp(v, bits)))
+
+
+def _peval_fixed(cs, x, bits):
+    """Horner's rule on coefficients and a point, all multiples of 2^-bits."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x >> bits) + c
+    return acc
+
+
+def _growth_bits(prob, count):
+    """Bits that P_n's recurrence can amplify a rounding error by, n < count.
+
+    With every polynomial bounded by the sum of its absolute coefficients
+    times R^k, R = ceil(max(|alpha|, |beta|)), A_n = sum_i |p_i|·A_(n-i)
+    from A_j = |q_j| grows at least as fast as the recurrence's dominant
+    solution on the interval.  An error in P_j is carried forward as a
+    solution is, so a subdominant P_n such as x^n beside (10x)^n loses the
+    bits of the dominant one.
+    """
+    r = ceil(max(abs(Fraction(prob.alpha)), abs(Fraction(prob.beta))))
+
+    def bound(p):
+        return ceil(sum(abs(Fraction(c)) * r**k for k, c in enumerate(p.coeffs)))
+
+    ps = [bound(p) for p in prob.seq.coeffs]
+    grow = [bound(q) for q in prob.seq.init[:count]]
+    while len(grow) < count:
+        grow.append(sum(p * g for p, g in zip(ps, reversed(grow[-len(ps):]))))
+    return max(grow, default=0).bit_length() + count.bit_length()
+
+
+def _tanh_sinh(prob, first, count, precision):
+    """Terms first, ..., count-1 of one tanh-sinh pass, at the working precision.
+
+    Degree by degree up to _MAXDEGREE, every term still running adds the
+    degree's new nodes to its step sum, and it stops at the first degree
+    whose error estimate is within mp.eps/8, as in mp.quad.  One still
+    running at the degree cap must have its estimate within 10^-precision.
+    Nodes and kernel values are mpf at 20 bits past the working precision,
+    as in mp.quad.  The rest is integer arithmetic on multiples of 2^-B,
+    with B that precision plus _growth_bits: P_n(x) = sum_i p_i(x)·P_(n-i)(x)
+    from the initial polynomials' values, which stays accurate where Horner's
+    rule on P_n's coefficients cancels, and each term's exact sum over every
+    node so far, which times 2^-d is the degree-d value.  One node's values
+    and three values per term are held at a time.  The Chebyshev weight on
+    [alpha, beta] within [-1, 1] is integrated as P_n(cos θ)·prefactor(cos θ)
+    over [acos beta, acos alpha]; outside [-1, 1] it raises UnsupportedKernel.
+    """
+    cheb = prob.form == "chebyshev_weight"
+    if cheb and (Fraction(prob.alpha) < -1 or Fraction(prob.beta) > 1):
+        raise UnsupportedKernel(
+            "the Chebyshev weight is real only on intervals within [-1, 1]"
         )
-        if not mp.isfinite(val) or err > mp.mpf(10) ** (-precision):
-            raise QuadratureFailed(
-                "quadrature did not reach 10^-%d within its limit of tanh-sinh"
-                " degree %d (error estimate %s)" % (precision, _MAXDEGREE, err)
-            )
-        return +val
+    prec, epsilon, tol = mp.prec, mp.eps / 8, mp.mpf(10) ** (-precision)
+    a, b = as_mpf(prob.alpha), as_mpf(prob.beta)
+    if cheb:
+        a, b = mp.acos(b), mp.acos(a)
+    bits = prec + 20 + _growth_bits(prob, count)
+    ps = [[_fixed(c, bits) for c in p.coeffs] for p in prob.seq.coeffs]
+    qs = [[_fixed(c, bits) for c in q.coeffs] for q in prob.seq.init[:count]]
+    live = {n: [] for n in range(first, count)}
+    sums = dict.fromkeys(live, 0)
+    out = {}
+    with mp.workprec(prec + 20):
+        kf = _kernel_evaluator(prob.kernel, prob.form)
+        for degree in range(1, _MAXDEGREE + 1):
+            if not live:
+                break
+            top = max(live) + 1
+            for t, w in _RULE.get_nodes(a, b, degree, prec):
+                x = mp.cos(t) if cheb else t
+                wk = w * kf(x)
+                if not mp.isfinite(wk):
+                    raise QuadratureFailed("the kernel is not finite at the node x = %s" % x)
+                wk, x = _fixed(wk, bits), _fixed(x, bits)
+                vals = [_peval_fixed(q, x, bits) for q in qs]
+                pv = [_peval_fixed(p, x, bits) for p in ps]
+                while len(vals) < top:
+                    window = reversed(vals[-len(pv):])
+                    vals.append(sum(p * v for p, v in zip(pv, window)) >> bits)
+                for n in live:
+                    sums[n] += wk * vals[n]
+            for n, results in list(live.items()):
+                results.append(mp.ldexp(sums[n], -degree - 2 * bits))
+                del results[:-3]
+                if degree == 1:
+                    continue
+                err = _RULE.estimate_error(results, prec, epsilon)
+                if err <= epsilon or degree == _MAXDEGREE:
+                    if err > tol:
+                        # the estimate prints at the working precision
+                        with mp.workprec(prec):
+                            raise QuadratureFailed(
+                                "quadrature did not reach 10^-%d within its limit of"
+                                " tanh-sinh degree %d (error estimate %s)"
+                                % (precision, _MAXDEGREE, err)
+                            )
+                    out[n] = results.pop()
+                    del live[n]
+    return [+out[n] for n in range(first, count)]
 
 
 def numeric_unroll(coeffs, seeds, count, dps=40):

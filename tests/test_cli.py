@@ -7,6 +7,7 @@ import re
 import sys
 import time
 
+import mpmath
 import pytest
 
 from intrec import cli, pipeline
@@ -222,36 +223,45 @@ def test_value_too_long_to_print_exits_3(tmp_path, capsys):
     assert "limit of 4300 for integer string conversion" in capsys.readouterr().err
 
 
-def _patch_quad(monkeypatch, fake):
-    from intrec import oracle
+class _StalledRule:
+    """A tanh-sinh rule whose error estimate never falls: one node per degree."""
 
-    # patched on mpmath's context class: undoing a patch on the instance
-    # would leave a bound `quad` in vars(mpmath.mp)
-    monkeypatch.setattr(type(oracle.mp), "quad", fake)
+    def get_nodes(self, a, b, degree, prec):
+        return [((a + b) / 2, b - a)]
+
+    def estimate_error(self, results, prec, epsilon):
+        return mpmath.mpf(1)
 
 
 def test_quadrature_short_of_its_digits_exits_3(tmp_path, monkeypatch, capsys):
     from intrec import oracle
 
-    _patch_quad(monkeypatch, lambda *a, **k: (oracle.mp.mpf(1), oracle.mp.mpf(1)))
+    monkeypatch.setattr(oracle, "_RULE", _StalledRule())
     # on [0, 1] the Chebyshev weight has no exact rule: tanh-sinh checks it
     doc = {"task": "recurrence", "sequence": {"builtin": "chebyshev_T"},
            "kernel": {"logderiv": "x/(1-x^2)", "form": "chebyshev_weight"},
            "interval": ["0", "1"]}
     assert cli.main(["run", "--job", write_job(tmp_path, doc)]) == 3
-    assert "within its limit of tanh-sinh degree" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "within its limit of tanh-sinh degree 12 (error estimate 1.0)" in err
 
 
 def test_pi_factored_job_runs_no_quadrature(tmp_path, monkeypatch, capsys):
-    def refuse(*a, **k):
-        raise AssertionError("tanh-sinh quadrature called")
+    from intrec import oracle
 
-    _patch_quad(monkeypatch, refuse)
+    class Refuse(_StalledRule):
+        def get_nodes(self, *args):
+            raise AssertionError("tanh-sinh quadrature called")
+
+    monkeypatch.setattr(oracle, "_RULE", Refuse())
     doc = {"task": "recurrence", "sequence": {"builtin": "chebyshev_T"},
            "kernel": {"logderiv": "x/(1-x^2)", "form": "chebyshev_weight"},
            "interval": ["-1", "1"]}
     assert cli.main(["run", "--job", write_job(tmp_path, doc)]) == 0
     assert "[PASS] quadrature_spot_check" in capsys.readouterr().out
+    # the same rule refuses the same job on a sub-interval, which needs tanh-sinh
+    with pytest.raises(AssertionError, match="tanh-sinh quadrature called"):
+        cli.main(["run", "--job", write_job(tmp_path, dict(doc, interval=["0", "1"]))])
 
 
 def test_failed_verification_exits_1(tmp_path, monkeypatch, capsys):

@@ -128,6 +128,117 @@ def test_chebyshev_weight_outside_unit_interval_unsupported():
         oracle.numeric_term(prob, 0, 12)
 
 
+ZERO = RatFunc(Poly("x", []), Poly("x", [1]))
+# 1/(2-x) and |x-1|^(1/2) on [-1, 1], and the Chebyshev weight on [-1/2, 1/3]:
+# (kernel, interval, the kernel as a function for the reference integral)
+PASS_KERNELS = {
+    "rational": (Kernel(RatFunc(Poly("x", [1]), Poly("x", [2, -1])), ZERO),
+                 (Fraction(-1), Fraction(1)), lambda x: 1 / (2 - x)),
+    "linear_power": (Kernel(RatFunc(Poly("x", [1])),
+                            RatFunc(Poly("x", [Fraction(1, 2)]), Poly("x", [-1, 1]))),
+                     (Fraction(-1), Fraction(1)), lambda x: mp.sqrt(1 - x)),
+    "chebyshev_sub_interval": (chebyshev_weight(), (Fraction(-1, 2), Fraction(1, 3)),
+                               lambda x: 1 / mp.sqrt(1 - x * x)),
+}
+
+
+def reference_values(seq, ns, kernel_at, interval):
+    """∫ P_n(x)·kernel(x) dx for each n in ns: P_n exactly by a sliding window,
+    Horner's rule and mp.quad at 60 digits, so rounding stays far below 1e-30."""
+    out = []
+    with mp.workdps(60):
+        a, b = (float_free(e) for e in interval)
+        for n in ns:
+            cs = [float_free(Fraction(c)) for c in reversed(reference_term(seq, n).coeffs)]
+            out.append(mp.quad(lambda x: mp.polyval(cs, x) * kernel_at(x), [a, b]))
+    return out
+
+
+@pytest.mark.parametrize("digits", [12, 30])
+@pytest.mark.parametrize("name", sorted(PASS_KERNELS))
+def test_numeric_terms_match_a_reference(name, digits):
+    kern, interval, kernel_at = PASS_KERNELS[name]
+    seq = cf.product(T, cf.BUILTINS["chebyshev_U"])
+    got = oracle.numeric_terms(IntegralProblem(seq, kern, *interval), 12, digits)
+    want = reference_values(seq, range(12), kernel_at, interval)
+    with mp.workdps(60):
+        assert max(abs(g - w) for g, w in zip(got, want)) < mp.mpf(10) ** -digits
+
+
+def test_numeric_terms_hold_where_horner_cancels():
+    # T_n^3 has coefficients near 2^(3n): Horner's rule on them lost 1e-13 by
+    # n = 18 at 12 digits and made quadrature miss soon after
+    kern, interval, kernel_at = PASS_KERNELS["rational"]
+    seq = cf.power(T, 3)
+    got = oracle.numeric_terms(IntegralProblem(seq, kern, *interval), 30, 12)
+    want = reference_values(seq, range(18, 30), kernel_at, interval)
+    with mp.workdps(60):
+        assert max(abs(g - w) for g, w in zip(got[18:], want)) < mp.mpf("1e-12")
+
+
+def test_numeric_terms_of_a_subdominant_solution():
+    # P_n = x^n solves P_n = 11x·P_(n-1) - 10x^2·P_(n-2), whose other solution
+    # (10x)^n amplifies each rounding error by 10^n: without bits for that
+    # growth, term 21 is off by 5e-12
+    kern, interval, kernel_at = PASS_KERNELS["rational"]
+    seq = cf.CFiniteSeq((Poly("x", [0, 11]), Poly("x", [0, 0, -10])),
+                        (Poly("x", [1]), Poly("x", [0, 1])))
+    got = oracle.numeric_terms(IntegralProblem(seq, kern, *interval), 30, 12)
+    want = reference_values(seq, range(30), kernel_at, interval)
+    with mp.workdps(60):
+        assert max(abs(g - w) for g, w in zip(got, want)) < mp.mpf("1e-12")
+
+
+@pytest.mark.parametrize("name", ["rational", "chebyshev_sub_interval", "pi"])
+def test_numeric_terms_are_numeric_term(name, monkeypatch):
+    if name == "pi":
+        prob = IntegralProblem(T, chebyshev_weight(), Fraction(-1), Fraction(1))
+    else:
+        kern, interval, _ = PASS_KERNELS[name]
+        prob = IntegralProblem(T, kern, *interval)
+    degrees = []
+    real = oracle._RULE.get_nodes
+
+    def get_nodes(a, b, degree, prec):
+        degrees.append(degree)
+        return real(a, b, degree, prec)
+
+    monkeypatch.setattr(oracle._RULE, "get_nodes", get_nodes)
+    values = oracle.numeric_terms(prob, 8, 20)
+    # one pass: each degree's nodes are fetched once for all eight terms
+    assert len(degrees) == len(set(degrees)) <= oracle._MAXDEGREE
+    assert (name == "pi") == (not degrees)
+    assert values == [oracle.numeric_term(prob, n, 20) for n in range(8)]
+
+
+def test_numeric_terms_raise_when_a_later_term_misses():
+    # |x-1|^(-3/4): P_0 = (x-1)^2 tames the singularity, P_1 = 1 does not
+    kern = Kernel(RatFunc(Poly("x", [1])),
+                  RatFunc(Poly("x", [Fraction(-3, 4)]), Poly("x", [-1, 1])))
+    seq = cf.CFiniteSeq((Poly("x", [0, 2]), Poly("x", [-1])),
+                        (Poly("x", [1, -2, 1]), Poly("x", [1])))
+    prob = IntegralProblem(seq, kern, Fraction(-1), Fraction(1))
+    oracle.numeric_term(prob, 0, 12)
+    with pytest.raises(QuadratureFailed) as alone:
+        oracle.numeric_term(prob, 1, 12)
+    with pytest.raises(QuadratureFailed) as joint:
+        oracle.numeric_terms(prob, 3, 12)
+    assert str(joint.value) == str(alone.value)
+    assert str(alone.value).startswith(
+        "quadrature did not reach 10^-12 within its limit of tanh-sinh degree 12"
+        " (error estimate ")
+
+
+def test_kernel_infinite_at_a_node_is_a_quadrature_failure():
+    # |x|^(-3/4) on [-1, 1] (a job refuses this pole inside the interval):
+    # degree 1 has a node at x = 0
+    kern = Kernel(RatFunc(Poly("x", [1])),
+                  RatFunc(Poly("x", [Fraction(-3, 4)]), Poly("x", [0, 1])))
+    prob = IntegralProblem(T, kern, Fraction(-1), Fraction(1))
+    with pytest.raises(QuadratureFailed, match="kernel is not finite at the node x = 0.0"):
+        oracle.numeric_terms(prob, 3, 12)
+
+
 def test_pi_parts_worked_values():
     prob = IntegralProblem(cf.power(T, 2), chebyshev_weight(), Fraction(-1), Fraction(1))
     assert oracle.exact_terms(prob, 5) == [1] + [Fraction(1, 2)] * 4
