@@ -18,11 +18,12 @@ values cost time linear in N, not quadratic.  exact_terms keeps that prefix
 of values on the problem too.
 
 numeric_term gives one numeric value at a requested decimal precision and
-numeric_terms the first `count`.  A problem with factor "pi" is a polynomial
-of degree D against 1/sqrt(1-x^2) on [-1, 1], which the Gauss–Chebyshev rule
-with D//2 + 1 nodes integrates exactly: it needs no error estimate, and it
-evaluates P_n at the nodes instead of summing moments, so it stays
-independent of exact_term.  Everything else goes through one tanh-sinh pass
+numeric_terms the first `count`, on which the pipeline checks each equation of
+a recurrence that has no exact values.  A problem with factor "pi" is a
+polynomial of degree D against 1/sqrt(1-x^2) on [-1, 1], which the
+Gauss–Chebyshev rule with D//2 + 1 nodes integrates exactly: it needs no
+error estimate, and it evaluates P_n at the nodes instead of summing moments,
+so it stays independent of exact_term.  Everything else goes through one tanh-sinh pass
 over degrees 1 to _MAXDEGREE of mpmath's TanhSinh rule, with mp.quad's
 epsilon and error estimate.  At each node the kernel is evaluated once and
 P_0, ..., P_(count-1) by the sequence's recurrence, in integers scaled by
@@ -358,24 +359,3 @@ def _tanh_sinh(prob, first, count, precision):
                     out[n] = results.pop()
                     del live[n]
     return [+out[n] for n in range(first, count)]
-
-
-def numeric_unroll(coeffs, seeds, count, dps=40):
-    """Float unrolling of a recurrence from numeric seed terms.
-
-    Used to check recurrences against numeric oracle values when the exact
-    initial terms are irrational (singular-weight integrals).
-    """
-    with mp.workdps(dps):
-        out = [mp.mpf(s) for s in seeds]
-        r = len(coeffs) - 1
-        while len(out) < count:
-            nn = len(out) - r
-            cr = as_mpf(coeffs[-1].eval(nn))
-            if cr == 0:
-                raise QuadratureFailed("numeric unroll hit a vanishing leading coefficient")
-            acc = mp.mpf(0)
-            for i in range(r):
-                acc += as_mpf(coeffs[i].eval(nn)) * out[nn + i]
-            out.append(-acc / cr)
-        return [+v for v in out[:count]]

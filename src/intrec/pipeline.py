@@ -5,8 +5,9 @@ transforms, a kernel, an interval, and a task.  run() executes exactly the
 stages the task needs and records every check it performs in the report's
 verification block; a claim never reaches the report without either an
 exact verification or an explicitly approximate one in a field tagged
-"approx".  Stage errors are wrapped in StageFailure so callers can name
-the failing stage and pick an exit code.
+"approx".  Without exact values, each equation of a recurrence is judged by
+its relative residual on quadrature values.  Stage errors are wrapped in
+StageFailure so callers can name the failing stage and pick an exit code.
 """
 
 import json
@@ -39,9 +40,6 @@ _TASKS = ("genfun", "terms", "telescope", "recurrence", "guess", "verify")
 # recurrence tasks re-check this many oracle terms; verify cross-checks more
 _ANNIHILATION_TERMS = 31
 _MUTUAL_TERMS = 51
-
-# numeric fallback: consistency tolerance
-_NUMERIC_TOL = Fraction(1, 10**8)
 
 # largest options.precision accepted: one tanh-sinh pass over 11 terms of
 # T_n^2 against the Chebyshev weight on [-1/2, 1/3] costs about 0.002-0.004 s
@@ -298,7 +296,8 @@ def _check_no_pole(kern, alpha, beta):
 
 
 def build_job(doc, defaults=None):
-    """Validate a job document against the schema; raises InvalidJob."""
+    """Validate a job document against the schema; raises InvalidJob.  The
+    defaults, the CLI's option flags, fill the options the document omits."""
     defaults = defaults or Options()
     if not isinstance(doc, dict):
         raise InvalidJob("job: expected a JSON object")
@@ -355,10 +354,11 @@ def build_job(doc, defaults=None):
     merged = {}
     for key, low in (("max_order", 0), ("max_degree", 0), ("precision", 1), ("margin", 0)):
         v = opts.get(key, getattr(defaults, key))
+        what = "options." + key if key in opts else "--" + key.replace("_", "-")
         if not _is_int(v) or v < low:
-            raise InvalidJob("options.%s: expected an integer >= %d" % (key, low))
+            raise InvalidJob("%s: expected an integer >= %d" % (what, low))
         if v > MAX_OPTIONS[key]:
-            raise InvalidJob("options.%s: at most %d" % (key, MAX_OPTIONS[key]))
+            raise InvalidJob("%s: at most %d" % (what, MAX_OPTIONS[key]))
         merged[key] = v
     options = Options(**merged)
 
@@ -499,8 +499,21 @@ def _run_guess(rep, prob, opts, count):
     return grec
 
 
+def _max_residual(rec, vals):
+    """Largest |Σ terms − rhs| / (Σ|terms| + |rhs|) at the working precision,
+    over the equations first_failure checks: each window n ≥ threshold inside
+    the values and each exceptional equation they cover."""
+    eqs = [([oracle.as_mpf(c.eval(n)) * vals[n + i] for i, c in enumerate(rec.coeffs)], 0)
+           for n in range(rec.threshold, len(vals) - rec.order)]
+    eqs += [([oracle.as_mpf(w) * vals[idx] for idx, w in pairs], oracle.as_mpf(rhs))
+            for pairs, rhs in rec.exceptional if all(idx < len(vals) for idx, _ in pairs)]
+    scaled = [(abs(mp.fsum(ts) - rhs), mp.fsum(map(abs, ts)) + abs(rhs)) for ts, rhs in eqs]
+    return max((res / scale for res, scale in scaled if scale), default=mp.zero)
+
+
 def _numeric_consistency(rep, job, rec, prob):
-    """Seed the recurrence with quadrature values and compare further terms."""
+    """first_failure's check on quadrature values, to a tolerance that follows
+    their digits and is never looser than 1e-8."""
     digits = oracle.quadrature_digits(prob, job.options.precision)
     if digits < job.options.precision:
         rep.notes.append(
@@ -509,21 +522,17 @@ def _numeric_consistency(rep, job, rec, prob):
     need = o2r.required_initials(rec)
     total = need + 8
     vals = _stage("oracle", oracle.numeric_terms, prob, total, digits)
-    seeds = vals[:need]
-    unrolled = _stage(
-        "oracle", oracle.numeric_unroll, list(rec.coeffs), seeds, total, digits + 10
-    )
+    places = max(digits, 10) - 2
     with mp.workdps(digits + 10):
-        maxerr = max(abs(unrolled[n] - vals[n]) for n in range(total))
-        tol = mp.mpf(_NUMERIC_TOL.numerator) / _NUMERIC_TOL.denominator
-        ok = maxerr < tol
-    rep.results["recurrence"]["approx_initial_terms"] = [_approx_str(s) for s in seeds]
+        worst = _max_residual(rec, vals)
+        ok = worst < mp.mpf(10) ** -places
+    rep.results["recurrence"]["approx_initial_terms"] = [_approx_str(s) for s in vals[:need]]
     rep.check(
-        "numeric_unroll_consistency",
+        "numeric_window_equations",
         ok,
-        "unroll from %d quadrature seeds matches quadrature for n <= %d at 1e-8"
-        % (need, total - 1),
-        approx_max_error=_approx_str(maxerr),
+        "windows and low-index equations hold on quadrature values for n <= %d,"
+        " relative residual below 1e-%d" % (total - 1, places),
+        approx_max_residual=_approx_str(worst),
     )
 
 
@@ -563,14 +572,17 @@ def _recurrence_stage(rep, job, prob, gf, tel, want_terms):
 
     Three outcomes: with an exact oracle (prob.factor set), initial terms
     come from exact terms and the unroll is compared with them; with a
-    recognized kernel form, quadrature seeds check it numerically; else no
-    oracle checks it.  Returns (recurrence, exact terms, unrolled terms), the
-    last two None off the exact path; for the Chebyshev weight on [-1, 1] the
-    exact terms are the q_n of a(n) = pi·q_n.
+    recognized kernel form, its equations are checked on quadrature values;
+    else no oracle checks it.  Against a recognized form, a boundary with no
+    limit is taken as zero and the low-index equations, which carry it, are
+    omitted.  Returns (recurrence, exact terms, unrolled terms), the last two
+    None off the exact path; for the Chebyshev weight on [-1, 1] the exact
+    terms are the q_n of a(n) = pi·q_n.
 
     An exact problem's boundary always has a limit: against a polynomial
     kernel C = y·F has no finite pole, against the Chebyshev weight C → 0 at ±1.
     """
+    fallback = False
     try:
         rhs = boundary_rhs(gf, job.kernel, tel, job.alpha, job.beta)
     except BoundaryNotEvaluable as e:
@@ -578,12 +590,16 @@ def _recurrence_stage(rep, job, prob, gf, tel, want_terms):
             raise StageFailure("boundary", e)
         rep.notes.append(
             "boundary stage failed (%s); reporting the homogeneous recurrence"
-            " under a vanishing-boundary hypothesis, checked numerically" % e
+            " under a vanishing-boundary hypothesis, its windows checked"
+            " numerically; its low-index equations depend on the boundary and"
+            " are omitted" % e
         )
-        rhs = RatFunc(Poly("t", []), Poly("t", [1]))
+        rhs, fallback = RatFunc(Poly("t", []), Poly("t", [1])), True
     else:
         rep.results["boundary"] = _boundary_payload(job.alpha, job.beta, rhs)
     rec = _stage("ode_to_recurrence", o2r.ode_to_recurrence, tel.opcoeffs, rhs)
+    if fallback:
+        rec = o2r.Recurrence(rec.coeffs, rec.threshold)
     # against the Chebyshev weight the boundary is zero, and pi·q_n satisfies
     # a homogeneous recurrence exactly when q_n does
     if prob.factor is not None:

@@ -308,6 +308,19 @@ def test_option_flags_reach_the_pipeline(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("max_order", 11, "at most 10"),
+    ("precision", 0, "expected an integer >= 1"),
+])
+def test_option_errors_name_the_flag_or_the_job_field(tmp_path, capsys, key, value, message):
+    flag = "--" + key.replace("_", "-")
+    assert cli.main(["run", "--job", write_job(tmp_path, CHEB_JOB), flag, str(value)]) == 2
+    assert capsys.readouterr().err == "error: %s: %s\n" % (flag, message)
+    doc = dict(CHEB_JOB, options={key: value})
+    assert cli.main(["run", "--job", write_job(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == "error: options.%s: %s\n" % (key, message)
+
+
 def test_each_call_parses_its_own_options(tmp_path, monkeypatch):
     # the parser is built once per process; each call still gets its own values
     seen, built, build = [], [], cli._build_parser

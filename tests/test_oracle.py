@@ -397,14 +397,6 @@ def test_pi_parts_match_moment_sum(seq, pre, count):
     assert oracle.exact_terms(prob, count) == want
 
 
-def test_numeric_unroll_harmonic():
-    coeffs = [Poly("n", [-1, -1]), Poly("n", [2, 1])]
-    with mp.workdps(40):
-        vals = oracle.numeric_unroll(coeffs, [mp.mpf(1)], 6)
-        for n, v in enumerate(vals):
-            assert abs(v - float_free(Fraction(1, n + 1))) < mp.mpf("1e-20")
-
-
 def test_recognized_form_all_outcomes():
     assert oracle.recognized_form(trivial_kernel()) == "rational"
     assert oracle.recognized_form(chebyshev_weight()) == "chebyshev_weight"

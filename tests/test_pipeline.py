@@ -434,31 +434,154 @@ def test_chebyshev_weight_with_rational_prefactor_stays_numeric():
     rep = pipeline.run(job)
     assert rep.ok
     assert [v["name"] for v in rep.verifications] == [
-        "certificate_identity", "numeric_unroll_consistency"]
+        "certificate_identity", "numeric_window_equations"]
     assert rep.results["recurrence"]["initial_terms"] is None
     assert "exact_initial_terms" not in rep.results["recurrence"]
     assert not any("digits" in note for note in rep.notes)
 
 
-@pytest.mark.xfail(strict=True, reason="linear_power kernels fall back to a vanishing-"
-                   "boundary hypothesis that is false at the regular endpoint -1")
-def test_linear_power_low_index_equations_hold():
-    job = pipeline.build_job({
-        "task": "recurrence",
-        "sequence": {"builtin": "chebyshev_T"},
-        "kernel": {"logderiv": "(1/2)/(x-1)", "form": "linear_power"},
-        "interval": ["-1", "1"],
-    })
+# the numeric check, pipeline._max_residual: first_failure's equations on mpf values
+
+HARMONIC = o2r.Recurrence((Poly("n", [-1, -1]), Poly("n", [2, 1])), 0, None,
+                          ((((0, 1),), 1),))  # (n+2)·a(n+1) = (n+1)·a(n), a(0) = 1
+
+
+def harmonic_values(count):
+    return [mp.mpf(1) / (n + 1) for n in range(count)]
+
+
+def test_max_residual_of_exact_values_is_rounding():
+    with mp.workdps(30):
+        assert pipeline._max_residual(HARMONIC, harmonic_values(12)) < mp.mpf(10) ** -28
+
+
+def test_max_residual_sees_a_value_off_by_a_millionth():
+    with mp.workdps(30):
+        vals = harmonic_values(12)
+        vals[7] *= 1 + mp.mpf(10) ** -6
+        assert pipeline._max_residual(HARMONIC, vals) > mp.mpf(10) ** -7
+
+
+def test_max_residual_sees_a_wrong_low_index_rhs():
+    wrong = o2r.Recurrence(HARMONIC.coeffs, 0, None, ((((0, 1),), 2),))
+    with mp.workdps(30):
+        vals = harmonic_values(12)
+        assert pipeline._max_residual(o2r.Recurrence(HARMONIC.coeffs, 0), vals) < 1e-28
+        # |a(0) - 2| / (|a(0)| + 2)
+        assert mp.almosteq(pipeline._max_residual(wrong, vals), mp.mpf(1) / 3)
+
+
+def test_max_residual_is_scale_free():
+    rec = o2r.Recurrence(HARMONIC.coeffs, 0)
+    with mp.workdps(30):
+        vals = harmonic_values(12)
+        vals[5] *= 1 + mp.mpf(10) ** -9
+        big = [v * mp.mpf(10) ** 30 for v in vals]
+        small = pipeline._max_residual(rec, vals)
+        assert small > mp.mpf(10) ** -11
+        assert mp.almosteq(pipeline._max_residual(rec, big), small, rel_eps=mp.mpf(10) ** -20)
+
+
+def test_order_12_recurrence_holds_on_its_12_digit_values(monkeypatch):
+    # T·U against (x^2+1)/(x-3): its 8 windows and 11 low-index equations hold
+    # on one tanh-sinh pass at 12 digits, where an unroll from the first 12
+    # of those values missed them by 2e-5
+    calls = counting(monkeypatch, [pipeline], "_max_residual")
+    rep = pipeline.run(pipeline.build_job({
+        "task": "recurrence", "sequence": {"builtin": "chebyshev_T"},
+        "transforms": [{"product_with": {"builtin": "chebyshev_U"}}],
+        "kernel": {"rational": "(x^2+1)/(x-3)"}, "interval": ["-1", "1"],
+        "options": {"max_order": 3}}))
+    assert rep.ok
+    assert any("12 digits" in note for note in rep.notes)
+    (rec, vals), = calls
+    assert rec.order == 12 and len(rec.exceptional) == 11
+    with mp.workdps(22):
+        assert pipeline._max_residual(rec, vals) < mp.mpf(10) ** -20
+
+
+def test_a_wrong_boundary_fails_the_low_index_equations(monkeypatch):
+    # U against 1/(2-x) has the boundary 4/(t^2-1); one more than that changes
+    # only the low-index equations, and the windows still hold
+    real = pipeline.boundary_rhs
+    monkeypatch.setattr(pipeline, "boundary_rhs", lambda *args: real(*args) + 1)
+    rep = pipeline.run(pipeline.build_job({
+        "task": "recurrence", "sequence": {"builtin": "chebyshev_U"},
+        "kernel": {"rational": "1/(2-x)"}, "interval": ["-1", "1"]}))
+    assert [(v["name"], v["pass"]) for v in rep.verifications] == [
+        ("certificate_identity", True), ("numeric_window_equations", False)]
+    assert rep.exit_code == 1
+
+
+# linear_power kernels |x-a|^c on [-1, 1]: with a = 1 the boundary has no
+# limit at the regular endpoint -1, so the pipeline reports the homogeneous
+# recurrence under a vanishing-boundary hypothesis and omits its low-index
+# equations
+
+FALLBACK_NOTE = "its low-index equations depend on the boundary and are omitted"
+
+
+def linear_power_job(seq, transforms, logderiv, options):
+    return pipeline.build_job({
+        "task": "recurrence", "sequence": seq, "transforms": transforms,
+        "kernel": {"logderiv": logderiv, "form": "linear_power"},
+        "interval": ["-1", "1"], "options": options})
+
+
+def quad_values(seq, a, c, count):
+    """∫_{-1}^{1} P_n(x)·|x-a|^c dx by mp.quad at the working precision, n < count.
+
+    At a = 1, x = 1 - u^2 leaves the smooth 2·P_n(1-u^2)·u^(2c+1) on [0, sqrt(2)].
+    """
+    out = []
+    for p in cf.terms(seq, count):
+        cs = [oracle.as_mpf(v) for v in reversed(p.coeffs)]
+        if a == 1:
+            e = 2 * oracle.as_mpf(c) + 1
+            out.append(mp.quad(lambda u: 2 * mp.polyval(cs, 1 - u * u) * u**e, [0, mp.sqrt(2)]))
+        else:
+            out.append(mp.quad(lambda x: mp.polyval(cs, x) * abs(x - a) ** oracle.as_mpf(c),
+                                [-1, 1]))
+    return out
+
+
+@pytest.mark.parametrize("logderiv,a,c,a0,options", [
+    # int_{-1}^{1} sqrt(1-x) dx = 4*sqrt(2)/3
+    ("(1/2)/(x-1)", 1, Fraction(1, 2), lambda: 4 * mp.sqrt(2) / 3, {}),
+    # int_{-1}^{1} sqrt(3-x) dx = (16 - 4*sqrt(2))/3
+    ("(1/2)/(x-3)", 3, Fraction(1, 2), lambda: (16 - 4 * mp.sqrt(2)) / 3, {"max_order": 8}),
+    # int_{-1}^{1} dx/sqrt(1-x) = 2*sqrt(2)
+    ("(-1/2)/(x-1)", 1, Fraction(-1, 2), lambda: 2 * mp.sqrt(2), {}),
+])
+def test_linear_power_fallback_reports_only_windows_that_hold(logderiv, a, c, a0, options):
+    job = linear_power_job({"builtin": "chebyshev_T"}, [], logderiv, options)
     rep = pipeline.run(job)
     assert rep.ok
-    prob = oracle.IntegralProblem(job.sequence, job.kernel, job.alpha, job.beta)
-    with mp.workdps(25):
-        a = [oracle.numeric_term(prob, n, 12) for n in range(4)]
-        # int_{-1}^{1} sqrt(1-x) dx = 4*sqrt(2)/3
-        assert abs(a[0] - 4 * mp.sqrt(2) / 3) < mp.mpf(10) ** -10
-        for eq in rep.results["recurrence"]["exceptional"]:
-            lhs = sum(oracle.as_mpf(Fraction(w)) * a[idx] for idx, w in eq["pairs"])
-            assert abs(lhs - oracle.as_mpf(Fraction(eq["rhs"]))) < mp.mpf(10) ** -8
+    res = rep.results["recurrence"]
+    assert res["exceptional"] == []
+    assert any(FALLBACK_NOTE in note for note in rep.notes)
+    coeffs = [exprs.parse_ratfunc(text, ("n",), "n").num for text in res["coeffs"]]
+    order, start = res["order"], res["threshold"]
+    with mp.workdps(40):
+        vals = quad_values(job.sequence, a, c, start + order + 8)
+        assert abs(vals[0] - a0()) < mp.mpf(10) ** -35
+        for n in range(start, len(vals) - order):
+            terms = [oracle.as_mpf(p.eval(n)) * vals[n + i] for i, p in enumerate(coeffs)]
+            assert abs(mp.fsum(terms)) < mp.mpf(10) ** -30 * mp.fsum(map(abs, terms)), n
+
+
+@pytest.mark.parametrize("seq,transforms,logderiv,options", [
+    ({"builtin": "chebyshev_U"}, [], "(1/2)/(x-1)", {}),
+    ({"builtin": "chebyshev_T"}, [{"power": 2}], "(1/2)/(x-3)", {"max_order": 8}),
+    # the tolerance has a floor: 10^(2-digits) alone would pass anything at precision 1
+    ({"builtin": "chebyshev_U"}, [], "(1/2)/(x-1)", {"precision": 1}),
+])
+def test_linear_power_fallback_windows_that_fail_exit_1(seq, transforms, logderiv, options):
+    rep = pipeline.run(linear_power_job(seq, transforms, logderiv, options))
+    assert rep.results["recurrence"]["exceptional"] == []
+    assert [(v["name"], v["pass"]) for v in rep.verifications] == [
+        ("certificate_identity", True), ("numeric_window_equations", False)]
+    assert rep.exit_code == 1
 
 
 def test_load_job_errors(tmp_path):
