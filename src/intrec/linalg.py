@@ -43,9 +43,7 @@ Both solvers eliminate mod p with `echelon_mod_p`, which takes residues in
 column: clearing a column is one multiply-add and one shift of that
 integer, and a slot is reduced mod p only when read.  w leaves room for
 ncols·p² + p, more than a slot can gain, so slots never carry into each
-other.  `rank_profile` runs the same elimination on integer rows reduced mod
-PRIME and returns only the pivot columns; the guesser screens each order
-with it.
+other.  The guesser screens each order's rows of term residues with it.
 """
 
 from fractions import Fraction
@@ -180,17 +178,6 @@ def echelon_mod_p(rows, ncols, p):
             else:
                 break
     return echelon
-
-
-def rank_profile(rows, ncols):
-    """The sorted columns of the integer rows independent mod PRIME of those before them.
-
-    These are the pivot columns of echelon_mod_p on the rows reduced mod
-    PRIME.  When they begin with 0, 1, …, k − 1, the first k columns have
-    full column rank mod PRIME, so a k×k minor is nonzero mod PRIME, hence
-    nonzero over Z, and the first k columns have full column rank over Q.
-    """
-    return sorted(e[0] for e in echelon_mod_p(([x % PRIME for x in r] for r in rows), ncols, PRIME))
 
 
 def _solver_mod_p(echelon, p):

@@ -539,10 +539,7 @@ def _numeric_consistency(rep, job, rec, prob):
 def _quadrature_spot_check(rep, job, prob, parts):
     """Compare pi·q_n with quadrature at the job's precision, n < len(parts)."""
     digits = job.options.precision
-    vals = _stage(
-        "oracle",
-        lambda: [oracle.numeric_term(prob, n, digits) for n in range(len(parts))],
-    )
+    vals = _stage("oracle", oracle.numeric_terms, prob, len(parts), digits)
     with mp.workdps(digits + 10):
         maxerr = max(abs(mp.pi * oracle.as_mpf(q) - v) for q, v in zip(parts, vals))
         ok = maxerr < mp.mpf(10) ** (1 - digits)

@@ -77,6 +77,11 @@ MORE_GOLDEN = [
     ("custom_rational_guess.json",
      {"task": "guess", "sequence": {"coeffs": ["1/3*x+1", "-2/5"], "init": ["1", "x-1/2"]},
       "kernel": {"polynomial": "1/3*x^2-1/2"}, "interval": ["-1/2", "3/4"]}),
+    # stored before the guess screened on term residues: every oracle term has
+    # PRIME in its denominator, so the screen runs modulo the next prime
+    ("chebyshev_prime_interval_verify.json",
+     {"task": "verify", "sequence": {"builtin": "chebyshev_T"},
+      "kernel": {"polynomial": "x^2+1"}, "interval": ["0", "1/1073741789"]}),
 ]
 
 

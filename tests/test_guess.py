@@ -1,5 +1,6 @@
 """Recurrence guessing from exact terms with held-out verification."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -197,10 +198,9 @@ def test_prime_in_a_denominator_takes_the_exact_path(monkeypatch):
     terms = [Fraction(1, n + p) for n in range(20)]
     calls = count_nullspace_calls(monkeypatch)
     rec = guess_precursive(terms, 3, 4)
-    # a(0) has no residue mod p, but the screen reduces the integer rows
-    # n^j·L_n·a(n+i), and full rank mod p still implies full rank over Q.
-    # It rules out all of order 0 and cell (1, 0): only the hit at (1, 1) is
-    # solved exactly
+    # a(0) has no residue mod p, so the screen takes the next prime, which
+    # divides no denominator.  It rules out all of order 0 and cell (1, 0):
+    # only the hit at (1, 1) is solved exactly
     assert calls == [4]
     assert rec.coeffs == (Poly("n", [-p, -1]), Poly("n", [p + 1, 1]))
     assert rec.coeffs == reference_guess(terms, 3, 4)
@@ -229,19 +229,80 @@ def test_chebyshev_integral_needs_one_exact_solve(monkeypatch):
     assert calls == [6]
 
 
-def test_screen_builds_only_the_rows_it_reads(monkeypatch):
+def integer_rows(terms, r, max_degree, train):
+    """The integer rows n^j·L_n·a(n+i) at column j·(r+1) + i, n < train, built
+    from Fractions."""
+    rows = []
+    for n in range(train):
+        window = [Fraction(v) for v in terms[n : n + r + 1]]
+        L = math.lcm(*(a.denominator for a in window))
+        rows.append([int(a * L) * n**j for j in range(max_degree + 1) for a in window])
+    return rows
+
+
+def integer_row_pivots(rows, ncols, p):
+    """The pivot columns of the integer rows mod p: the reference screen, whose
+    rows are the residue screen's times the units L_n."""
+    return sorted(e[0] for e in linalg.echelon_mod_p(([x % p for x in r] for r in rows), ncols, p))
+
+
+SECOND_PRIME = list(itertools.islice(linalg._primes(), 2))[1]
+
+
+@st.composite
+def screened_terms(draw):
+    """Terms from guess_inputs with some denominators multiplied by PRIME, or
+    by PRIME and the prime after it: all of them, which keeps a recurrence,
+    or a random few."""
+    terms, max_order, max_degree = draw(guess_inputs())
+    factor = draw(st.sampled_from([1, linalg.PRIME, linalg.PRIME * SECOND_PRIME]))
+    if draw(st.booleans()):
+        return [a / factor for a in terms], max_order, max_degree
+    hit = draw(st.sets(st.integers(0, len(terms) - 1), max_size=3))
+    return [a / factor if n in hit else a for n, a in enumerate(terms)], max_order, max_degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(screened_terms())
+def test_residue_screen_has_the_integer_row_pivots(case):
+    terms, max_order, max_degree = case
+    fracs = [Fraction(v) for v in terms]
+    dens = [a.denominator for a in fracs]
+    p, res = G._residues([a.numerator for a in fracs], dens)
+    assert all(b % p for b in dens)
+    # the integer-row screen's own prime wherever it divides no denominator
+    assert (p == linalg.PRIME) == all(b % linalg.PRIME for b in dens)
+    for r in range(max_order + 1):
+        train = len(terms) - r - G.MARGIN
+        if train < 1:
+            continue
+        ncols = (r + 1) * (max_degree + 1)
+        got = sorted(e[0] for e in linalg.echelon_mod_p(
+            G._residue_rows(res, p, r, max_degree, train), ncols, p))
+        assert got == integer_row_pivots(integer_rows(terms, r, max_degree, train), ncols, p)
+
+
+def test_only_the_solved_order_builds_exact_rows(monkeypatch):
     opts = Options()
     terms = integral_terms(_guess_term_count(opts))
     rows_of = G._training_rows
     built = {}
 
     def counted(nums, dens, r, max_degree, train):
-        built[r] = 0
-        for row in rows_of(nums, dens, r, max_degree, train):
-            built[r] += 1
-            yield row
+        built[r] = rows_of(nums, dens, r, max_degree, train)
+        return built[r]
 
     monkeypatch.setattr(G, "_training_rows", counted)
+    residue_rows_of = G._residue_rows
+    read = {}
+
+    def pulled(res, p, r, max_degree, train):
+        read[r] = 0
+        for row in residue_rows_of(res, p, r, max_degree, train):
+            read[r] += 1
+            yield row
+
+    monkeypatch.setattr(G, "_residue_rows", pulled)
     solved = []
     exact = G.nullspace
 
@@ -252,19 +313,14 @@ def test_screen_builds_only_the_rows_it_reads(monkeypatch):
     monkeypatch.setattr(G, "nullspace", recorded)
     rec = guess_precursive(terms, opts.max_order, opts.max_degree, opts.margin)
     assert rec.order == 2
-    fracs = [Fraction(v) for v in terms]
-    nums, dens = [a.numerator for a in fracs], [a.denominator for a in fracs]
-
-    def train(r):
-        return len(terms) - r - opts.margin
-
-    # orders 0 and 1 screen to full rank: the screen stops reading their
-    # rows soon after their column count
+    # orders 0 and 1 screen to full rank: the scan stops reading their
+    # residue rows soon after their column count, and they build no exact
+    # rows; the solved order builds all of its train rows
     for r in (0, 1):
-        ncols = (r + 1) * (opts.max_degree + 1)
-        assert ncols <= built[r] < train(r)
-    # the order that reaches a cell gets every row, as if built at once
-    assert built[2] == train(2)
-    full = list(rows_of(nums, dens, 2, opts.max_degree, train(2)))
+        assert (r + 1) * (opts.max_degree + 1) <= read[r] < len(terms) - r - opts.margin
+    train = len(terms) - 2 - opts.margin
+    assert list(built) == [2] and len(built[2]) == train
+    # the system solved is the hit cell of the integer rows
+    full = integer_rows(terms, 2, opts.max_degree, train)
     cols = [j * 3 + i for i in range(3) for j in range(2)]
     assert solved == [[[row[c] for c in cols] for row in full]]

@@ -306,15 +306,19 @@ def test_packed_echelon_matches_list_echelon(case):
     assert len(pulled) == (echelon[-1][1] + 1 if len(echelon) == ncols else len(rows))
 
 
-def test_rank_profile_lists_the_independent_columns():
+def test_echelon_pivots_list_the_independent_columns():
+    def pivots(rows, ncols):
+        p = linalg.PRIME
+        return sorted(e[0] for e in linalg.echelon_mod_p([[x % p for x in r] for r in rows], ncols, p))
+
     # column 2 is 3·column 0 − column 1
     rows = [[1, 2, 1, 5], [4, -1, 13, 0], [0, 7, -7, 2], [2, 2, 4, 1]]
-    assert linalg.rank_profile(rows, 4) == [0, 1, 3]
+    assert pivots(rows, 4) == [0, 1, 3]
     full = [[2, 0, 1], [0, 3, 1], [1, 1, 10**40], [5, 5, 5]]
-    assert linalg.rank_profile(full, 3) == [0, 1, 2]
-    assert linalg.rank_profile([[0] * 3] * 4, 3) == []
+    assert pivots(full, 3) == [0, 1, 2]
+    assert pivots([[0] * 3] * 4, 3) == []
     # the rank is taken mod PRIME: these rows are independent over Q
-    assert linalg.rank_profile([[1, 1], [1, 1 + linalg.PRIME]], 2) == [0]
+    assert pivots([[1, 1], [1, 1 + linalg.PRIME]], 2) == [0]
 
 
 def test_rank_drop_mod_prime_moves_to_the_next_prime(monkeypatch):
