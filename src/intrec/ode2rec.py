@@ -8,12 +8,13 @@ finitely many equations; those low-index equations are kept verbatim (they
 pin down leading terms) and the homogeneous recurrence holds from a threshold
 onward.
 
-`first_failure` is the one exact check of a recurrence against terms.  It
-clears the terms to integers once with `poly.cleared`, and the coefficients
-to integer lists over one denominator, so each window is an integer sum of
-`_kernels.peval` values; the few exceptional equations are checked as
-rationals.  `unroll` clears each window of r terms the same way, so each new
-term costs one integer sum and one Fraction.
+`equations` enumerates the equations that terms cover, once: each window,
+its weights `_kernels.peval` values of the coefficients cleared to integer
+lists over one denominator, then each exceptional equation.  `first_failure`,
+the one exact check against terms, sums them on terms cleared to integers
+once with `poly.cleared`, and the pipeline's numeric check sums them in mpf.
+`unroll` clears each window of r terms the same way, so each new term costs
+one integer sum and one Fraction.
 """
 
 from dataclasses import dataclass, replace
@@ -169,25 +170,30 @@ def required_initials(rec):
     return need
 
 
+def equations(rec, count):
+    """Each equation that `count` terms cover, once: (label, pairs, rhs).
+
+    pairs are (term index, weight) and the equation is Σ w·a(index) = rhs.
+    First each window n ≥ threshold that fits inside the terms, its weights
+    the coefficients at n cleared to integers (a positive multiple) and rhs
+    0; then each exceptional equation whose indices all lie below count.
+    """
+    cs = P.cleared_rows([c.coeffs for c in rec.coeffs])[0]
+    for n in range(rec.threshold, count - rec.order):
+        yield "window at n = %d" % n, [(n + i, K.peval(c, n)) for i, c in enumerate(cs)], 0
+    for pairs, rhs in rec.exceptional:
+        if all(idx < count for idx, _ in pairs):
+            yield "low-index equation", pairs, rhs
+
+
 def first_failure(rec, terms):
     """None when every equation the terms cover holds exactly, else why not.
-
-    Covered are the windows n ≥ threshold that fit inside the terms and the
-    exceptional equations whose indices all lie below len(terms).  This is
-    the one exact check of a recurrence against terms.  Each window is
-    summed in integers, a positive multiple of the rational window sum.
-    """
-    r = rec.order
-    nums = P.cleared(terms)[0]
-    cs = P.cleared_rows([c.coeffs for c in rec.coeffs])[0]
-    for n in range(rec.threshold, len(terms) - r):
-        if sum(K.peval(c, n) * nums[n + i] for i, c in enumerate(cs)):
-            return "window at n = %d fails exactly" % n
-    for pairs, rhs_u in rec.exceptional:
-        if any(idx >= len(terms) for idx, _ in pairs):
-            continue
-        if sum(w * terms[idx] for idx, w in pairs) != rhs_u:
-            return "low-index equation fails exactly"
+    The terms are cleared to integers over one denominator once, so each
+    equation of `equations` is tested as Σ w·num = rhs·den."""
+    nums, den = P.cleared(terms)
+    for label, pairs, rhs in equations(rec, len(terms)):
+        if sum(w * nums[idx] for idx, w in pairs) != rhs * den:
+            return label + " fails exactly"
     return None
 
 

@@ -1,9 +1,10 @@
 """Ground-truth values of a(n) = ∫ P_n(x) K(x) dx, independent of telescoping.
 
 Each IntegralProblem classifies its kernel once, into `form` (the
-recognized_form tag) and `factor`, the symbolic factor f of its exact values
-a(n) = f·q_n.  exact_term gives q_n as a moment sum: with
-m_k = ∫_α^β x^k w(x) dx, P_n = Σ c_j x^j and the prefactor Σ a_i x^i (its
+recognized_form tag) and `factor`, the name of the symbolic factor f of its
+exact values a(n) = f·q_n, with f's mpf value beside it: the pipeline prints
+the name and multiplies by the value.  exact_term gives q_n as a moment sum:
+with m_k = ∫_α^β x^k w(x) dx, P_n = Σ c_j x^j and the prefactor Σ a_i x^i (its
 denominator is 1), q_n = Σ_j c_j Σ_i a_i m_(i+j).  The c_j and the a_i are
 each cleared to integers over one denominator, and the moments are built as
 integers over one, so the sum runs in integers and builds one Fraction per
@@ -17,9 +18,9 @@ further value costs one recurrence step and one dot product: the first N
 values cost time linear in N, not quadratic.  exact_terms keeps that prefix
 of values on the problem too.
 
-numeric_term gives one numeric value at a requested decimal precision and
-numeric_terms the first `count`, on which the pipeline checks each equation of
-a recurrence that has no exact values.  A problem with factor "pi" is a
+numeric_terms gives the values for n in a range at a requested decimal
+precision, on which the pipeline checks each equation of a recurrence that has
+no exact values; numeric_term is one of them.  A problem with factor "pi" is a
 polynomial of degree D against 1/sqrt(1-x^2) on [-1, 1], which the
 Gauss–Chebyshev rule with D//2 + 1 nodes integrates exactly: it needs no
 error estimate, and it evaluates P_n at the nodes instead of summing moments,
@@ -65,10 +66,11 @@ _X_DIGITS_CAP = 12
 class IntegralProblem:
     """a(n) = ∫_alpha^beta P_n(x)·kernel(x) dx, with its kernel classified once.
 
-    `form` is recognized_form(kernel).  `factor` is the symbolic factor f
-    with a(n) = f·q_n and q_n = exact_term(self, n) rational: "1" for a
-    polynomial kernel, "pi" for the Chebyshev weight with a polynomial
-    prefactor on exactly [-1, 1], None when there are no exact values.
+    `form` is recognized_form(kernel).  `factor` names the symbolic factor
+    f with a(n) = f·q_n and q_n = exact_term(self, n) rational, and
+    `factor_value` is f in mpf: "1" for a polynomial kernel, "pi" for the
+    Chebyshev weight with a polynomial prefactor on exactly [-1, 1], None
+    when there are no exact values.
     Linear recurrences and their checks carry over unchanged from a(n) to
     q_n whenever the right-hand sides vanish.  The problem owns its moments
     m_k = _nums[k]/_den and its cached prefix of exact terms.
@@ -80,12 +82,12 @@ class IntegralProblem:
             raise ValueError("interval endpoints must satisfy alpha < beta")
         self.seq, self.kernel, self.alpha, self.beta = seq, kernel, alpha, beta
         self.form = recognized_form(kernel)
-        self.factor = None
+        self.factor = self.factor_value = None
         if kernel.prefactor.is_polynomial():
             if self.form == "rational":
-                self.factor = "1"
+                self.factor, self.factor_value = "1", mp.one
             elif self.form == "chebyshev_weight" and (lo, hi) == (-1, 1):
-                self.factor = "pi"
+                self.factor, self.factor_value = "pi", mp.pi
         self._nums, self._den, self._terms = [], 1, []
 
 
@@ -224,32 +226,25 @@ def _gauss_chebyshev(prob, p):
 
 
 def numeric_term(prob, n, precision):
-    """P_n·K integrated numerically to `precision` decimal digits.
+    """Term n of numeric_terms, integrated alone."""
+    return numeric_terms(prob, n + 1, precision, n)[0]
+
+
+def numeric_terms(prob, count, precision, first=0):
+    """P_n·K integrated numerically to `precision` decimal digits, first <= n < count.
 
     A problem with factor "pi" (the Chebyshev weight with a polynomial
     prefactor on exactly [-1, 1]) is integrated by the Gauss–Chebyshev rule,
     which is exact for it and so needs no error estimate.  Everything else
-    is term n of a tanh-sinh pass (see numeric_terms), run for that term
-    alone.
+    goes through one tanh-sinh pass that integrates every term: the nodes of
+    each degree are visited once, the kernel is evaluated once per node and
+    P_0, ..., P_(count-1) there by the sequence's recurrence, and each term
+    stops at the degree where its own error estimate passes.
     """
     with mp.workdps(precision + 10):
         if prob.factor == "pi":
-            return _gauss_chebyshev(prob, term(prob.seq, n))
-        return _tanh_sinh(prob, n, n + 1, precision)[0]
-
-
-def numeric_terms(prob, count, precision):
-    """[numeric_term(prob, n, precision) for n < count], in one pass.
-
-    Off the Gauss–Chebyshev rule, one tanh-sinh pass integrates every term:
-    the nodes of each degree are visited once, the kernel is evaluated once
-    per node and P_0, ..., P_(count-1) there by the sequence's recurrence,
-    and each term stops at the degree where its own error estimate passes.
-    """
-    with mp.workdps(precision + 10):
-        if prob.factor == "pi":
-            return [_gauss_chebyshev(prob, p) for p in terms(prob.seq, count)]
-        return _tanh_sinh(prob, 0, count, precision)
+            return [_gauss_chebyshev(prob, p) for p in terms(prob.seq, count)[first:]]
+        return _tanh_sinh(prob, first, count, precision)
 
 
 def _fixed(v, bits):

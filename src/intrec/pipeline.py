@@ -451,27 +451,28 @@ def _guess_term_count(opts):
     return opts.max_order + opts.margin + (opts.max_order + 1) * (opts.max_degree + 1) + 2
 
 
-_PI_NOTE = (
-    "a(n) = pi*q_n with q_n rational: checks run exactly on the q_n, listed in"
-    " exact_initial_terms; approx_initial_terms are their numeric values pi*q_n"
+_FACTOR_NOTE = (
+    "a(n) = {0}*q_n with q_n rational: checks run exactly on the q_n, listed in"
+    " exact_initial_terms; approx_initial_terms are their numeric values {0}*q_n"
 )
 
 
-def _set_recurrence(rep, key, rec, factor):
-    """Report a recurrence; pi-factored initial terms go to exact_initial_terms."""
+def _set_recurrence(rep, key, rec, prob):
+    """Report a recurrence; off factor 1, its q_n go to exact_initial_terms."""
     payload = _recurrence_payload(rec)
-    if factor == "pi" and rec.initial_terms is not None:
+    if prob.factor != "1":
         payload["initial_terms"] = None
         payload["exact_initial_terms"] = {
-            "factor": factor,
+            "factor": prob.factor,
             "values": [_fmt_value(v) for v in rec.initial_terms],
         }
         with mp.workdps(30):
             payload["approx_initial_terms"] = [
-                _approx_str(mp.pi * oracle.as_mpf(v)) for v in rec.initial_terms
+                _approx_str(prob.factor_value * oracle.as_mpf(v)) for v in rec.initial_terms
             ]
-        if _PI_NOTE not in rep.notes:
-            rep.notes.append(_PI_NOTE)
+        note = _FACTOR_NOTE.format(prob.factor)
+        if note not in rep.notes:
+            rep.notes.append(note)
     rep.results[key] = payload
 
 
@@ -488,7 +489,7 @@ def _run_guess(rep, prob, opts, count):
                 " exact terms" % (opts.max_order, opts.max_degree, count)
             ),
         )
-    _set_recurrence(rep, "guess", grec, prob.factor)
+    _set_recurrence(rep, "guess", grec, prob)
     # guess_precursive returns a recurrence only once first_failure has
     # passed it on every window of these terms, held-out ones included
     rep.check(
@@ -501,12 +502,9 @@ def _run_guess(rep, prob, opts, count):
 
 def _max_residual(rec, vals):
     """Largest |Σ terms − rhs| / (Σ|terms| + |rhs|) at the working precision,
-    over the equations first_failure checks: each window n ≥ threshold inside
-    the values and each exceptional equation they cover."""
-    eqs = [([oracle.as_mpf(c.eval(n)) * vals[n + i] for i, c in enumerate(rec.coeffs)], 0)
-           for n in range(rec.threshold, len(vals) - rec.order)]
-    eqs += [([oracle.as_mpf(w) * vals[idx] for idx, w in pairs], oracle.as_mpf(rhs))
-            for pairs, rhs in rec.exceptional if all(idx < len(vals) for idx, _ in pairs)]
+    over o2r.equations of the values, the equations first_failure checks."""
+    eqs = [([oracle.as_mpf(w) * vals[idx] for idx, w in pairs], oracle.as_mpf(rhs))
+           for _, pairs, rhs in o2r.equations(rec, len(vals))]
     scaled = [(abs(mp.fsum(ts) - rhs), mp.fsum(map(abs, ts)) + abs(rhs)) for ts, rhs in eqs]
     return max((res / scale for res, scale in scaled if scale), default=mp.zero)
 
@@ -537,16 +535,17 @@ def _numeric_consistency(rep, job, rec, prob):
 
 
 def _quadrature_spot_check(rep, job, prob, parts):
-    """Compare pi·q_n with quadrature at the job's precision, n < len(parts)."""
+    """Compare f·q_n with quadrature at the job's precision, n < len(parts)."""
     digits = job.options.precision
     vals = _stage("oracle", oracle.numeric_terms, prob, len(parts), digits)
     with mp.workdps(digits + 10):
-        maxerr = max(abs(mp.pi * oracle.as_mpf(q) - v) for q, v in zip(parts, vals))
+        maxerr = max(abs(prob.factor_value * oracle.as_mpf(q) - v) for q, v in zip(parts, vals))
         ok = maxerr < mp.mpf(10) ** (1 - digits)
     rep.check(
         "quadrature_spot_check",
         ok,
-        "pi*q_n matches quadrature for n <= %d at 1e-%d" % (len(parts) - 1, digits - 1),
+        "%s*q_n matches quadrature for n <= %d at 1e-%d"
+        % (prob.factor, len(parts) - 1, digits - 1),
         approx_max_error=_approx_str(maxerr),
     )
 
@@ -573,8 +572,7 @@ def _recurrence_stage(rep, job, prob, gf, tel, want_terms):
     else no oracle checks it.  Against a recognized form, a boundary with no
     limit is taken as zero and the low-index equations, which carry it, are
     omitted.  Returns (recurrence, exact terms, unrolled terms), the last two
-    None off the exact path; for the Chebyshev weight on [-1, 1] the exact
-    terms are the q_n of a(n) = pi·q_n.
+    None off the exact path; the exact terms are the q_n of a(n) = f·q_n.
 
     An exact problem's boundary always has a limit: against a polynomial
     kernel C = y·F has no finite pole, against the Chebyshev weight C → 0 at ±1.
@@ -597,7 +595,7 @@ def _recurrence_stage(rep, job, prob, gf, tel, want_terms):
     rec = _stage("ode_to_recurrence", o2r.ode_to_recurrence, tel.opcoeffs, rhs)
     if fallback:
         rec = o2r.Recurrence(rec.coeffs, rec.threshold)
-    # against the Chebyshev weight the boundary is zero, and pi·q_n satisfies
+    # a factor other than 1 comes with a zero boundary, and f·q_n satisfies
     # a homogeneous recurrence exactly when q_n does
     if prob.factor is not None:
         need = o2r.required_initials(rec)
@@ -620,8 +618,8 @@ def _recurrence_stage(rep, job, prob, gf, tel, want_terms):
             unrolled == list(terms),
             "unrolled terms equal exact oracle terms for n <= %d" % (count - 1),
         )
-        _set_recurrence(rep, "recurrence", rec, prob.factor)
-        if prob.factor == "pi":
+        _set_recurrence(rep, "recurrence", rec, prob)
+        if prob.factor != "1":
             _quadrature_spot_check(rep, job, prob, terms[: max(need, 2)])
         return rec, terms, unrolled
     rep.results["recurrence"] = _recurrence_payload(rec)
@@ -759,6 +757,7 @@ def emit(report, fmt):
                 )
             for ex in val["exceptional"]:
                 eq = " + ".join("%s*a(%d)" % (w, idx) for idx, w in ex["pairs"])
+                eq = eq.replace(" + -", " - ")
                 lines.append("  low-index equation: %s = %s" % (eq or "0", ex["rhs"]))
     if report.verifications:
         lines.append("verifications:")

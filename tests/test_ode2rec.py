@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from intrec import ode2rec as o2r
+from intrec import pipeline
 from intrec import poly as P
 from intrec.errors import (
     RecurrenceRefuted,
@@ -142,6 +144,30 @@ def checked_recurrences(draw):
 def test_first_failure_matches_fraction_reference(case):
     rec, terms = case
     assert o2r.first_failure(rec, terms) == reference_first_failure(rec, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(checked_recurrences())
+def test_equations_are_the_covered_windows_then_exceptional(case):
+    rec, terms = case
+    eqs = list(o2r.equations(rec, len(terms)))
+    windows = range(rec.threshold, len(terms) - rec.order)
+    assert [label for label, _, _ in eqs[:len(windows)]] == [
+        "window at n = %d" % n for n in windows]
+    for n, (_, pairs, rhs) in zip(windows, eqs):
+        assert [idx for idx, _ in pairs] == list(range(n, n + rec.order + 1)) and rhs == 0
+        # the weights are a positive multiple of (c_0(n), ..., c_r(n))
+        cs = [c.eval(n) for c in rec.coeffs]
+        ws = [w for _, w in pairs]
+        scale = next((Fraction(w, c) for w, c in zip(ws, cs) if c), 1)
+        assert scale > 0 and ws == [scale * c for c in cs]
+    assert eqs[len(windows):] == [
+        ("low-index equation", pairs, rhs) for pairs, rhs in rec.exceptional
+        if all(idx < len(terms) for idx, _ in pairs)]
+    if reference_first_failure(rec, terms) is None:
+        with mp.workdps(30):
+            vals = [mp.mpf(v.numerator) / v.denominator for v in terms]
+            assert pipeline._max_residual(rec, vals) < mp.mpf(10) ** -25
 
 
 def test_exponential_operator():

@@ -223,6 +223,13 @@ def test_text_emission_sections():
     assert text.startswith("task: telescope\nstatus: ok\n")
     assert "telescoper (order " in text
     assert "[PASS] certificate_identity" in text
+    # a negative weight of a low-index equation prints as a subtraction
+    job = pipeline.build_job({"task": "recurrence", "sequence": {"builtin": "chebyshev_U"},
+                              "kernel": {"rational": "1/(2-x)"}, "interval": ["-1", "1"]})
+    text = pipeline.emit(pipeline.run(job), "text")
+    assert "  low-index equation: 4*a(0) - 1*a(1) = 4\n" in text
+    assert "  low-index equation: -2*a(0) + 8*a(1) - 2*a(2) = 0\n" in text
+    assert "+ -" not in text
 
 
 def test_unknown_format_rejected():
