@@ -3,10 +3,12 @@
 Clearing the rational right-hand side leaves sum_b p_b(t) f^(b)(t) = rho(t)
 with polynomial data.  A monomial t^a D^b sends t^u-coefficients to
 falling-factorial multiples of a(u - a + b), so collecting powers of t gives
-a polynomial-coefficient recurrence.  The polynomial right side only touches
-finitely many equations; those low-index equations are kept verbatim (they
-pin down leading terms) and the homogeneous recurrence holds from a threshold
-onward.
+a polynomial-coefficient recurrence, whose window at n = u + s, s the lowest
+shift b - a, is the t^u coefficient once indices below 0 are dropped.  The
+polynomial right side only touches finitely many equations; those
+low-index equations are kept as such, each evaluated from the coefficients
+(they pin down leading terms), and the homogeneous recurrence holds from a
+threshold onward.
 
 `equations` enumerates the equations that terms cover, once: each window,
 its weights `_kernels.peval` values of the coefficients cleared to integer
@@ -55,47 +57,29 @@ def falling_factorial(top, b):
     return out
 
 
-def _monomials(cleared):
-    for b, p in enumerate(cleared):
-        for a, coef in enumerate(p.coeffs):
-            if coef:
-                yield b, a, coef
-
-
 def convert_raw(opcoeffs, rhs):
-    """Unnormalized conversion; returns (coeffs, threshold, exceptional)."""
+    """Unnormalized conversion; returns (coeffs, threshold, exceptional), the
+    exceptional equations those of the t^u coefficients below the threshold."""
     ops = [p if isinstance(p, Poly) else Poly.const("t", p) for p in opcoeffs]
     if all(p.is_zero() for p in ops):
         raise ZeroOperator("all operator coefficients vanish")
     den, rho = rhs.den, rhs.num
-    cleared = [p * den for p in ops]
-    monos = list(_monomials(cleared))
-    d = rho.degree()
+    monos = [(b, a, coef) for b, p in enumerate(ops) for a, coef in enumerate((p * den).coeffs)
+             if coef]
     s_min = min(b - a for b, a, _ in monos)
-    s_max = max(b - a for b, a, _ in monos)
-    r = s_max - s_min
     n = Poly.variable("n")
-    coeffs = [Poly("n", []) for _ in range(r + 1)]
+    coeffs = [Poly("n", [])] * (max(b - a for b, a, _ in monos) - s_min + 1)
     for b, a, coef in monos:
         j = (b - a) - s_min
         coeffs[j] = coeffs[j] + coef * falling_factorial(n + j, b)
-    threshold = max(0, s_min, d + s_min + 1)
+    threshold = max(0, s_min, rho.degree() + s_min + 1)
     exceptional = []
     for u in range(threshold - s_min):
-        weights = {}
-        for b, a, coef in monos:
-            idx = u - a + b
-            if idx < 0:
-                continue
-            ff = 1
-            for i in range(b):
-                ff *= idx - i
-            if ff:
-                weights[idx] = weights.get(idx, 0) + coef * ff
-        pairs = tuple(sorted((i, w) for i, w in weights.items() if w))
-        rhs_u = rho.coeff(u)
-        if pairs or rhs_u:
-            exceptional.append((pairs, rhs_u))
+        at = u + s_min
+        pairs = tuple((at + j, w) for j, w in enumerate(c.eval(at) for c in coeffs)
+                      if at + j >= 0 and w)
+        if pairs or rho.coeff(u):
+            exceptional.append((pairs, rho.coeff(u)))
     return coeffs, threshold, tuple(exceptional)
 
 

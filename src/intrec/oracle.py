@@ -189,11 +189,9 @@ def _kernel_evaluator(kern, form):
     if form in ("rational", "chebyshev_weight"):
         return lambda x: pn(x) / pd(x)
     if form == "linear_power":
-        rho = kern.logderiv
-        q0, q1 = Fraction(rho.den.coeff(0)), Fraction(rho.den.coeff(1))
-        a = -q0 / q1
-        c = Fraction(rho.num.constant()) / q1
-        am, cm = as_mpf(a), as_mpf(c)
+        den = kern.logderiv.den
+        a = -Fraction(den.coeff(0)) / den.coeff(1)
+        am, cm = as_mpf(a), as_mpf(kern.exponent_at(a))
         return lambda x: pn(x) / pd(x) * abs(x - am) ** cm
     raise UnsupportedKernel("no closed form known for this kernel log-derivative")
 

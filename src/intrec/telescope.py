@@ -25,9 +25,9 @@ Y0 = den_y/F is a polynomial in x is decided at each order; where it is,
 one row pins one linear combination of its columns to 0.  The pinned
 system has full column rank at a miss, which then ends after one
 elimination mod p, and it returns the same telescoper at a hit (telescope
-says why).  F can also be rational through its log-derivative; then y0
-stays in the basis, and the returned vector is moved along it to the same
-certificate.
+says why).  F can also be rational through its log-derivative; then an
+order whose basis holds y0 beside a solution is solved again with the same
+pin row.
 
 The arithmetic runs on integer rows (`_kernels`: a polynomial in Z[x][t] as
 a t-list of Z[x] int lists, products by Kronecker substitution).  Each call
@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as _igcd
-from operator import mul
 
 from .errors import BoundaryNotEvaluable, NoTelescoperFound
 from .linalg import canonical_scale, nullspace
@@ -64,6 +63,19 @@ class Kernel:
 
     prefactor: RatFunc
     logderiv: RatFunc
+
+    def exponent_at(self, e):
+        """The residue of ρ at x = e, the c of exp(∫ρ) ~ |x − e|^c there: 0
+        where ρ is regular.  Raises BoundaryNotEvaluable at a pole of ρ of
+        higher order, where exp(∫ρ) is no power of |x − e|."""
+        dr = self.logderiv.den
+        if dr.eval(e):
+            return Fraction(0)
+        drp = dr.deriv()
+        if drp.eval(e) == 0:
+            raise BoundaryNotEvaluable(
+                "kernel log-derivative has a higher-order pole at x = %s" % (e,))
+        return Fraction(self.logderiv.num.eval(e)) / Fraction(drp.eval(e))
 
 
 def trivial_kernel():
@@ -191,10 +203,9 @@ def _solve_order(ell, nd, dr, ws, ln, g, lq, scale, pin):
     fewer.  Y·g is the Y of the ansatz Y/(ld·nd), and the coefficient the
     row sets to 0 is its leading column for y0, so the returned vector is
     the one that ansatz, pinned there, returns (telescope).  Where F is
-    rational through its log-derivative, nothing is pinned and the basis
-    holds c(t)·y0, the one vector with a zero operator.  The returned
-    vector is then moved along it until the same coefficient is 0, which
-    gives the same vector.
+    rational through its log-derivative, nothing is pinned ahead, and a
+    basis that holds c(t)·y0, the one vector with a zero operator, beside
+    a solution is solved again with the row that pins y0's leading column.
     """
     den_y = K.rmul(lq, nd)
     # h = Lx − (d/dx den_y)/den_y, over g·den_y = ld·nd, in lowest terms:
@@ -219,35 +230,32 @@ def _solve_order(ell, nd, dr, ws, ln, g, lq, scale, pin):
         rows.append([Poly("t", [v // c for v in e] if c > 1 else e) if e else zero
                      for e in row])
     if pin is not None:
-        rows.append(_leading_column(g, pin, m) + [zero] * (ell + 1))
+        rows.append(_pin_row(g, pin, m, len(cols)))
     size = (len(rows), len(cols), max(e.degree() for r in rows for e in r))
     basis = nullspace(rows, len(cols))
-    # c(t)·y0 where F is rational but nothing was pinned (telescope)
+    # c(t)·y0 beside a solution where F is rational but nothing was pinned
     y0 = next((v for v in basis if not any(v[m + 1 :])), None)
-    if y0 is not None:
-        lead = _leading_column(g, max(j for j in range(m + 1) if y0[j]), m)
-        c0 = sum(map(mul, lead, y0), zero)
+    if y0 is not None and len(basis) > 1:
+        rows.append(_pin_row(g, max(j for j, e in enumerate(y0) if e), m, len(cols)))
+        basis = nullspace(rows, len(cols))
     for vec in basis:
         avec = vec[m + 1 :]
-        if all(not a for a in avec):
-            continue
-        if y0 is not None:
-            c = sum(map(mul, lead, vec), zero)
-            vec = [c0 * e - c * f for e, f in zip(vec, y0)]
-            avec = vec[m + 1 :]
-        while not avec[-1]:
-            avec = avec[:-1]
-        y = K.transpose([e.coeffs for e in vec[: m + 1]])
-        return size, (list(avec), RatFunc(P.from_rows(y), P.from_rows(den_y, scale)))
+        if any(avec):
+            while not avec[-1]:
+                avec = avec[:-1]
+            y = K.transpose([e.coeffs for e in vec[: m + 1]])
+            return size, (list(avec), RatFunc(P.from_rows(y), P.from_rows(den_y, scale)))
     return size, None
 
 
-def _leading_column(g, q, m):
-    """The coefficient of x^(q + deg g) in Y·g as a row over Y's columns
-    0..m: the column of x^q in Y, where the ansatz Y/(ld·nd) has Y·g."""
+def _pin_row(g, q, m, width):
+    """The row setting the coefficient of x^(q + deg g) in Y·g to 0, over
+    the system's `width` columns: the column of x^q in Y, where the ansatz
+    Y/(ld·nd) has Y·g, over Y's columns 0..m, and 0 over the operator's."""
     gx, zero = K.transpose(g), Poly("t", [])
     top = q + len(gx) - 1
-    return [Poly("t", gx[top - j]) if 0 <= top - j < len(gx) else zero for j in range(m + 1)]
+    return [Poly("t", gx[top - j]) if 0 <= top - j < len(gx) else zero
+            for j in range(m + 1)] + [zero] * (width - m - 1)
 
 
 def _quotient_degree(rows, pn):
@@ -301,8 +309,9 @@ def telescope(gf, kernel, max_order):
     is 0 at a free column not its own, so the pinned basis is the unpinned
     one without y0, and the returned telescoper is unchanged.  F can also
     be rational through its log-derivative, with no pin decided ahead.
-    Then _solve_order skips the basis vector with a zero operator, c(t)·y0,
-    and moves the returned vector along it to the same certificate.
+    Then an order whose unpinned basis holds c(t)·y0 beside a solution is
+    solved again with the pin at y0's leading column, which by the same
+    argument returns the same vector.
     """
     if gf.num.is_zero():
         return Telescoper((Poly("t", [1]),), RatFunc(Poly("t", []), Poly("t", [1])))
@@ -399,29 +408,16 @@ def _endpoint_contribution(nums, dens, kernel, e):
             k, val = k + fk, K.pmul(val, at)
         ords.append(k)
         vals.append(val)
-    ordw = ords[0] - ords[1]
-    rho = kernel.logderiv
-    if rho.is_zero():
-        if ordw < 0:
-            raise BoundaryNotEvaluable("certificate has a pole at x = %s" % (e,))
-        if ordw > 0:
-            return RatFunc(Poly("t", []), Poly("t", [1]))
-        return RatFunc(Poly("t", vals[0]), Poly("t", vals[1]))
-    # hyperexponential part present: only a vanishing limit is decidable
-    gamma = Fraction(0)
-    dr = rho.den
-    if dr.eval(e) == 0:
-        drp = dr.deriv()
-        if drp.eval(e) == 0:
-            raise BoundaryNotEvaluable(
-                "kernel log-derivative has a higher-order pole at x = %s" % (e,)
-            )
-        gamma = Fraction(rho.num.eval(e)) / Fraction(drp.eval(e))
-    if ordw + gamma > 0:
+    # the limit is that of vals·|x − e|^power, the kernel's exponent 0 where
+    # it is rational
+    power = ords[0] - ords[1] + kernel.exponent_at(e)
+    if power > 0:
         return RatFunc(Poly("t", []), Poly("t", [1]))
-    raise BoundaryNotEvaluable(
-        "nonzero limit against a non-rational kernel at x = %s" % (e,)
-    )
+    if not kernel.logderiv.is_zero():
+        raise BoundaryNotEvaluable("nonzero limit against a non-rational kernel at x = %s" % (e,))
+    if power < 0:
+        raise BoundaryNotEvaluable("certificate has a pole at x = %s" % (e,))
+    return RatFunc(Poly("t", vals[0]), Poly("t", vals[1]))
 
 
 def boundary_rhs(gf, kernel, tel, alpha, beta):

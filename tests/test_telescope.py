@@ -529,16 +529,21 @@ def test_rational_kernel_misses_lift_nothing(monkeypatch, seq, kern, order):
 
 
 def zero_operator_vectors(monkeypatch):
-    """[(order, count)]: per telescope nullspace solve, how many basis vectors
-    have a zero operator part and so reach the skip in _solve_order."""
-    seen, solve = [], telescope_module.nullspace
+    """[(order, count)]: per telescope nullspace solve, the order it solves
+    and how many basis vectors have a zero operator part."""
+    seen, solve, solve_order, at = [], telescope_module.nullspace, telescope_module._solve_order, []
+
+    def solving(ell, *args):
+        at[:] = [ell]
+        return solve_order(ell, *args)
 
     def recorded(rows, ncols):
         basis = solve(rows, ncols)
-        ell = len(seen)
+        ell = at[0]
         seen.append((ell, sum(all(not a for a in v[ncols - ell - 1:]) for v in basis)))
         return basis
 
+    monkeypatch.setattr(telescope_module, "_solve_order", solving)
     monkeypatch.setattr(telescope_module, "nullspace", recorded)
     return seen
 
@@ -582,13 +587,14 @@ def test_skip_keeps_a_trivial_certificate_the_order_0_test_missed(monkeypatch):
                          ids=["T", "T2", "U"])
 def test_rational_through_its_log_derivative_keeps_the_certificate(monkeypatch, seq, logderiv):
     # K = exp(∫ρ) is a polynomial, so F is rational, but only the prefactor
-    # decides a pin: c(t)·y0 stays in the basis with a zero operator.  The
-    # certificate returned is then moved along y0 to the one the ansatz
-    # Y/(den_l·N·D^ell) returns, which is 0 at y0's leading column there
+    # decides a pin: c(t)·y0 stays in the unpinned basis with a zero
+    # operator.  The hit order is then solved again with the pin row at y0's
+    # leading column, and returns the certificate the ansatz
+    # Y/(den_l·N·D^ell) returns, which is 0 at that column there
     gf, kern = generating_function(seq), kernel(logderiv=logderiv)
     seen = zero_operator_vectors(monkeypatch)
     tel = telescope(gf, kern, 3)
-    assert seen[-1] == (tel.order, 1)
+    assert seen[-2:] == [(tel.order, 1), (tel.order, 0)]
     monkeypatch.undo()
     assert same_search(gf, kern, 3) == repr(tel)
 
