@@ -13,6 +13,7 @@ StageFailure so callers can name the failing stage and pick an exit code.
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import log2
 
 from mpmath import mp
 
@@ -295,6 +296,57 @@ def _check_no_pole(kern, alpha, beta):
                 % (what, ("in [%s, %s]" if closed else "inside (%s, %s)") % ends))
 
 
+def _check_convergent(kern, seq, alpha, beta):
+    """Refuse a kernel whose integrals diverge at an endpoint.
+
+    Where K'/K has a simple pole with residue c at an endpoint e, K behaves
+    as |x - e|^c there, and every P_n is a combination of the initial
+    polynomials with polynomial coefficients, so it vanishes at e to at
+    least their least order k.  The integrals then converge at e when
+    c + k > -1; where c + k <= -1 every one diverges unless P_n happens to
+    vanish further, so the job is refused.  A pole of higher order is left
+    to the boundary stage.
+    """
+    for e in (alpha, beta):
+        try:
+            c = kern.exponent_at(e)
+        except BoundaryNotEvaluable:
+            continue
+        k = min((_vanish_order(q, e) for q in seq.init if q), default=0)
+        if c + k <= -1:
+            raise InvalidJob(
+                "kernel.logderiv: the integrals diverge at x = %s, where the kernel has"
+                " exponent %s and P_n vanishes to order %d" % (_fmt_value(e), _fmt_value(c), k))
+
+
+def _vanish_order(q, e):
+    """The multiplicity of the root e of a nonzero polynomial q."""
+    k = 0
+    while not q.eval(e):
+        q, k = q.deriv(), k + 1
+    return k
+
+
+def _as_rational(kern, alpha, beta):
+    """exp(∫ c/(x - a)) with integer c as the rational kernel (s·(x - a))^c,
+    s = ±1 with s·(x - a) > 0 on the interval, or s = 1 without one; a
+    constant factor changes no telescoper.  Any other kernel, a pole inside
+    the interval, or a power past the expression limits stays as it is.
+    """
+    if oracle.recognized_form(kern) != "linear_power":
+        return kern
+    den = kern.logderiv.den
+    a = -Fraction(den.coeff(0)) / den.coeff(1)
+    c = kern.exponent_at(a)
+    inside = alpha is not None and alpha < a < beta
+    if (c.denominator != 1 or inside or abs(c) > exprs.MAX_DEGREE
+            or abs(c) * log2(abs(a.numerator) + a.denominator) > exprs.MAX_BITS):
+        return kern
+    s = -1 if alpha is not None and a >= beta else 1
+    base = RatFunc(Poly("x", [-s * a, s]))
+    return Kernel(kern.prefactor * base ** int(c), RatFunc(Poly.const("x", 0)))
+
+
 def build_job(doc, defaults=None):
     """Validate a job document against the schema; raises InvalidJob.  The
     defaults, the CLI's option flags, fill the options the document omits."""
@@ -336,6 +388,9 @@ def build_job(doc, defaults=None):
         raise InvalidJob("interval: required for task %r" % task)
     if task in ("recurrence", "guess", "verify"):
         _check_no_pole(kern, alpha, beta)
+        _check_convergent(kern, seq, alpha, beta)
+    if kern is not None:
+        kern = _as_rational(kern, alpha, beta)
 
     count = None
     if task == "terms":

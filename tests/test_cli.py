@@ -161,6 +161,16 @@ SINGULAR_KERNELS = [
      "kernel.logderiv: a pole inside (-1, 1)"),
     ({"rational": "1/(x+1)"}, ["-1", "1"], "kernel.rational: a pole in [-1, 1]"),
     ({"logderiv": "(1/2)/x"}, ["-1", "1"], "kernel.logderiv: a pole inside (-1, 1)"),
+    # K'/K has a simple pole at an endpoint with residue c <= -1: every
+    # integral diverges there, where T_n does not vanish
+    ({"logderiv": "(-1)/(x-1)"}, ["-1", "1"],
+     "kernel.logderiv: the integrals diverge at x = 1, where the kernel has exponent -1"),
+    ({"logderiv": "(-3/2)/(x-1)"}, ["-1", "1"],
+     "kernel.logderiv: the integrals diverge at x = 1, where the kernel has exponent -3/2"),
+    ({"logderiv": "(-1)/(x+1)"}, ["-1", "1"],
+     "kernel.logderiv: the integrals diverge at x = -1, where the kernel has exponent -1"),
+    ({"logderiv": "(-5/4)/(x+1)", "form": "linear_power"}, ["-1", "1"],
+     "kernel.logderiv: the integrals diverge at x = -1, where the kernel has exponent -5/4"),
 ]
 
 

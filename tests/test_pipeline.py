@@ -632,6 +632,38 @@ def test_logderiv_poles_at_an_endpoint_are_accepted(logderiv, interval):
                             "kernel": {"logderiv": logderiv}, "interval": interval})
 
 
+def test_initial_polynomials_vanishing_at_the_endpoint_keep_the_integrals_finite():
+    # P_n = (x-1)·T_n all vanish at x = 1, so against |x-1|^(-3/2) the
+    # integrands behave as |x-1|^(-1/2) there; T_n alone is refused
+    doc = {"task": "recurrence", "sequence": {"coeffs": ["2*x", "-1"], "init": ["x-1", "x^2-x"]},
+           "kernel": {"logderiv": "(-3/2)/(x-1)"}, "interval": ["-1", "1"]}
+    for task in ("recurrence", "guess", "verify"):
+        pipeline.build_job(dict(doc, task=task))
+    with pytest.raises(InvalidJob, match="diverge at x = 1, where the kernel has exponent -3/2"
+                       " and P_n vanishes to order 0"):
+        pipeline.build_job(dict(doc, sequence={"builtin": "chebyshev_T"}))
+
+
+@pytest.mark.parametrize("logderiv,kernel", [("2/(x-3)", {"polynomial": "(x-3)^2"}),
+                                             ("-1/(x-2)", {"rational": "1/(2-x)"})])
+@pytest.mark.parametrize("transforms,builtin", [
+    ([], "chebyshev_T"), ([], "chebyshev_U"), ([{"power": 2}], "chebyshev_T"),
+    ([{"product_with": {"builtin": "chebyshev_U"}}], "chebyshev_T")], ids=["T", "U", "T2", "TU"])
+def test_integer_exponent_log_derivative_is_its_rational_kernel(logderiv, kernel, transforms,
+                                                                builtin):
+    # exp(∫ c/(x-a)) with integer c is (s·(x-a))^c, s·(x-a) > 0 on [-1, 1]:
+    # both spellings give one telescoper, certificate, boundary and
+    # recurrence, and exit 0, while the job echo keeps what was written
+    reps = [pipeline.run(pipeline.build_job({
+        "task": "recurrence", "sequence": {"builtin": builtin}, "transforms": transforms,
+        "kernel": k, "interval": ["-1", "1"]})) for k in ({"logderiv": logderiv}, kernel)]
+    assert reps[0].results == reps[1].results and reps[0].notes == reps[1].notes
+    assert reps[0].verifications == reps[1].verifications
+    assert reps[0].exit_code == 0
+    assert reps[0].job["kernel"] == {"logderiv": exprs.fmt_ratfunc(
+        exprs.parse_ratfunc(logderiv, ("x",)))}
+
+
 # -- job-document fuzzing: every document builds or is refused with exit 2 ----
 
 EXPRESSIONS = ["1", "0", "x", "-x", "2*x", "2*x^2-1", "1-x^2", "x^2+1", "1/(2-x)",

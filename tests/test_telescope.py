@@ -141,6 +141,31 @@ def test_vanish_order_past_64():
         _endpoint_contribution([[[1]]], [P.int_rows((x - 1) ** 70)[0]], kern, Fraction(1))
 
 
+@pytest.mark.parametrize("logderiv,e,c", [
+    ("(1/2)/(x-1)", 1, Fraction(1, 2)), ("(1/2)/(x-1)", Fraction(1, 3), 0),
+    ("x/(1-x^2)", -1, Fraction(-1, 2)), ("1+2/(x-3)", 3, 2), ("0", 1, 0)])
+def test_exponent_at_is_the_residue_and_decides_the_limit(logderiv, e, c):
+    # exp(∫ρ) behaves as |x - e|^c at e, c the residue of ρ there (0 where
+    # ρ is regular).  Against a factor regular and nonzero at e, the limit
+    # is 0 when c > 0, the factor's value against a rational kernel, and
+    # not evaluable otherwise
+    kern, e = kernel(logderiv=logderiv), Fraction(e)
+    assert kern.exponent_at(e) == c
+    if c > 0:
+        assert _endpoint_contribution([[[1]]], [[[2]]], kern, e).is_zero()
+    elif logderiv == "0":
+        assert _endpoint_contribution([[[1]]], [[[2]]], kern, e) == RatFunc(Poly("t", [1]),
+                                                                             Poly("t", [2]))
+    else:
+        with pytest.raises(BoundaryNotEvaluable, match="nonzero limit"):
+            _endpoint_contribution([[[1]]], [[[2]]], kern, e)
+
+
+def test_exponent_at_a_higher_order_pole_raises():
+    with pytest.raises(BoundaryNotEvaluable, match="higher-order pole at x = 1"):
+        kernel(logderiv="1/(x-1)^2").exponent_at(Fraction(1))
+
+
 def test_order_minimality_rerun():
     gf = generating_function(T)
     tel = telescope(gf, trivial_kernel(), 6)
