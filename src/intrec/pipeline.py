@@ -34,7 +34,7 @@ from .guess import MARGIN, guess_precursive
 from . import poly as P
 from .poly import Poly
 from .ratfunc import RatFunc
-from .telescope import Kernel, boundary_rhs, telescope, verify_certificate
+from .telescope import Kernel, _vanish_order, boundary_rhs, telescope, verify_certificate
 
 _TASKS = ("genfun", "terms", "telescope", "recurrence", "guess", "verify")
 
@@ -302,29 +302,21 @@ def _check_convergent(kern, seq, alpha, beta):
     Where K'/K has a simple pole with residue c at an endpoint e, K behaves
     as |x - e|^c there, and every P_n is a combination of the initial
     polynomials with polynomial coefficients, so it vanishes at e to at
-    least their least order k.  The integrals then converge at e when
-    c + k > -1; where c + k <= -1 every one diverges unless P_n happens to
-    vanish further, so the job is refused.  A pole of higher order is left
-    to the boundary stage.
+    least their least order k.  The integrals converge at e when c + k > -1;
+    otherwise that of an initial polynomial of order k, itself a P_n,
+    diverges.  A pole of higher order is left to the boundary stage.
     """
+    rows = P.cleared_rows([q.coeffs for q in seq.init if q])[0]
     for e in (alpha, beta):
         try:
             c = kern.exponent_at(e)
         except BoundaryNotEvaluable:
             continue
-        k = min((_vanish_order(q, e) for q in seq.init if q), default=0)
+        k = _vanish_order(rows, e)[0] if rows else 0
         if c + k <= -1:
             raise InvalidJob(
                 "kernel.logderiv: the integrals diverge at x = %s, where the kernel has"
                 " exponent %s and P_n vanishes to order %d" % (_fmt_value(e), _fmt_value(c), k))
-
-
-def _vanish_order(q, e):
-    """The multiplicity of the root e of a nonzero polynomial q."""
-    k = 0
-    while not q.eval(e):
-        q, k = q.deriv(), k + 1
-    return k
 
 
 def _as_rational(kern, alpha, beta):

@@ -41,7 +41,8 @@ system's columns; the system differs from the one over R's own
 coefficients only by one factor common to every row.
 verify_certificate compares the two sides of the cross-multiplied identity
 as two packed-integer products, and boundary_rhs takes each endpoint limit
-from the multiplicities and values of the integrand's factors there.
+from the multiplicities and values of the integrand's factors there and
+the kernel's exponent (Kernel.exponent_at).
 """
 
 from dataclasses import dataclass
