@@ -1,22 +1,23 @@
 """Ground-truth values of a(n) = ∫ P_n(x) K(x) dx, independent of telescoping.
 
-Each IntegralProblem classifies its kernel once, into `form` (the
-recognized_form tag) and `factor`, the name of the symbolic factor f of its
-exact values a(n) = f·q_n, with f's mpf value beside it: the pipeline prints
-the name and multiplies by the value.  exact_term gives q_n as a moment sum:
-with m_k = ∫_α^β x^k w(x) dx, P_n = Σ c_j x^j and the prefactor Σ a_i x^i (its
-denominator is 1), q_n = Σ_j c_j Σ_i a_i m_(i+j).  The c_j and the a_i are
-each cleared to integers over one denominator, and the moments are built as
+Each IntegralProblem reads its kernel's form off the kernel (Kernel.form,
+computed once per kernel) and sets `factor`, the name of the symbolic
+factor f of its exact values a(n) = f·q_n, with f's mpf value beside it:
+the pipeline prints the name and multiplies by the value.  exact_term gives
+q_n as a moment sum: with m_k = ∫_α^β x^k w(x) dx, P_n = Σ c_j x^j and the
+prefactor Σ a_i x^i (its denominator is 1), q_n = Σ_j c_j M_j over the
+weighted moments M_j = Σ_i a_i m_(i+j).  The c_j and the a_i are each
+cleared to integers over one denominator, and the moments are built as
 integers over one, so the sum runs in integers and builds one Fraction per
 term.  A polynomial kernel has f = 1, w = 1 and the power rule,
 m_k = (β^(k+1) - α^(k+1))/(k+1).  The Chebyshev weight 1/sqrt(1-x^2) with a
 polynomial prefactor on [-1, 1] has f = pi and the rational parts
 m_k = C(k, k/2)/2^k for even k, 0 for odd k.  Every other kernel has no
-exact values.  An IntegralProblem owns its moment vector, computed once and
-extended on demand, and P_n comes from the sequence's cached prefix, so each
-further value costs one recurrence step and one dot product: the first N
-values cost time linear in N, not quadratic.  exact_terms keeps that prefix
-of values on the problem too.
+exact values.  An IntegralProblem owns both moment vectors, computed once
+and extended on demand, and P_n comes from the sequence's cached prefix, so
+each further value costs one recurrence step and one dot product: the first
+N values cost time linear in N, not quadratic.  exact_terms keeps that
+prefix of values on the problem too.
 
 numeric_terms gives the values for n in a range at a requested decimal
 precision, on which the pipeline checks each equation of a recurrence that has
@@ -52,8 +53,6 @@ from .cfinite import term, terms
 from .errors import ExactOracleUnavailable, QuadratureFailed, UnsupportedKernel
 from . import _kernels as K
 from . import poly as P
-from .poly import Poly
-from .ratfunc import RatFunc
 
 _MAXDEGREE = 12
 # the tanh-sinh rule of every numeric pass, with its cache of nodes
@@ -64,16 +63,16 @@ _X_DIGITS_CAP = 12
 
 
 class IntegralProblem:
-    """a(n) = ∫_alpha^beta P_n(x)·kernel(x) dx, with its kernel classified once.
+    """a(n) = ∫_alpha^beta P_n(x)·kernel(x) dx.
 
-    `form` is recognized_form(kernel).  `factor` names the symbolic factor
-    f with a(n) = f·q_n and q_n = exact_term(self, n) rational, and
-    `factor_value` is f in mpf: "1" for a polynomial kernel, "pi" for the
-    Chebyshev weight with a polynomial prefactor on exactly [-1, 1], None
-    when there are no exact values.
+    `factor` names the symbolic factor f with a(n) = f·q_n and
+    q_n = exact_term(self, n) rational, and `factor_value` is f in mpf: "1"
+    for a polynomial kernel, "pi" for the Chebyshev weight with a
+    polynomial prefactor on exactly [-1, 1], None when there are no exact
+    values; both follow from kernel.form.
     Linear recurrences and their checks carry over unchanged from a(n) to
     q_n whenever the right-hand sides vanish.  The problem owns its moments
-    m_k = _nums[k]/_den and its cached prefix of exact terms.
+    and its cached prefix of exact terms.
     """
 
     def __init__(self, seq, kernel, alpha, beta):
@@ -81,30 +80,29 @@ class IntegralProblem:
         if not lo < hi:
             raise ValueError("interval endpoints must satisfy alpha < beta")
         self.seq, self.kernel, self.alpha, self.beta = seq, kernel, alpha, beta
-        self.form = recognized_form(kernel)
         self.factor = self.factor_value = None
         if kernel.prefactor.is_polynomial():
-            if self.form == "rational":
+            if kernel.form == "rational":
                 self.factor, self.factor_value = "1", mp.one
-            elif self.form == "chebyshev_weight" and (lo, hi) == (-1, 1):
+            elif kernel.form == "chebyshev_weight" and (lo, hi) == (-1, 1):
                 self.factor, self.factor_value = "pi", mp.pi
-        self._nums, self._den, self._terms = [], 1, []
+        self._nums, self._den, self._wnums, self._terms = [], 1, [], []
 
 
 def _moments(prob, count):
-    """(nums, den) with m_k = nums[k]/den for every k < count.
+    """(nums, den) with M_j = Σ_i a_i m_(i+j) = nums[j]/den for every j < count.
 
-    Power-rule moments for factor "1", the rational parts of the
-    Chebyshev-weight moments for factor "pi", both built from integers.
-    With alpha = v/g and beta = u/g over one denominator,
-    m_j = (u^(j+1) - v^(j+1))/((j+1)·g^(j+1)), and m_j for j < top share the
-    denominator lcm(1, ..., top)·g^top; the Chebyshev parts C(j, j/2)/2^j
-    share 2^(top-1).  The vector at least doubles whenever it grows, so
-    bringing it to a new common denominator costs O(1) per moment overall.
+    The raw moments m_j = prob._nums[j]/prob._den for j < top share the
+    denominator lcm(1, ..., top)·g^top under the power rule, alpha = v/g and
+    beta = u/g, and 2^(top-1) as the Chebyshev parts C(j, j/2)/2^j.  m at
+    least doubles whenever it grows, and M is rescaled with it, so bringing
+    both to a new common denominator costs O(1) per moment overall.  The a_i
+    are cleared to integers over f, so M has the denominator of m times f.
     """
-    k = len(prob._nums)
-    if k < count:
-        top = max(count, 2 * k)
+    (ws, f), ms, wm = P.cleared(prob.kernel.prefactor.num.coeffs), prob._nums, prob._wnums
+    k = len(ms)
+    if k < count + len(ws) - 1:
+        top = max(count + len(ws) - 1, 2 * k)
         if prob.factor == "1":
             (v, u), g = P.cleared([Fraction(prob.alpha), Fraction(prob.beta)])
             L = lcm(*range(1, top + 1)) * g**top
@@ -118,20 +116,21 @@ def _moments(prob, count):
             new = [comb(j, j // 2) << (top - 1 - j) if j % 2 == 0 else 0
                    for j in range(k, top)]
         den = lcm(prob._den, L)
-        old = [x * (den // prob._den) for x in prob._nums]
-        prob._nums, prob._den = old + [x * (den // L) for x in new], den
-    return prob._nums, prob._den
+        up = den // prob._den
+        ms[:] = [x * up for x in ms] + [x * (den // L) for x in new]
+        wm[:] = [x * up for x in wm]
+        prob._den = den
+    while len(wm) < count:
+        j = len(wm)
+        wm.append(sum(a * m for a, m in zip(ws, ms[j:j + len(ws)]) if a))
+    return wm, prob._den * f
 
 
 def _moment_sum(prob, p):
-    """Σ_j c_j Σ_i a_i m_(i+j) over the coefficients c_j of p and a_i of the
-    prefactor, whose denominator is 1 (RatFunc makes a constant one 1)."""
+    """Σ_j c_j M_j over the coefficients c_j of p: one dot product."""
     cs, e = P.cleared(p.coeffs)
-    ws, f = P.cleared(prob.kernel.prefactor.num.coeffs)
-    nums, den = _moments(prob, len(cs) + len(ws) - 1)
-    total = sum(a * sum(c * m for c, m in zip(cs, nums[i:i + len(cs)]) if c)
-                for i, a in enumerate(ws) if a)
-    return P.as_num(Fraction(total, den * e * f))
+    nums, den = _moments(prob, len(cs))
+    return P.as_num(Fraction(sum(c * m for c, m in zip(cs, nums) if c), den * e))
 
 
 def exact_term(prob, n):
@@ -163,46 +162,24 @@ def _poly_mpf(p):
     return lambda x: K.peval(cs, x)
 
 
-def recognized_form(kern):
-    """Closed-form tag implied by the kernel's log-derivative, or None.
-
-    "rational" means no exponential part at all; "chebyshev_weight" is
-    1/sqrt(1-x^2); "linear_power" is |x-a|^c.  None means no numeric
-    values can be produced.
-    """
-    rho = kern.logderiv
-    if rho.is_zero():
-        return "rational"
-    x_ = Poly.variable("x")
-    if rho == RatFunc(x_, 1 - x_ * x_):
-        return "chebyshev_weight"
-    if rho.den.degree() == 1 and rho.num.is_constant():
-        return "linear_power"
-    return None
-
-
-def _kernel_evaluator(kern, form):
+def _kernel_evaluator(kern):
     """The kernel's factor of the integrand as a function of x.  The
     Chebyshev weight is integrated after x = cos θ, which leaves its
     prefactor alone."""
     pn, pd = _poly_mpf(kern.prefactor.num), _poly_mpf(kern.prefactor.den)
-    if form in ("rational", "chebyshev_weight"):
+    if kern.form in ("rational", "chebyshev_weight"):
         return lambda x: pn(x) / pd(x)
-    if form == "linear_power":
-        den = kern.logderiv.den
-        a = -Fraction(den.coeff(0)) / den.coeff(1)
-        am, cm = as_mpf(a), as_mpf(kern.exponent_at(a))
+    if kern.form == "linear_power":
+        am, cm = map(as_mpf, kern.power)
         return lambda x: pn(x) / pd(x) * abs(x - am) ** cm
     raise UnsupportedKernel("no closed form known for this kernel log-derivative")
 
 
 def quadrature_digits(prob, precision):
-    """Decimal digits numeric_term is run at for a requested precision.
-
-    Kernels integrated in x are capped at _X_DIGITS_CAP digits; the
-    substituted Chebyshev weight gets the full precision.
-    """
-    if prob.form == "chebyshev_weight":
+    """Decimal digits numeric_term is run at for a requested precision:
+    capped at _X_DIGITS_CAP for kernels integrated in x, the full precision
+    for the substituted Chebyshev weight."""
+    if prob.kernel.form == "chebyshev_weight":
         return precision
     return min(precision, _X_DIGITS_CAP)
 
@@ -229,16 +206,9 @@ def numeric_term(prob, n, precision):
 
 
 def numeric_terms(prob, count, precision, first=0):
-    """P_n·K integrated numerically to `precision` decimal digits, first <= n < count.
-
-    A problem with factor "pi" (the Chebyshev weight with a polynomial
-    prefactor on exactly [-1, 1]) is integrated by the Gauss–Chebyshev rule,
-    which is exact for it and so needs no error estimate.  Everything else
-    goes through one tanh-sinh pass that integrates every term: the nodes of
-    each degree are visited once, the kernel is evaluated once per node and
-    P_0, ..., P_(count-1) there by the sequence's recurrence, and each term
-    stops at the degree where its own error estimate passes.
-    """
+    """P_n·K integrated numerically to `precision` decimal digits, first <= n < count:
+    by the Gauss–Chebyshev rule for factor "pi", else by one tanh-sinh pass
+    (see the module docstring)."""
     with mp.workdps(precision + 10):
         if prob.factor == "pi":
             return [_gauss_chebyshev(prob, p) for p in terms(prob.seq, count)[first:]]
@@ -300,7 +270,7 @@ def _tanh_sinh(prob, first, count, precision):
     [alpha, beta] within [-1, 1] is integrated as P_n(cos θ)·prefactor(cos θ)
     over [acos beta, acos alpha]; outside [-1, 1] it raises UnsupportedKernel.
     """
-    cheb = prob.form == "chebyshev_weight"
+    cheb = prob.kernel.form == "chebyshev_weight"
     if cheb and (Fraction(prob.alpha) < -1 or Fraction(prob.beta) > 1):
         raise UnsupportedKernel(
             "the Chebyshev weight is real only on intervals within [-1, 1]"
@@ -316,7 +286,7 @@ def _tanh_sinh(prob, first, count, precision):
     sums = dict.fromkeys(live, 0)
     out = {}
     with mp.workprec(prec + 20):
-        kf = _kernel_evaluator(prob.kernel, prob.form)
+        kf = _kernel_evaluator(prob.kernel)
         for degree in range(1, _MAXDEGREE + 1):
             if not live:
                 break

@@ -263,11 +263,10 @@ def _build_kernel(doc):
         kern = Kernel(one, rho)
         echo = {"logderiv": exprs.fmt_ratfunc(rho)}
         if "form" in doc:
-            got = oracle.recognized_form(kern)
-            if doc["form"] != got:
+            if doc["form"] != kern.form:
                 raise InvalidJob(
                     "kernel.form: tag %r does not match the log-derivative"
-                    " (recognized: %r)" % (doc["form"], got)
+                    " (recognized: %r)" % (doc["form"], kern.form)
                 )
             echo["form"] = doc["form"]
     return kern, echo
@@ -325,11 +324,9 @@ def _as_rational(kern, alpha, beta):
     constant factor changes no telescoper.  Any other kernel, a pole inside
     the interval, or a power past the expression limits stays as it is.
     """
-    if oracle.recognized_form(kern) != "linear_power":
+    if kern.power is None:
         return kern
-    den = kern.logderiv.den
-    a = -Fraction(den.coeff(0)) / den.coeff(1)
-    c = kern.exponent_at(a)
+    a, c = kern.power
     inside = alpha is not None and alpha < a < beta
     if (c.denominator != 1 or inside or abs(c) > exprs.MAX_DEGREE
             or abs(c) * log2(abs(a.numerator) + a.denominator) > exprs.MAX_BITS):
@@ -547,13 +544,23 @@ def _run_guess(rep, prob, opts, count):
     return grec
 
 
-def _max_residual(rec, vals):
+def _max_residual(rec, vals, digits=None):
     """Largest |Σ terms − rhs| / (Σ|terms| + |rhs|) at the working precision,
-    over o2r.equations of the values, the equations first_failure checks."""
-    eqs = [([oracle.as_mpf(w) * vals[idx] for idx, w in pairs], oracle.as_mpf(rhs))
-           for _, pairs, rhs in o2r.equations(rec, len(vals))]
-    scaled = [(abs(mp.fsum(ts) - rhs), mp.fsum(map(abs, ts)) + abs(rhs)) for ts, rhs in eqs]
-    return max((res / scale for res, scale in scaled if scale), default=mp.zero)
+    over o2r.equations of the values, the equations first_failure checks.
+    Values good to `digits` digits (the working precision's by default)
+    resolve 10^-digits·Σ|w|·max|a(n)| in an equation with weights w; one
+    whose own scale is below that, as where every true value it touches is
+    0, holds only noise and is judged against that resolution instead."""
+    eps = mp.mpf(10) ** -(mp.dps if digits is None else digits)
+    top = max(map(abs, vals), default=mp.zero)
+    worst = mp.zero
+    for _, pairs, rhs in o2r.equations(rec, len(vals)):
+        ws = [oracle.as_mpf(w) for _, w in pairs]
+        ts, r = [w * vals[idx] for w, (idx, _) in zip(ws, pairs)], oracle.as_mpf(rhs)
+        scale = max(mp.fsum(map(abs, ts)) + abs(r), eps * mp.fsum(map(abs, ws)) * top)
+        if scale:
+            worst = max(worst, abs(mp.fsum(ts) - r) / scale)
+    return worst
 
 
 def _numeric_consistency(rep, job, rec, prob):
@@ -569,7 +576,7 @@ def _numeric_consistency(rep, job, rec, prob):
     vals = _stage("oracle", oracle.numeric_terms, prob, total, digits)
     places = max(digits, 10) - 2
     with mp.workdps(digits + 10):
-        worst = _max_residual(rec, vals)
+        worst = _max_residual(rec, vals, digits)
         ok = worst < mp.mpf(10) ** -places
     rep.results["recurrence"]["approx_initial_terms"] = [_approx_str(s) for s in vals[:need]]
     rep.check(
@@ -628,7 +635,7 @@ def _recurrence_stage(rep, job, prob, gf, tel, want_terms):
     try:
         rhs = boundary_rhs(gf, job.kernel, tel, job.alpha, job.beta)
     except BoundaryNotEvaluable as e:
-        if prob.form is None:
+        if job.kernel.form is None:
             raise StageFailure("boundary", e)
         rep.notes.append(
             "boundary stage failed (%s); reporting the homogeneous recurrence"
@@ -670,7 +677,7 @@ def _recurrence_stage(rep, job, prob, gf, tel, want_terms):
             _quadrature_spot_check(rep, job, prob, terms[: max(need, 2)])
         return rec, terms, unrolled
     rep.results["recurrence"] = _recurrence_payload(rec)
-    if prob.form is not None:
+    if job.kernel.form is not None:
         _numeric_consistency(rep, job, rec, prob)
     else:
         rep.notes.append(

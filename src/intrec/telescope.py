@@ -17,28 +17,23 @@ is missed: T against (x−3)^2·e^x has a telescoper of order 1, and the
 search returns one of order 2.  Callers check a returned operator against
 the defining identity with verify_certificate.
 
-With a rational kernel (zero log-derivative) F is rational, and y0 = 1/F
-solves the system with a zero operator: without more, every order would
-have nullity at least 1, a miss would always be lifted t-adically, and a
-hit would lift that useless vector too.  Whether its certificate part
-Y0 = den_y/F is a polynomial in x is decided at each order; where it is,
-one row pins one linear combination of its columns to 0.  The pinned
-system has full column rank at a miss, which then ends after one
-elimination mod p, and it returns the same telescoper at a hit (telescope
-says why).  F can also be rational through its log-derivative; then an
-order whose basis holds y0 beside a solution is solved again with the same
-pin row.
+Where F is rational, y0 = 1/F solves every order's system with a zero
+operator, and one pin row excludes it: ahead of the solve for a rational
+kernel whose Y0 = den_y/F is a polynomial in x, so that a miss ends after
+one elimination mod p, and after it where F is rational through its
+log-derivative (telescope says why the telescoper stays the same).
 
 The arithmetic runs on integer rows (`_kernels`: a polynomial in Z[x][t] as
-a t-list of Z[x] int lists, products by Kronecker substitution).  Each call
-converts its data once: N and D of the generating function R = N/D, cleared
-to integers; the kernel's x-log-derivative and prefactor; and the factor g
-of the log-derivative's denominator that the certificate does not need
-(two `gcd_int` calls or a few more).  The search builds on rows the
-W-sequence, each order's h = Lx − (d/dx den_y)/den_y in lowest terms (one
-`gcd_int`, whose cofactors are h's numerator and denominator) and the
-system's columns; the system differs from the one over R's own
-coefficients only by one factor common to every row.
+a t-list of Z[x] int lists, products by Kronecker substitution).  It reads
+κ = K'/K, prefactor included, off the Kernel (`kappa`, computed once per
+kernel).  Each call converts N and D of the generating function R = N/D,
+cleared to integers, finds the factor g of the log-derivative's
+denominator that the certificate does not need (two `gcd_int` calls or a
+few more), and a/b = κ − lq'/lq for the rest lq of it (one more).  The
+search builds on rows the W-sequence, each order's h = a/b − (ell + 1)·
+D'_x/D' in lowest terms (one `gcd_int`, whose cofactors are h's numerator
+and denominator) and the system's columns; the system differs from the
+one over R's own coefficients only by one factor common to every row.
 verify_certificate compares the two sides of the cross-multiplied identity
 as two packed-integer products, and boundary_rhs takes each endpoint limit
 from the multiplicities and values of the integrand's factors there and
@@ -46,11 +41,12 @@ the kernel's exponent (Kernel.exponent_at).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as _igcd
 
-from .errors import BoundaryNotEvaluable, NoTelescoperFound
+from .errors import BoundaryNotEvaluable, NoTelescoperFound, ZeroDenominator
 from .linalg import canonical_scale, nullspace
 from . import _kernels as K
 from . import poly as P
@@ -60,10 +56,37 @@ from .ratfunc import RatFunc
 
 @dataclass(frozen=True)
 class Kernel:
-    """K(x) = prefactor(x) · exp(∫ρ) with rational prefactor and ρ = K'/K."""
+    """K(x) = prefactor(x) · exp(∫ρ) with rational prefactor and ρ the
+    log-derivative of its exponential part.  Every layer reads the facts
+    below off the kernel, each computed once per kernel on first use."""
 
     prefactor: RatFunc
     logderiv: RatFunc
+
+    @cached_property
+    def form(self):
+        """Closed-form tag of exp(∫ρ): "rational" for ρ = 0,
+        "chebyshev_weight" for 1/sqrt(1 − x²), "linear_power" for |x − a|^c,
+        None for any other ρ."""
+        return _classify(self.logderiv)
+
+    @cached_property
+    def power(self):
+        """(a, c) with exp(∫ρ) = |x − a|^c for a linear_power kernel, else None."""
+        if self.form == "linear_power":
+            a = -Fraction(self.logderiv.den.coeff(0)) / self.logderiv.den.coeff(1)
+            return a, self.exponent_at(a)
+
+    @cached_property
+    def kappa(self):
+        """κ = K'/K = ρ + prefactor'/prefactor as integer rows (num, den) in
+        lowest terms."""
+        (rn, rd), (pn, pd) = _x_rows(self.logderiv), _x_rows(self.prefactor)
+        if not pn:
+            raise ZeroDenominator("zero denominator")
+        wron = K.rsub(K.rmul(K.rdx(pn), pd), K.rmul(pn, K.rdx(pd)))
+        ppd = K.rmul(pn, pd)
+        return K.gcd_int(K.radd(K.rmul(rn, ppd), K.rmul(rd, wron)), K.rmul(rd, ppd))[1:]
 
     def exponent_at(self, e):
         """The residue of ρ at x = e, the c of exp(∫ρ) ~ |x − e|^c there: 0
@@ -77,6 +100,18 @@ class Kernel:
             raise BoundaryNotEvaluable(
                 "kernel log-derivative has a higher-order pole at x = %s" % (e,))
         return Fraction(self.logderiv.num.eval(e)) / Fraction(drp.eval(e))
+
+
+def _classify(rho):
+    """Kernel.form of the log-derivative rho."""
+    if rho.is_zero():
+        return "rational"
+    # x/(1 − x²) as RatFunc normalises it: the denominator leads positive
+    if rho.num == Poly("x", [0, -1]) and rho.den == Poly("x", [-1, 0, 1]):
+        return "chebyshev_weight"
+    if rho.den.degree() == 1 and rho.num.is_constant():
+        return "linear_power"
+    return None
 
 
 def trivial_kernel():
@@ -102,13 +137,6 @@ class Telescoper:
         return len(self.opcoeffs) - 1
 
 
-def _pre_logderiv(kernel):
-    pre = kernel.prefactor
-    return RatFunc(
-        pre.num.deriv() * pre.den - pre.num * pre.den.deriv(), pre.num * pre.den
-    )
-
-
 def _x_rows(r):
     """A rational function of x alone as integer rows (num, den) of equal value."""
     (n, ln), (d, ld) = P.int_rows(r.num), P.int_rows(r.den)
@@ -116,18 +144,14 @@ def _x_rows(r):
 
 
 def _integrand(gf, kernel):
-    """Integer rows of F = (N/D)·K: (N', cN, D', cD, ln, ld, kd).
-
-    N' = cN·N and D' = cD·D clear the denominators of the generating
-    function, ln/ld is its x-log-derivative (dN/dx)/N − (dD/dx)/D + K'/K,
-    not reduced, and kd is the denominator of κ = K'/K in lowest terms.
-    """
+    """Integer rows of F = (N/D)·K: (N', cN, D', cD, ln, ld), with N' = cN·N
+    and D' = cD·D cleared to integers and ln/ld, not reduced, the
+    x-log-derivative (dN/dx)/N − (dD/dx)/D + κ."""
     (nr, cn), (dr, cd) = P.int_rows(gf.num), P.int_rows(gf.den)
-    kn, kd = _x_rows(kernel.logderiv + _pre_logderiv(kernel))
+    kn, kd = kernel.kappa
     nd = K.rmul(nr, dr)
     wron = K.rsub(K.rmul(K.rdx(nr), dr), K.rmul(nr, K.rdx(dr)))
-    return (nr, cn, dr, cd, K.radd(K.rmul(wron, kd), K.rmul(nd, kn)), K.rmul(nd, kd),
-            kd)
+    return nr, cn, dr, cd, K.radd(K.rmul(wron, kd), K.rmul(nd, kn)), K.rmul(nd, kd)
 
 
 def _extend_w(ws, dr, upto):
@@ -180,12 +204,13 @@ def _degree_bound(hn, hd, deg_r):
     return max(deg_r - max(dn, dd - 1), j)
 
 
-def _solve_order(ell, nd, dr, ws, ln, g, lq, scale, pin):
+def _solve_order(ell, nd, dr, ws, ab, g, lq, scale, pin):
     """Try the ansatz at telescoper order ell: (size, found).
 
     size is (rows, columns, t-degree) of the system solved, and found is
-    (operator, certificate), or None at a miss.  nd = N'·D'^ell, ln/ld is
-    the reduced x-log-derivative, and ld = g·lq with g from _regular_part.
+    (operator, certificate), or None at a miss.  nd = N'·D'^ell, ab = (a, b)
+    with a/b = κ − lq'/lq in lowest terms, and the reduced x-log-derivative
+    has denominator g·lq with g from _regular_part.
     The certificate is Y/den_y with den_y = lq·nd, which is `scale` times
     the den_y built from N, D and lq made primitive.  The certificate
     columns are multiplied by `scale`, so the system is the one over N, D
@@ -196,23 +221,20 @@ def _solve_order(ell, nd, dr, ws, ln, g, lq, scale, pin):
 
     pin is deg_x Y0 for Y0 = den_y/F, the certificate part of the trivial
     solution y0 = 1/F, or None when the kernel has a log-derivative or Y0
-    is not a polynomial in x (see telescope).  Y0 solves hd·Y' + hn·Y = 0,
-    so pin <= m.  One row then requires the coefficient of x^(pin + deg g)
-    in Y·g to be 0.  That removes exactly the certificate-only solutions
-    c(t)·Y0 and keeps every operator: a miss then has full column rank and
-    ends after one elimination mod p, and a hit lifts one free column
-    fewer.  Y·g is the Y of the ansatz Y/(ld·nd), and the coefficient the
-    row sets to 0 is its leading column for y0, so the returned vector is
-    the one that ansatz, pinned there, returns (telescope).  Where F is
-    rational through its log-derivative, nothing is pinned ahead, and a
-    basis that holds c(t)·y0, the one vector with a zero operator, beside
-    a solution is solved again with the row that pins y0's leading column.
+    is not a polynomial in x.  Y0 solves hd·Y' + hn·Y = 0, so pin <= m, and
+    one row sets the coefficient of x^(pin + deg g) in Y·g, y0's leading
+    column, to 0: the certificate-only solutions c(t)·Y0 go, every operator
+    stays (telescope), and a miss ends after one elimination mod p.  Where
+    F is rational through its log-derivative, a basis that holds c(t)·y0
+    beside a solution is solved again with that row.
     """
     den_y = K.rmul(lq, nd)
-    # h = Lx − (d/dx den_y)/den_y, over g·den_y = ld·nd, in lowest terms:
-    # its cofactors by one gcd
-    _, hn, hd = K.gcd_int(K.rsub(K.rmul(ln, nd), K.rmul(g, K.rdx(den_y))),
-                          K.rmul(g, den_y))
+    # h = Lx − (d/dx den_y)/den_y.  With Lx = N'_x/N' − D'_x/D' + κ and
+    # den_y = lq·N'·D'^ell, N' cancels: h = a/b − (ell + 1)·D'_x/D', in
+    # lowest terms by one gcd, whose cofactors are hn and hd
+    a, b = ab
+    _, hn, hd = K.gcd_int(K.rsub(K.rmul(a, dr), K.rscale(K.rmul(b, K.rdx(dr)), ell + 1)),
+                          K.rmul(b, dr))
     # right-hand side i: W_i·D'^(ell−i)·lq·hd
     rhs, lh = [None] * (ell + 1), K.rmul(lq, hd)
     for i in range(ell, -1, -1):
@@ -298,27 +320,27 @@ def telescope(gf, kernel, max_order):
     that ansatz's bound of two above the right-hand sides, and then find a
     lower order.
 
-    With a zero log-derivative F is rational, and y0 = 1/F solves the
-    system with a zero operator; every certificate-only solution is c(t)·y0.
-    Its Y part, Y0 = den_y/F = (L/g)·D^(ell+1)/prefactor up to a constant,
-    is decided at each order: where it is a polynomial in x, _solve_order
-    pins the coefficient of x^(deg Y0 + deg g) of Y·g, the leading column
-    of y0 in the coordinates of Y/(L·N·D^ell), to 0.  In the reduced row
-    echelon basis of that ansatz unpinned, this column is free and y0 is
-    its vector: a solution supported below it would have a zero operator,
-    so it would be c(t)·y0, which is not 0 there.  Every other basis vector
-    is 0 at a free column not its own, so the pinned basis is the unpinned
-    one without y0, and the returned telescoper is unchanged.  F can also
-    be rational through its log-derivative, with no pin decided ahead.
-    Then an order whose unpinned basis holds c(t)·y0 beside a solution is
-    solved again with the pin at y0's leading column, which by the same
-    argument returns the same vector.
+    With a zero log-derivative F is rational, and every certificate-only
+    solution is c(t)·y0, y0 = 1/F.  Where its Y part Y0 = den_y/F =
+    (L/g)·D^(ell+1)/prefactor (up to a constant) is a polynomial in x,
+    _solve_order pins the coefficient of x^(deg Y0 + deg g) of Y·g, y0's
+    leading column in the coordinates of Y/(L·N·D^ell), to 0.  In the
+    reduced row echelon basis of that ansatz unpinned, this column is free
+    and y0 is its vector: a solution supported below it would have a zero
+    operator, so it would be c(t)·y0, which is not 0 there.  Every other
+    basis vector is 0 at a free column not its own, so the pinned basis is
+    the unpinned one without y0, and the telescoper is unchanged.  Where F
+    is rational through its log-derivative, an order whose unpinned basis
+    holds c(t)·y0 beside a solution is solved again with that pin, with the
+    same result.
     """
     if gf.num.is_zero():
         return Telescoper((Poly("t", [1]),), RatFunc(Poly("t", []), Poly("t", [1])))
-    nr, cn, dr, cd, ln, ld, kd = _integrand(gf, kernel)
-    _, ln, ld = K.gcd_int(ln, ld)
-    g, lq = _regular_part(ld, K.rmul(nr, dr), kd)
+    nr, cn, dr, cd, ln, ld = _integrand(gf, kernel)
+    kn, kd = kernel.kappa
+    g, lq = _regular_part(K.gcd_int(ln, ld)[2], K.rmul(nr, dr), kd)
+    # a/b = κ − lq'/lq, h at every order but for its D' term
+    ab = K.gcd_int(K.rsub(K.rmul(kn, lq), K.rmul(kd, K.rdx(lq))), K.rmul(kd, lq))[1:]
     base = cn * K.primitive(lq, True)[0]
     y0 = pn = None
     if kernel.logderiv.is_zero():
@@ -333,7 +355,7 @@ def telescope(gf, kernel, max_order):
         if y0 is not None:
             y0 = K.rmul(y0, dr)
             pin = _quotient_degree(y0, pn)
-        size, got = _solve_order(ell, nd, dr, _extend_w(ws, dr, ell), ln, g, lq,
+        size, got = _solve_order(ell, nd, dr, _extend_w(ws, dr, ell), ab, g, lq,
                                  base * cd**ell, pin)
         largest = max(largest, size, key=lambda s: s[0] * s[1])
         if got is not None:
@@ -363,7 +385,7 @@ def verify_certificate(gf, kernel, tel):
     """
     if gf.num.is_zero():
         return True
-    nr, cn, dr, cd, ln, ld, _ = _integrand(gf, kernel)
+    nr, cn, dr, cd, ln, ld = _integrand(gf, kernel)
     ws = _extend_w([nr], dr, tel.order)
     # lhs: sum a_i W_i D'^(order−i) over N'·D'^order, the a_i cleared by ca
     acs, ca = P.cleared_rows([a.coeffs for a in tel.opcoeffs])

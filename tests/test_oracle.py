@@ -99,7 +99,7 @@ def test_quadrature_precision_cap():
         RatFunc(Poly("x", [1])),
         RatFunc(Poly("x", [Fraction(-3, 4)]), Poly("x", [-1, 1])),
     )
-    assert oracle.recognized_form(kern) == "linear_power"
+    assert kern.form == "linear_power"
     prob = IntegralProblem(T, kern, Fraction(-1), Fraction(1))
     with pytest.raises(QuadratureFailed):
         oracle.numeric_term(prob, 0, 12)
@@ -283,8 +283,7 @@ KERNEL_CLASSES = [
                          ids=[k[0] for k in KERNEL_CLASSES])
 def test_problem_classifies_kernel(kern, interval, form, factor):
     prob = IntegralProblem(T, kern, *interval)
-    assert (prob.form, prob.factor) == (form, factor)
-    assert prob.form == oracle.recognized_form(kern)
+    assert (prob.kernel.form, prob.factor) == (form, factor)
 
 
 def test_exact_terms_grow_one_cached_prefix(monkeypatch):
@@ -397,16 +396,30 @@ def test_pi_parts_match_moment_sum(seq, pre, count):
     assert oracle.exact_terms(prob, count) == want
 
 
-def test_recognized_form_all_outcomes():
-    assert oracle.recognized_form(trivial_kernel()) == "rational"
-    assert oracle.recognized_form(chebyshev_weight()) == "chebyshev_weight"
-    linear = Kernel(
-        RatFunc(Poly("x", [1])),
-        RatFunc(Poly("x", [Fraction(1, 2)]), Poly("x", [-2, 1])),
-    )
-    assert oracle.recognized_form(linear) == "linear_power"
-    odd = Kernel(
-        RatFunc(Poly("x", [1])),
-        RatFunc(Poly("x", [1]), Poly("x", [1, 0, 1])),
-    )
-    assert oracle.recognized_form(odd) is None
+def reference_moment_sum(prob, p):
+    """Σ_j c_j Σ_i a_i m_(i+j) over P_n's coefficients c_j, the prefactor's
+    a_i and the problem's raw moments m_k: a double sum, one dot product per
+    prefactor coefficient."""
+    ws = [Fraction(a) for a in prob.kernel.prefactor.num.coeffs]
+    count = len(p.coeffs) + len(ws) - 1
+    oracle._moments(prob, len(p.coeffs))
+    ms = [Fraction(m, prob._den) for m in prob._nums[:count]]
+    return sum((a * sum((Fraction(c) * m for c, m in zip(p.coeffs, ms[i:])), Fraction(0))
+                for i, a in enumerate(ws)), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequences(), rational_prefactors, endpoints,
+       st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+       st.booleans(), st.lists(st.integers(0, 39), min_size=1, max_size=6))
+def test_weighted_moments_match_the_double_sum(seq, pre, alpha, width, cheb, ns):
+    # the moments weighted by the prefactor grow with the raw ones, over
+    # their denominator, whatever order the terms are asked for in
+    if cheb:
+        kern, alpha, beta = Kernel(RatFunc(Poly("x", pre)), chebyshev_weight().logderiv), -1, 1
+    else:
+        kern, beta = Kernel(RatFunc(Poly("x", pre)), RatFunc(Poly("x", []))), alpha + width
+    prob = IntegralProblem(seq, kern, alpha, beta)
+    for n in ns:
+        p = reference_term(seq, n)
+        assert oracle._moment_sum(prob, p) == reference_moment_sum(prob, p)

@@ -371,7 +371,10 @@ def counting(monkeypatch, modules, name):
 
 
 def test_chebyshev_weight_verify_classifies_once_and_sums_each_q_n_once(monkeypatch):
-    # the guess needs 58 q_n at max_degree 5, the telescoper path 51 of them
+    # the guess needs 58 q_n at max_degree 5, the telescoper path 51 of them;
+    # the tagged kernel is classified once, by build_job's tag check, and
+    # run reads that classification off the kernel
+    forms = counting(monkeypatch, [telescope], "_classify")
     job = pipeline.build_job({
         "task": "verify",
         "sequence": {"builtin": "chebyshev_T"},
@@ -381,11 +384,25 @@ def test_chebyshev_weight_verify_classifies_once_and_sums_each_q_n_once(monkeypa
         "options": {"max_degree": 5},
     })
     sums = counting(monkeypatch, [oracle], "_moment_sum")
-    forms = counting(monkeypatch, [oracle], "recognized_form")
     rep = pipeline.run(job)
     assert rep.ok
     assert len(rep.results["guess"]["exact_initial_terms"]["values"]) == 58
     assert len(sums) == 58
+    assert len(forms) == 1
+
+
+def test_linear_power_job_classifies_once(monkeypatch):
+    # build_job's check for an integer exponent and the numeric check's
+    # quadrature read one classification of the kernel
+    forms = counting(monkeypatch, [telescope], "_classify")
+    rep = pipeline.run(pipeline.build_job({
+        "task": "recurrence",
+        "sequence": {"builtin": "chebyshev_T"},
+        "kernel": {"logderiv": "(1/2)/(x-1)", "form": "linear_power"},
+        "interval": ["-1", "1"],
+    }))
+    assert rep.ok
+    assert "numeric_window_equations" in [v["name"] for v in rep.verifications]
     assert len(forms) == 1
 
 
@@ -478,6 +495,38 @@ def test_max_residual_sees_a_wrong_low_index_rhs():
         assert mp.almosteq(pipeline._max_residual(wrong, vals), mp.mpf(1) / 3)
 
 
+# P_n = (x − 1)·T_n against |x − 1|^(−1), the rational kernel 1/(1 − x) on
+# [−1, 1]: a(n) = −∫T_n, 0 for every odd n
+XM1_JOB = {"task": "verify", "sequence": {"coeffs": ["2*x", "-1"], "init": ["x-1", "x^2-x"]},
+           "kernel": {"logderiv": "(-1)/(x-1)"}, "interval": ["-1", "1"]}
+
+
+def test_equations_whose_true_values_are_zero_hold_on_quadrature_noise():
+    # (n+3)·a(n+2) = (n−1)·a(n) holds, but at odd n both sides are
+    # quadrature noise near 1e-29, whose residual relative to its own scale
+    # is about 1: those equations are judged against the pass's resolution
+    rep = pipeline.run(pipeline.build_job(XM1_JOB))
+    assert rep.ok, rep.verifications
+    check, = [v for v in rep.verifications if v["name"] == "numeric_window_equations"]
+    assert float(check["approx_max_residual"]) < 1e-15
+
+
+def test_resolution_still_sees_a_wrong_recurrence():
+    job = pipeline.build_job(XM1_JOB)
+    prob = oracle.IntegralProblem(job.sequence, job.kernel, job.alpha, job.beta)
+    vals = oracle.numeric_terms(prob, 10, 12)
+    rec = o2r.Recurrence((Poly("n", [1, -1]), Poly("n", []), Poly("n", [3, 1])), 0)
+    wrong = o2r.Recurrence((Poly("n", [1, -1]), Poly("n", []), Poly("n", [4, 1])), 0)
+    with mp.workdps(22):
+        assert pipeline._max_residual(rec, vals, 12) < mp.mpf(10) ** -15
+        # judged against their own scale, the odd windows read about 1
+        assert pipeline._max_residual(rec, vals) > mp.mpf(10) ** -8
+        assert pipeline._max_residual(wrong, vals, 12) > mp.mpf(10) ** -3
+        # a(4) = 2/15 off by a billionth still fails the 1e-10 tolerance
+        bumped = vals[:4] + [vals[4] * (1 + mp.mpf(10) ** -9)] + vals[5:]
+        assert pipeline._max_residual(rec, bumped, 12) > mp.mpf(10) ** -10
+
+
 def test_max_residual_is_scale_free():
     rec = o2r.Recurrence(HARMONIC.coeffs, 0)
     with mp.workdps(30):
@@ -501,8 +550,8 @@ def test_order_12_recurrence_holds_on_its_12_digit_values(monkeypatch):
         "options": {"max_order": 3}}))
     assert rep.ok
     assert any("12 digits" in note for note in rep.notes)
-    (rec, vals), = calls
-    assert rec.order == 12 and len(rec.exceptional) == 11
+    (rec, vals, digits), = calls
+    assert rec.order == 12 and len(rec.exceptional) == 11 and digits == 12
     with mp.workdps(22):
         assert pipeline._max_residual(rec, vals) < mp.mpf(10) ** -20
 

@@ -166,6 +166,43 @@ def test_exponent_at_a_higher_order_pole_raises():
         kernel(logderiv="1/(x-1)^2").exponent_at(Fraction(1))
 
 
+# kernel, form, power
+KERNEL_FORMS = [
+    ("trivial", trivial_kernel(), "rational", None),
+    ("polynomial", Kernel(RatFunc(Poly("x", [1, 0, 1])), RatFunc(Poly("x", []))), "rational",
+     None),
+    ("chebyshev", chebyshev_weight(), "chebyshev_weight", None),
+    ("linear", Kernel(RatFunc(Poly("x", [1])),
+                      RatFunc(Poly("x", [Fraction(1, 2)]), Poly("x", [-2, 1]))),
+     "linear_power", (2, Fraction(1, 2))),
+    ("linear_scaled", Kernel(RatFunc(Poly("x", [1])), RatFunc(Poly("x", [3]), Poly("x", [1, 2]))),
+     "linear_power", (Fraction(-1, 2), Fraction(3, 2))),
+    ("odd", Kernel(RatFunc(Poly("x", [1])), RatFunc(Poly("x", [1]), Poly("x", [1, 0, 1]))),
+     None, None),
+    ("chebyshev_scaled", Kernel(RatFunc(Poly("x", [1])),
+                                RatFunc(Poly("x", [0, 2]), Poly("x", [1, 0, -1]))), None, None),
+]
+
+
+def test_kernel_form_all_outcomes():
+    x = Poly.variable("x")
+    for name, kern, form, power in KERNEL_FORMS:
+        assert (kern.form, kern.power) == (form, power), name
+        # the form as the log-derivative's own comparison gives it
+        assert (kern.form == "chebyshev_weight") == (kern.logderiv == RatFunc(x, 1 - x * x))
+
+
+def test_kernel_facts_are_computed_once(monkeypatch):
+    calls = []
+    classify = telescope_module._classify
+    monkeypatch.setattr(telescope_module, "_classify",
+                        lambda rho: calls.append(rho) or classify(rho))
+    kern = kernel(logderiv="(1/2)/(x-1)")
+    assert [kern.form, kern.form, kern.power[1]] == ["linear_power"] * 2 + [Fraction(1, 2)]
+    assert kern.kappa is kern.kappa
+    assert len(calls) == 1
+
+
 def test_order_minimality_rerun():
     gf = generating_function(T)
     tel = telescope(gf, trivial_kernel(), 6)
@@ -353,10 +390,17 @@ def _w_sequence(num, den, upto):
     return ws
 
 
+def reference_kappa(kernel):
+    """K'/K = ρ + prefactor'/prefactor, normalised by RatFunc."""
+    pre = kernel.prefactor
+    return kernel.logderiv + RatFunc(pre.num.deriv() * pre.den - pre.num * pre.den.deriv(),
+                                     pre.num * pre.den)
+
+
 def _log_deriv_x(gf, kernel):
     num, den = gf.num, gf.den
     r_part = RatFunc(dx(num) * den - num * dx(den), num * den)
-    k_part = kernel.logderiv + telescope_module._pre_logderiv(kernel)
+    k_part = reference_kappa(kernel)
     return r_part + RatFunc(_bivar(k_part.num), _bivar(k_part.den))
 
 
@@ -452,7 +496,7 @@ def reference_regular_part(gf, kern):
     at which K'/K is regular, den_l/g integer-primitive with a positive
     leading coefficient."""
     den_l = _bivar_part(_log_deriv_x(gf, kern).den)
-    kappa = kern.logderiv + telescope_module._pre_logderiv(kern)
+    kappa = reference_kappa(kern)
     g = P.gcd(den_l, gf.num * gf.den)
     while True:
         c = P.gcd(g, _bivar(kappa.den))
@@ -667,9 +711,9 @@ def test_kappa_pole_shared_with_the_denominator_stays():
     x = Poly.variable("x")
     gf = RatFunc(Poly("t", [1]), Poly("t", [x - 3, -x * (x - 3)]))
     kern = Kernel(RatFunc((x - 3) ** 3), RatFunc(Poly("x", [])))
-    nr, _, dr, _, ln, ld, kd = telescope_module._integrand(gf, kern)
+    nr, _, dr, _, ln, ld = telescope_module._integrand(gf, kern)
     _, ln, ld = K.gcd_int(ln, ld)
-    g, lq = telescope_module._regular_part(ld, K.rmul(nr, dr), kd)
+    g, lq = telescope_module._regular_part(ld, K.rmul(nr, dr), kern.kappa[1])
     assert g == P.int_rows(Poly("t", [-1, x]))[0]
     assert K.primitive(lq, True)[1] == P.int_rows(x - 3)[0]
     ref_g, ref_lq = reference_regular_part(gf, kern)
@@ -681,9 +725,10 @@ def test_x_free_generating_function():
     # F = 1/(1−t): den_l is a constant, so g = 1 and h = 0 at every order;
     # Y = x solves the order-0 system, d/dx (x·F) = F
     gf = generating_function(ones_sequence())
-    nr, _, dr, _, ln, ld, kd = telescope_module._integrand(gf, trivial_kernel())
+    nr, _, dr, _, ln, ld = telescope_module._integrand(gf, trivial_kernel())
     _, ln, ld = K.gcd_int(ln, ld)
     assert (ln, max(map(len, ld))) == ([], 1)
+    kd = trivial_kernel().kappa[1]
     assert telescope_module._regular_part(ld, K.rmul(nr, dr), kd)[0] == [[1]]
     tel = telescope(gf, trivial_kernel(), 3)
     assert tel.order == 0 and tel.certificate == RatFunc(Poly("x", [0, 1]))
@@ -724,6 +769,57 @@ def integrands(draw, hyperexponential=True):
                   rho_den if rho_den else Poly("x", [1]))
     seq = cf.CFiniteSeq(tuple(coeffs), tuple(init))
     return generating_function(seq), Kernel(prefactor, rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integrands())
+def test_kappa_matches_ratfunc_reference(case):
+    kern = case[1]
+    kn, kd = kern.kappa
+    ref = reference_kappa(kern)
+    assert RatFunc(P.from_rows(kn), P.from_rows(kd)) == RatFunc(_bivar(ref.num), _bivar(ref.den))
+    assert K.gcd_int(kn, kd)[0] == [[1]]
+
+
+def reference_h(gf, kern, ell):
+    """(hn, hd): h = Lx − (d/dx den_y)/den_y over g·den_y, den_y = lq·N'·D'^ell,
+    reduced by one gcd, as each order took it before it was taken from κ."""
+    nr, _, dr, _, ln, ld = telescope_module._integrand(gf, kern)
+    _, ln, ld = K.gcd_int(ln, ld)
+    g, lq = telescope_module._regular_part(ld, K.rmul(nr, dr), kern.kappa[1])
+    nd = nr
+    for _ in range(ell):
+        nd = K.rmul(nd, dr)
+    den_y = K.rmul(lq, nd)
+    return K.gcd_int(K.rsub(K.rmul(ln, nd), K.rmul(g, K.rdx(den_y))), K.rmul(g, den_y))[1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(integrands())
+def test_h_from_kappa_matches_the_full_log_derivative(case):
+    # N' cancels from Lx − den_y'/den_y: the h of each order the search
+    # tries equals the one reduced from the full expression, up to a constant
+    gf, kern = case
+    if gf.num.is_zero():
+        return
+    seen, bound = [], telescope_module._degree_bound
+
+    def recorded(hn, hd, deg_r):
+        seen.append((hn, hd))
+        return bound(hn, hd, deg_r)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(telescope_module, "_degree_bound", recorded)
+        try:
+            telescope(gf, kern, 2)
+        except NoTelescoperFound:
+            pass
+    assert seen
+    # _degree_bound takes each order's h, orders 0, 1, … in turn
+    for ell, (hn, hd) in enumerate(seen):
+        rn, rd = reference_h(gf, kern, ell)
+        assert K.rmul(hn, rd) == K.rmul(rn, hd)
+        assert K.primitive(hd, True)[1] == K.primitive(rd, True)[1]
 
 
 @settings(max_examples=40, deadline=None)
