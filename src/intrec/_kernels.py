@@ -201,6 +201,15 @@ def peval(cs, v):
     return acc
 
 
+def peval_at(cs, p, q):
+    """q^(len(cs) − 1)·c(p/q) for an int list c, of c(p/q)'s sign for q > 0:
+    the one exact evaluation at a rational point, by Horner in integers."""
+    acc, w = 0, 1
+    for c in reversed(cs):
+        acc, w = acc * p + c * w, w * q
+    return acc
+
+
 def exactdiv_int(a, b):
     """Exact division of int polynomials; raises if not divisible."""
     if not b:

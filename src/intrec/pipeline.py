@@ -11,6 +11,7 @@ StageFailure so callers can name the failing stage and pick an exit code.
 """
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log2
@@ -269,6 +270,8 @@ def _build_kernel(doc):
                     " (recognized: %r)" % (doc["form"], kern.form)
                 )
             echo["form"] = doc["form"]
+    if kern.prefactor.is_zero():
+        raise InvalidJob("kernel.%s: the kernel is zero, so every integral is 0" % kind)
     return kern, echo
 
 
@@ -311,7 +314,7 @@ def _check_convergent(kern, seq, alpha, beta):
             c = kern.exponent_at(e)
         except BoundaryNotEvaluable:
             continue
-        k = _vanish_order(rows, e)[0] if rows else 0
+        k = _vanish_order(rows, e, max(map(len, rows)) - 1)[0] if rows else 0
         if c + k <= -1:
             raise InvalidJob(
                 "kernel.logderiv: the integrals diverge at x = %s, where the kernel has"
@@ -520,8 +523,20 @@ def _set_recurrence(rep, key, rec, prob):
     rep.results[key] = payload
 
 
+def _printed_terms(prob, count):
+    """oracle.exact_terms for verify and guess, which print every term: the
+    first too long to print raises ValueTooLarge as it is made.  A b-bit int
+    has at most 0.302·b + 1 digits, so str() runs only near the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    for n in range(count):
+        q = _stage("oracle", oracle.exact_terms, prob, n + 1)[n]
+        if limit and 0.302 * max(abs(q.numerator), q.denominator).bit_length() + 1 > limit:
+            _fmt_value(q)
+    return oracle.exact_terms(prob, count)
+
+
 def _run_guess(rep, prob, opts, count):
-    terms = _stage("oracle", oracle.exact_terms, prob, count)
+    terms = _printed_terms(prob, count)
     grec = _stage(
         "guess", guess_precursive, terms, opts.max_order, opts.max_degree, opts.margin
     )
@@ -654,7 +669,8 @@ def _recurrence_stage(rep, job, prob, gf, tel, want_terms):
     if prob.factor is not None:
         need = o2r.required_initials(rec)
         count = max(need, want_terms)
-        terms = _stage("oracle", oracle.exact_terms, prob, count)
+        terms = (_printed_terms(prob, count) if job.task == "verify"
+                 else _stage("oracle", oracle.exact_terms, prob, count))
         try:
             rec = o2r.attach_initials(rec, terms[:need])
             rep.check(

@@ -437,16 +437,7 @@ def sturm(p):
         chain.append([-v // g for v in r])
 
     def variations(v):
-        # the sign of c(n/m) is that of m^deg·c(n/m), m > 0: Horner in integers
-        n, m = v.numerator, v.denominator
-        signs = []
-        for c in chain:
-            acc, w = 0, 1
-            for x in reversed(c):
-                acc = acc * n + x * w
-                w *= m
-            if acc:
-                signs.append(acc > 0)
+        signs = [s > 0 for s in (K.peval_at(c, v.numerator, v.denominator) for c in chain) if s]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     return chain[0], variations

@@ -36,8 +36,8 @@ and denominator) and the system's columns; the system differs from the
 one over R's own coefficients only by one factor common to every row.
 verify_certificate compares the two sides of the cross-multiplied identity
 as two packed-integer products, and boundary_rhs takes each endpoint limit
-from the multiplicities and values of the integrand's factors there and
-the kernel's exponent (Kernel.exponent_at).
+from the multiplicities and integer values (`_kernels.peval_at`) of the
+integrand's factors there and the kernel's exponent (Kernel.exponent_at).
 """
 
 from dataclasses import dataclass
@@ -403,17 +403,15 @@ def verify_certificate(gf, kernel, tel):
                              rhs_num, K.rscale(lhs_den, ca * cyd))
 
 
-def _vanish_order(rows, e):
-    """(k, rows/(x − e)^k at x = e): the multiplicity of (x − e) in nonzero
-    integer rows and the t-coefficients of what is left, there, as rationals.
-
-    For nonzero rows k cannot exceed the x-degree, so the loop needs no cap.
-    """
-    e = Fraction(e)
+def _vanish_order(rows, e, d):
+    """(k, vals): k the multiplicity of (x − e) in nonzero integer rows of
+    x-degree at most d, and vals, per power of t, q^d times the value of
+    rows/(q·x − p)^k at e = p/q in lowest terms, an integer.  For nonzero
+    rows k cannot exceed the x-degree, so the loop needs no cap."""
     p, q = e.numerator, e.denominator
     k = 0
     while True:
-        at = [K.peval(r, e) for r in rows]
+        at = [K.peval_at(r, p, q) * q ** (d + 1 - len(r)) for r in rows]
         if any(at):
             return k, at
         rows = [K.exactdiv_int(r, [-p, q]) for r in rows]
@@ -422,25 +420,26 @@ def _vanish_order(rows, e):
 
 def _endpoint_contribution(nums, dens, kernel, e):
     """Limit at x = e of the product of nums over that of dens, times exp(∫ρ),
-    as a rational function of t; each factor is nonzero integer rows."""
-    ords, vals = [], []
-    for factors in (nums, dens):
-        k, val = 0, [1]
+    as integer t-lists (numerator, denominator).  Each factor is nonzero
+    integer rows, and there are as many nums as dens, so the q^d that
+    _vanish_order puts on each value cancels, as do the q^k of equal
+    multiplicities on the two sides, the only case with a nonzero limit."""
+    d = max(len(r) for f in nums + dens for r in f) - 1
+    ords, vals = [0, 0], [[1], [1]]
+    for i, factors in enumerate((nums, dens)):
         for f in factors:
-            fk, at = _vanish_order(f, e)
-            k, val = k + fk, K.pmul(val, at)
-        ords.append(k)
-        vals.append(val)
-    # the limit is that of vals·|x − e|^power, the kernel's exponent 0 where
-    # it is rational
-    power = ords[0] - ords[1] + kernel.exponent_at(e)
-    if power > 0:
-        return RatFunc(Poly("t", []), Poly("t", [1]))
+            k, at = _vanish_order(f, e, d)
+            ords[i], vals[i] = ords[i] + k, K.pmul(vals[i], at)
+    # the limit is that of vals·|x − e|^power, power = ords[0] − ords[1] + c
+    # with c the kernel's exponent, 0 where it is rational
+    c = kernel.exponent_at(e)
+    if c > ords[1] - ords[0]:
+        return [], [1]
     if not kernel.logderiv.is_zero():
         raise BoundaryNotEvaluable("nonzero limit against a non-rational kernel at x = %s" % (e,))
-    if power < 0:
+    if c < ords[1] - ords[0]:
         raise BoundaryNotEvaluable("certificate has a pole at x = %s" % (e,))
-    return RatFunc(Poly("t", vals[0]), Poly("t", vals[1]))
+    return tuple(vals)
 
 
 def boundary_rhs(gf, kernel, tel, alpha, beta):
@@ -448,7 +447,7 @@ def boundary_rhs(gf, kernel, tel, alpha, beta):
 
     C/exp(∫ρ) = y·(N/D)·prefactor is kept as its six integer-row factors, so
     each limit needs only their multiplicities at the endpoint and their
-    values there.
+    values there; the difference is taken in integers and normalized once.
     """
     (yn, cyn), (yd, cyd) = P.int_rows(tel.certificate.num), P.int_rows(tel.certificate.den)
     (nr, cn), (dr, cd) = P.int_rows(gf.num), P.int_rows(gf.den)
@@ -456,6 +455,6 @@ def boundary_rhs(gf, kernel, tel, alpha, beta):
     nums, dens = (yn, nr, pn), (yd, dr, pd)
     if not all(nums):
         return RatFunc(Poly("t", []), Poly("t", [1]))
-    hi = _endpoint_contribution(nums, dens, kernel, beta)
-    lo = _endpoint_contribution(nums, dens, kernel, alpha)
-    return (hi - lo) * Fraction(cyd * cd, cyn * cn)
+    (hn, hd), (ln, ld) = (_endpoint_contribution(nums, dens, kernel, e) for e in (beta, alpha))
+    num = K.pscale(K.psub(K.pmul(hn, ld), K.pmul(ln, hd)), cyd * cd)
+    return RatFunc(Poly("t", num), Poly("t", K.pscale(K.pmul(hd, ld), cyn * cn)))

@@ -171,6 +171,9 @@ SINGULAR_KERNELS = [
      "kernel.logderiv: the integrals diverge at x = -1, where the kernel has exponent -1"),
     ({"logderiv": "(-5/4)/(x+1)", "form": "linear_power"}, ["-1", "1"],
      "kernel.logderiv: the integrals diverge at x = -1, where the kernel has exponent -5/4"),
+    # a zero kernel is refused before any work, not deep in the telescoper
+    ({"polynomial": "0"}, ["-1", "1"], "kernel.polynomial: the kernel is zero"),
+    ({"rational": "0/(x-3)"}, ["-1", "1"], "kernel.rational: the kernel is zero"),
 ]
 
 
@@ -226,16 +229,24 @@ def test_no_guess_exits_3(tmp_path, capsys):
                     reason="this Python prints ints of any length")
 def test_value_too_long_to_print_exits_3(tmp_path, capsys):
     # a 300-digit endpoint is within the 2048-bit limit, but the guess's 51
-    # initial terms then outgrow Python's limit on printing an int
-    doc = {"task": "verify", "sequence": {"builtin": "chebyshev_T"},
-           "kernel": {"polynomial": "1"}, "interval": ["0", "1/" + "3" * 300]}
+    # initial terms then outgrow Python's limit on printing an int.  verify
+    # and guess print every term they make, so they stop at the first one
+    # too long, q_4 of T² at 600 digits, where they used to make them all,
+    # unroll and guess first (13 s for that verify job)
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        assert cli.main(["run", "--job", write_job(tmp_path, doc), "--format", "json"]) == 3
+        for task, transforms, digits in [("verify", [], 300), ("verify", [{"power": 2}], 600),
+                                         ("guess", [{"power": 2}], 600)]:
+            doc = {"task": task, "sequence": {"builtin": "chebyshev_T"},
+                   "transforms": transforms, "kernel": {"polynomial": "1"},
+                   "interval": ["0", "1/" + "3" * digits]}
+            start = time.perf_counter()
+            assert cli.main(["run", "--job", write_job(tmp_path, doc), "--format", "json"]) == 3
+            assert time.perf_counter() - start < 2
+            assert "limit of 4300 for integer string conversion" in capsys.readouterr().err
     finally:
         sys.set_int_max_str_digits(old)
-    assert "limit of 4300 for integer string conversion" in capsys.readouterr().err
 
 
 class _StalledRule:

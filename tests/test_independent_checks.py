@@ -8,9 +8,13 @@ golden it can check today runs through the checks that fit its report.
 The goldens check.py refuses, those with rational kernels or with Fraction
 coefficients, are checked here on the same terms without intrec: P_n built
 in Fractions from the job document through check.py's parsers, values by
-the power rule or by mpmath.quad at 40 digits.
+the power rule or by mpmath.quad at 40 digits.  A rational kernel's values
+are also taken exactly, as r_n + s_n·J with r_n and s_n rational and J one
+constant per kernel: mpmath.quad at 40 digits cannot check the T^3
+goldens, whose windows cancel below its accuracy.
 """
 
+import functools
 import importlib.util
 import json
 import math
@@ -68,8 +72,12 @@ def sequence_polys(job_doc, count):
 
     polys = base(job_doc["sequence"])
     for tr in job_doc["transforms"]:
-        other = base(tr["product_with"])
-        polys = [check._p_mul(p, q) for p, q in zip(polys, other)]
+        if "power" in tr:
+            polys = [functools.reduce(check._p_mul, [p] * tr["power"], [Fraction(1)])
+                     for p in polys]
+        else:
+            other = base(tr["product_with"])
+            polys = [check._p_mul(p, q) for p, q in zip(polys, other)]
     return polys
 
 
@@ -131,6 +139,75 @@ def test_rational_kernel_golden_holds_on_independent_values(name):
         assert residual_failure(rec, vals, mp.mpf(10) ** -30) is None
         for v, s in zip(vals, rec["approx_initial_terms"]):
             assert abs(mp.mpf(s) - v) <= mp.mpf(10) ** -12 * abs(v)
+
+
+# each rational kernel A/B of the goldens on [-1, 1]: A, B, the rational s
+# with ∫ R/B dx = s·J for a remainder R of degree below B's, and J.  There
+# ∫ dx/(x - 2) = -ln 3, ∫ dx/(x - 3) = -ln 2 and ∫ dx/(x^2 + 4) = arctan(1/2),
+# while ∫ x/(x^2 + 4) dx = 0
+RATIONAL_PARTS = {"-1/(x-2)": ("-1", "x-2", lambda r: -r[0], lambda: mp.log(3)),
+                  "(x^2+1)/(x-3)": ("x^2+1", "x-3", lambda r: -r[0], lambda: mp.log(2)),
+                  "(x+3)/(x^2+4)": ("x+3", "x^2+4", lambda r: r[0], lambda: mp.atan(mp.mpf(1) / 2))}
+RATIONAL_GOLDENS = ["chebyshev_u_rational_recurrence", "chebyshev_tu_rational_verify",
+                    "chebyshev_t3_rational_recurrence",
+                    "chebyshev_t3_rational_quadratic_recurrence"]
+
+
+def divide(a, b):
+    """(quotient, remainder) of Fraction coefficient lists, the remainder
+    padded to len(b) - 1 coefficients."""
+    a, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = a[k + len(b) - 1] / b[-1]
+        for j, bj in enumerate(b):
+            a[k + j] -= c * bj
+    return q, (a + [Fraction(0)] * len(b))[:len(b) - 1]
+
+
+def exact_parts(job_doc, count):
+    """[(r_n, s_n)] with a(n) = r_n + s_n·J exactly for n < count, and J as
+    a function of the working precision.  P_n·A = Q·B + R, so a(n) is the
+    integral of Q by the power rule plus that of R/B."""
+    text = job_doc["kernel"]["rational"]
+    num, den, s_of, J = RATIONAL_PARTS[text]
+    a, b = check.poly(num, "x"), check.poly(den, "x")
+    for x in (Fraction(1, 7), Fraction(-5, 3)):
+        assert check.value(text, x=x) == check._horner(a, x) / check._horner(b, x)
+    assert job_doc["interval"] == ["-1", "1"]
+    out = []
+    for p in sequence_polys(job_doc, count):
+        q, r = divide(check._p_mul(p, a), b)
+        out.append((sum(2 * c / (k + 1) for k, c in enumerate(q) if k % 2 == 0), s_of(r)))
+    return out, J
+
+
+def rational_golden_failure(report):
+    """Why a rational-kernel report's recurrence misses its exact values, or None.
+
+    ln 3, ln 2 and arctan(1/2) are irrational and every right-hand side is
+    rational, so an equation holds on a(n) exactly when it holds on the r_n
+    and, with right-hand side 0, on the s_n.  Every window up to 8 past
+    the order and every low-index equation is checked, and each
+    approximate initial term against r_n + s_n·J at 200 digits."""
+    rec = report["results"]["recurrence"]
+    count = max([rec["order"] + 8] + [i + 1 for eq in rec["exceptional"] for i, _ in eq["pairs"]])
+    parts, J = exact_parts(report["job"], count)
+    zero_rhs = dict(rec, exceptional=[dict(eq, rhs="0") for eq in rec["exceptional"]])
+    why = (check._window_failure(rec, [r for r, _ in parts])
+           or check._window_failure(zero_rhs, [s for _, s in parts]))
+    if why:
+        return why
+    with mp.workdps(200):
+        for n, ((r, s), text) in enumerate(zip(parts, rec["approx_initial_terms"])):
+            v = mpf(r) + mpf(s) * J()
+            if abs(mp.mpf(text) - v) > mp.mpf(10) ** -15 * abs(v):
+                return "approximate term %d is off" % n
+    return None
+
+
+@pytest.mark.parametrize("name", RATIONAL_GOLDENS)
+def test_rational_kernel_golden_holds_exactly(name):
+    assert rational_golden_failure(golden(name)) is None
 
 
 @pytest.mark.parametrize("name", ["custom_rational_guess", "custom_rational_verify"])

@@ -1,5 +1,7 @@
 """Integer-row kernels: Kronecker products, row calculus, gcd cofactors."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,3 +106,13 @@ def test_gcd_cofactors_reproduce_the_inputs_on_rows(g, u, v):
     a, b = K.rmul(g, u), K.rmul(g, v)
     h, qa, qb = K.gcd_int(a, b)
     assert K.rmul(h, qa) == a and K.rmul(h, qb) == b
+
+
+@settings(max_examples=200)
+@given(st.lists(coeffs, max_size=8), st.fractions(max_denominator=2**70))
+def test_peval_at_is_the_scaled_value(cs, v):
+    # q^(len − 1)·c(p/q), the value Fraction Horner gives, scaled to an integer
+    p, q = v.numerator, v.denominator
+    want = K.peval([Fraction(c) for c in cs], v) * q ** max(len(cs) - 1, 0)
+    got = K.peval_at(cs, p, q)
+    assert type(got) is int and got == want

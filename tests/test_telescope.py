@@ -130,7 +130,10 @@ def test_constructed_pole_raises():
 def test_vanish_order_past_64():
     x = Poly.variable("x")
     wd = Poly("t", [(x - 1) ** 70 * (x + 2), (x - 1) ** 71])
-    assert _vanish_order(P.int_rows(wd)[0], 1) == (70, [3, 0])
+    assert _vanish_order(P.int_rows(wd)[0], 1, 71) == (70, [3, 0])
+    # at e = 1/2 the value of rows/(2x − 1)^70, 5/2 and 0, comes scaled by 2^d
+    wd = Poly("t", [(2 * x - 1) ** 70 * (x + 2), (2 * x - 1) ** 71])
+    assert _vanish_order(P.int_rows(wd)[0], Fraction(1, 2), 71) == (70, [5 * 2**70, 0])
     # |x-1|^(131/2) against a certificate with a pole of order 70 at x = 1:
     # the limit is infinite, so the boundary must not be reported as zero
     kern = Kernel(
@@ -152,10 +155,9 @@ def test_exponent_at_is_the_residue_and_decides_the_limit(logderiv, e, c):
     kern, e = kernel(logderiv=logderiv), Fraction(e)
     assert kern.exponent_at(e) == c
     if c > 0:
-        assert _endpoint_contribution([[[1]]], [[[2]]], kern, e).is_zero()
+        assert _endpoint_contribution([[[1]]], [[[2]]], kern, e) == ([], [1])
     elif logderiv == "0":
-        assert _endpoint_contribution([[[1]]], [[[2]]], kern, e) == RatFunc(Poly("t", [1]),
-                                                                             Poly("t", [2]))
+        assert _endpoint_contribution([[[1]]], [[[2]]], kern, e) == ([1], [2])
     else:
         with pytest.raises(BoundaryNotEvaluable, match="nonzero limit"):
             _endpoint_contribution([[[1]]], [[[2]]], kern, e)
@@ -881,6 +883,93 @@ def test_exact_problem_boundary_always_has_a_limit(case):
     rhs = boundary_rhs(gf, kern, tel, alpha, beta)
     if not kern.logderiv.is_zero():
         assert rhs.is_zero()
+
+
+def reference_vanish_order(rows, e):
+    """(k, rows/(q·x − p)^k at x = e = p/q) in Fraction arithmetic, as the
+    boundary stage took it before it ran on integers."""
+    e = Fraction(e)
+    k = 0
+    while True:
+        at = [K.peval(r, e) for r in rows]
+        if any(at):
+            return k, at
+        rows = [K.exactdiv_int(r, [-e.numerator, e.denominator]) for r in rows]
+        k += 1
+
+
+def reference_endpoint_contribution(nums, dens, kernel, e):
+    """The limit at x = e as a RatFunc, from Fraction values."""
+    ords, vals = [], []
+    for factors in (nums, dens):
+        k, val = 0, [1]
+        for f in factors:
+            fk, at = reference_vanish_order(f, e)
+            k, val = k + fk, K.pmul(val, at)
+        ords.append(k)
+        vals.append(val)
+    power = ords[0] - ords[1] + kernel.exponent_at(e)
+    if power > 0:
+        return RatFunc(Poly("t", []), Poly("t", [1]))
+    if not kernel.logderiv.is_zero():
+        raise BoundaryNotEvaluable("nonzero limit against a non-rational kernel at x = %s" % (e,))
+    if power < 0:
+        raise BoundaryNotEvaluable("certificate has a pole at x = %s" % (e,))
+    return RatFunc(Poly("t", vals[0]), Poly("t", vals[1]))
+
+
+def reference_boundary_rhs(gf, kernel, tel, alpha, beta):
+    """C(beta,t) − C(alpha,t): one RatFunc per endpoint, their difference
+    and a Fraction scale."""
+    (yn, cyn), (yd, cyd) = P.int_rows(tel.certificate.num), P.int_rows(tel.certificate.den)
+    (nr, cn), (dr, cd) = P.int_rows(gf.num), P.int_rows(gf.den)
+    pn, pd = telescope_module._x_rows(kernel.prefactor)
+    nums, dens = (yn, nr, pn), (yd, dr, pd)
+    if not all(nums):
+        return RatFunc(Poly("t", []), Poly("t", [1]))
+    hi = reference_endpoint_contribution(nums, dens, kernel, beta)
+    lo = reference_endpoint_contribution(nums, dens, kernel, alpha)
+    return (hi - lo) * Fraction(cyd * cd, cyn * cn)
+
+
+xtpolys = st.lists(xpolys, min_size=1, max_size=3).map(lambda cs: Poly("t", cs))
+
+
+@st.composite
+def boundary_cases(draw):
+    """(gf, kernel, tel, alpha, beta): a random integrand on a random
+    interval, its kernel's prefactor and a made-up certificate carrying
+    each endpoint's linear factor to random powers, so that factors vanish
+    there to high order and certificates have poles there.  The powers in
+    the certificate's numerator and denominator are mostly close, where a
+    limit can be finite and nonzero."""
+    gf, kern = draw(integrands(hyperexponential=draw(st.booleans())))
+    alpha, beta = sorted(draw(st.lists(rationals, min_size=2, max_size=2, unique=True)))
+    num, den, pre = draw(xtpolys.filter(bool)), draw(xtpolys.filter(bool)), kern.prefactor
+    for e in (alpha, beta):
+        lin = Poly("x", [-e.numerator, e.denominator])
+        k = draw(st.integers(0, 8))
+        num = num * lin ** k
+        den = den * lin ** max(0, k + draw(st.sampled_from([-2, -1, 0, 0, 0, 1, 2])))
+        pre = pre * RatFunc(lin ** draw(st.integers(0, 2)), lin ** draw(st.integers(0, 1)))
+    tel = Telescoper((Poly("t", [1]),), RatFunc(num, den))
+    return gf, Kernel(pre, kern.logderiv), tel, alpha, beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_cases())
+def test_boundary_rhs_matches_the_fraction_reference(case):
+    # the same value and text, or the same refusal, as the stage in Fractions
+    try:
+        want = reference_boundary_rhs(*case)
+    except BoundaryNotEvaluable as e:
+        with pytest.raises(BoundaryNotEvaluable) as got:
+            boundary_rhs(*case)
+        assert str(got.value) == str(e)
+        return
+    got = boundary_rhs(*case)
+    assert got == want
+    assert exprs.fmt_ratfunc(got) == exprs.fmt_ratfunc(want)
 
 
 def test_reduce_content_matches_full_normalisation(monkeypatch):
